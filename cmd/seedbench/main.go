@@ -13,7 +13,7 @@
 // storage engine's group-commit pipeline, E7 the snapshot-read/check-in
 // concurrency engine, E8 the copy-on-write snapshot generations plus the
 // class-indexed query path beyond the paper, E9 the concurrent
-// lock-scoped check-in path against the old serialized write gate, E10
+// lock-scoped check-in path against a harness-serialized baseline, E10
 // the pipelined v2 wire protocol with server-side queries, E11 the
 // follower-replication read scale-out with its lag and convergence
 // differential, E12 the columnar item store against the map-backed

@@ -15,12 +15,12 @@ import (
 // E10 measures wire protocol v2 (DESIGN.md section 9) on its two claims:
 //
 //   - Pipelining: request throughput on ONE connection as the number of
-//     in-flight requests grows, against the v1 lockstep baseline where each
+//     in-flight requests grows, against a lockstep baseline where each
 //     request waits out a full round trip. The workload is a small OpGet,
 //     so the numbers isolate protocol overhead, not payload cost.
 //   - Server-side queries: latency of a by-class selection executed on the
-//     server's indexed snapshot (OpQuery) against the only option the v1
-//     protocol left — download every subtree and filter locally.
+//     server's indexed snapshot (OpQuery) against the only option without
+//     it — download every subtree and filter locally.
 //
 // The database is in-memory: E10 measures the protocol layer, not fsync.
 
@@ -63,7 +63,7 @@ type E10Data struct {
 	// headline protocol number.
 	PipelineSpeedup8 float64 `json:"pipeline_speedup_8"`
 	// RemoteQueryNanos is the per-operation latency of a server-side
-	// by-class query; GetFilterNanos is the same selection done the v1 way
+	// by-class query; GetFilterNanos is the same selection done without it
 	// (download everything, filter locally).
 	RemoteQueryNanos int64   `json:"remote_query_ns"`
 	GetFilterNanos   int64   `json:"get_filter_ns"`
@@ -104,19 +104,20 @@ func e10DB(objects int) (*seed.Database, error) {
 	return db, nil
 }
 
-// lockstepGets is the v1 baseline, issued exactly as the v1 client shipped
-// it: one raw WriteFrame, one raw ReadFrame, strictly alternating — every
-// request waits out the full round trip before the next leaves the client.
+// lockstepGets is the one-in-flight baseline: raw v2 frames, one WriteFrame,
+// one ReadFrame, strictly alternating — every request waits out the full
+// round trip before the next leaves the client.
 func lockstepGets(conn net.Conn, name string, total int) error {
 	for i := 0; i < total; i++ {
-		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpGet, Names: []string{name}}); err != nil {
+		seq := uint64(i + 1)
+		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpGet, Seq: seq, Names: []string{name}}); err != nil {
 			return err
 		}
 		var resp wire.Response
 		if err := wire.ReadFrame(conn, &resp); err != nil {
 			return err
 		}
-		if resp.Err != "" || len(resp.Snapshots) != 1 {
+		if resp.Err != "" || resp.Seq != seq || len(resp.Snapshots) != 1 {
 			return fmt.Errorf("bench: lockstep get answered %+v", &resp)
 		}
 	}
@@ -189,9 +190,9 @@ func E10Stats(w PipelineWorkload) (*Result, *E10Data) {
 	defer srv.Close()
 	r.logf("workload: %d objects in-memory, %d gets per cell, one connection", w.Objects, w.Requests)
 
-	// --- Pipelining sweep. The lockstep cell runs the v1 protocol exactly
-	// as it shipped (raw Seq-less frames, strict alternation); the
-	// pipelined cells use one v2 connection each.
+	// --- Pipelining sweep. The lockstep cell is harness-made: raw v2
+	// frames on a bare socket, one in flight, strict alternation; the
+	// pipelined cells use one client connection each.
 	target := "Tiny"
 	record := func(mode string, window int, elapsed time.Duration) float64 {
 		st := E10RunStats{
@@ -214,7 +215,7 @@ func E10Stats(w PipelineWorkload) (*Result, *E10Data) {
 			return 0, err
 		}
 		defer conn.Close()
-		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpHello}); err != nil {
+		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2}); err != nil {
 			return 0, err
 		}
 		var hello wire.Response

@@ -102,16 +102,17 @@ func measureChurn(db *seed.Database, targets []seed.ID, w ChurnWorkload, rng *ra
 	_ = db.View() // warm: the pre-churn generation is frozen and cached
 	out := make([]time.Duration, 0, w.Commits)
 	for c := 0; c < w.Commits; c++ {
-		if err := db.Begin(); err != nil {
+		tx, err := db.BeginTx()
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < w.CommitOps; i++ {
 			t := targets[rng.Intn(len(targets))]
-			if err := db.SetValue(t, seed.NewString(fmt.Sprintf("v%d-%d", c, i))); err != nil {
+			if err := tx.SetValue(t, seed.NewString(fmt.Sprintf("v%d-%d", c, i))); err != nil {
 				return nil, err
 			}
 		}
-		if err := db.Commit(); err != nil {
+		if err := tx.Commit(); err != nil {
 			return nil, err
 		}
 		start := time.Now()

@@ -14,14 +14,15 @@ import (
 
 // E9 measures the concurrent lock-scoped check-in path (DESIGN.md section
 // 8): check-in throughput against writer count on disjoint lock sets, once
-// with the old serialized global write gate (the baseline the gate's
-// retirement is judged against) and once with concurrent check-ins whose
-// commits coalesce into shared fsyncs in the group-commit write-ahead log.
-// The database is file-backed with SyncGroupCommit, so every check-in pays
-// for real durability — exactly the cost the serialized gate forces each
-// writer to wait out one at a time. Numbers are reported (and exported as
-// BENCH_E9.json by cmd/seedbench); CI only gates that concurrency helps at
-// all, because absolute wall-clock ratios flake across machines.
+// serialized (the harness holds one mutex around every check-in, the
+// critical section of the global write gate the server used to have) and
+// once with concurrent check-ins whose commits coalesce into shared fsyncs
+// in the group-commit write-ahead log. The database is file-backed with
+// SyncGroupCommit, so every check-in pays for real durability — exactly the
+// cost the serialized gate forces each writer to wait out one at a time.
+// Numbers are reported (and exported as BENCH_E9.json by cmd/seedbench); CI
+// only gates that concurrency helps at all, because absolute wall-clock
+// ratios flake across machines.
 
 // CheckinWorkload sizes the E9 writer-scaling measurement.
 type CheckinWorkload struct {
@@ -61,8 +62,11 @@ type E9Data struct {
 
 // runCheckinWave drives n writer clients against disjoint roots Obj0..n-1,
 // each performing per checkout→update→check-in cycles, and returns the
-// elapsed wall time.
-func runCheckinWave(addr string, n, per int) (time.Duration, error) {
+// elapsed wall time. A non-nil gate is held around every check-in round
+// trip: the serialized baseline, one check-in at a time through its durable
+// commit — the critical section of the server's retired global write gate,
+// taken client side.
+func runCheckinWave(addr string, n, per int, gate *sync.Mutex) (time.Duration, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	start := time.Now()
@@ -84,7 +88,14 @@ func runCheckinWave(addr string, n, per int) (time.Duration, error) {
 					return
 				}
 				ws.SetValue(name+".Description", uint8(seed.KindString), fmt.Sprintf("w%d-i%d", w, i))
-				if err := ws.Commit(); err != nil {
+				if gate != nil {
+					gate.Lock()
+				}
+				err = ws.Commit()
+				if gate != nil {
+					gate.Unlock()
+				}
+				if err != nil {
 					errs[w] = fmt.Errorf("writer %d checkin %d: %w", w, i, err)
 					return
 				}
@@ -105,8 +116,9 @@ func runCheckinWave(addr string, n, per int) (time.Duration, error) {
 // database under SyncGroupCommit.
 func measureCheckins(serialized bool, writers, per int) (E9RunStats, error) {
 	mode := "concurrent"
+	var gate *sync.Mutex
 	if serialized {
-		mode = "serialized"
+		mode, gate = "serialized", new(sync.Mutex)
 	}
 	st := E9RunStats{Mode: mode, Writers: writers, Checkins: writers * per}
 	runtime.GC() // keep earlier experiments' garbage out of this cell
@@ -130,7 +142,6 @@ func measureCheckins(serialized bool, writers, per int) (E9RunStats, error) {
 		}
 	}
 	srv := server.New(db)
-	srv.SetSerializedCheckins(serialized)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return st, err
@@ -139,10 +150,10 @@ func measureCheckins(serialized bool, writers, per int) (E9RunStats, error) {
 
 	// Unmeasured warm-up: connection setup, first snapshot freeze, first
 	// WAL fsyncs — none of it belongs to the steady-state number.
-	if _, err := runCheckinWave(addr, writers, 3); err != nil {
+	if _, err := runCheckinWave(addr, writers, 3, gate); err != nil {
 		return st, err
 	}
-	elapsed, err := runCheckinWave(addr, writers, per)
+	elapsed, err := runCheckinWave(addr, writers, per, gate)
 	if err != nil {
 		return st, err
 	}

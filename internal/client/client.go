@@ -8,8 +8,7 @@
 // in-flight map, and any number of goroutines may share one Client — the
 // blocking calls (Get, Query, Checkout, ...) pipeline transparently, and
 // Send/Await expose the pipeline directly for callers that want many
-// requests in flight from one goroutine. DialLockstep pins a connection to
-// the v1 one-request-one-response protocol.
+// requests in flight from one goroutine.
 //
 // Transient server-side failures — a lock held by another client
 // (ErrLocked), a check-in conflict (ErrConflict), or an admission-control
@@ -57,19 +56,17 @@ var (
 	ErrNotPrimary = errors.New("client: server is a read-only follower, mutate on the primary")
 )
 
-// Client is one connection to a SEED server. A v2 client is safe for
-// concurrent use: independent goroutines' requests interleave on the wire
-// and their responses demultiplex back through the correlation map. A
-// lockstep (v1) client serializes internally.
+// Client is one connection to a SEED server. It is safe for concurrent use:
+// independent goroutines' requests interleave on the wire and their
+// responses demultiplex back through the correlation map.
 type Client struct {
-	conn  net.Conn
-	id    string
-	proto int
+	conn net.Conn
+	id   string
 
 	// Writes go through a buffered writer that is flushed when a caller
 	// blocks awaiting a response (see flush), so a burst of pipelined sends
 	// leaves the client as one wire write instead of one syscall each.
-	wmu sync.Mutex    // serializes frame writes (and, in lockstep mode, whole round trips)
+	wmu sync.Mutex    // serializes frame writes
 	bw  *bufio.Writer // seed:guarded-by(wmu)
 	wr  *wire.Writer  // seed:guarded-by(wmu)
 	rd  *wire.Reader  // owned by the demux goroutine once it starts
@@ -92,15 +89,8 @@ type result struct {
 	err  error
 }
 
-// Dial connects and performs the hello handshake, negotiating protocol v2.
-func Dial(addr string) (*Client, error) { return dial(addr, wire.ProtoV2) }
-
-// DialLockstep connects with the v1 protocol: no correlation ids, one
-// request and one response at a time. It exists for protocol-compatibility
-// tests and as the E10 pipelining baseline.
-func DialLockstep(addr string) (*Client, error) { return dial(addr, 0) }
-
-func dial(addr string, proto int) (*Client, error) {
+// Dial connects and performs the hello handshake, announcing protocol v2.
+func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -113,9 +103,9 @@ func dial(addr string, proto int) (*Client, error) {
 		done:    make(chan struct{}),
 	}
 	c.wr = wire.NewWriter(c.bw)
-	// The hello runs lockstep in either mode: the demux starts only after
-	// the server has answered with the negotiated version.
-	if err := c.writeFlush(&wire.Request{Op: wire.OpHello, Proto: proto}); err != nil {
+	// The hello runs lockstep: the demux starts only after the server has
+	// answered it.
+	if err := c.writeFlush(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -128,11 +118,12 @@ func dial(addr string, proto int) (*Client, error) {
 		conn.Close()
 		return nil, remoteError(&resp)
 	}
-	c.id = resp.ClientID
-	c.proto = resp.Proto
-	if c.proto >= wire.ProtoV2 {
-		go c.demux()
+	if resp.Proto < wire.ProtoV2 {
+		conn.Close()
+		return nil, fmt.Errorf("client: server answered protocol %d, need %d", resp.Proto, wire.ProtoV2)
 	}
+	c.id = resp.ClientID
+	go c.demux()
 	return c, nil
 }
 
@@ -238,11 +229,8 @@ type Pending struct {
 // so bursts of sends coalesce into single writes. Mutating requests sent
 // this way still execute in send order — the server preserves per-client
 // FIFO order for them — so a checkout may be followed immediately by the
-// check-in that depends on it. Requires a v2 connection (Dial).
+// check-in that depends on it.
 func (c *Client) Send(req *wire.Request) (*Pending, error) {
-	if c.proto < wire.ProtoV2 {
-		return nil, errors.New("client: pipelining requires protocol v2 (connection is lockstep)")
-	}
 	ch := make(chan result, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -292,33 +280,14 @@ func (p *Pending) finish(r result) (*wire.Response, error) {
 	return r.resp, nil
 }
 
-// roundTrip issues one blocking request. On a v2 connection it rides the
-// pipeline (other goroutines' requests interleave freely); on a lockstep
-// connection it holds the write lock across the write and the read.
+// roundTrip issues one blocking request on the pipeline (other goroutines'
+// requests interleave freely).
 func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
-	if c.proto >= wire.ProtoV2 {
-		p, err := c.Send(req)
-		if err != nil {
-			return nil, err
-		}
-		return p.Await()
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.wr.Write(req); err != nil {
+	p, err := c.Send(req)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	resp := &wire.Response{}
-	if err := c.rd.Read(resp); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, remoteError(resp)
-	}
-	return resp, nil
+	return p.Await()
 }
 
 // remoteError rebuilds a matchable error from a failure response: every

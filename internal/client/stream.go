@@ -24,13 +24,9 @@ type LogStream struct {
 
 // SubscribeLog requests the server's replication feed: a snapshot chunk,
 // sealed-segment record chunks, a caught-up marker, then live record chunks
-// until the connection dies. Requires a v2 connection (Dial). The server
-// refuses it while draining, and on a follower (ErrNotPrimary) — feeds come
-// from the primary only.
+// until the connection dies. The server refuses it while draining, and on a
+// follower (ErrNotPrimary) — feeds come from the primary only.
 func (c *Client) SubscribeLog() (*LogStream, error) {
-	if c.proto < wire.ProtoV2 {
-		return nil, errors.New("client: log subscription requires protocol v2 (connection is lockstep)")
-	}
 	ch := make(chan *wire.Response, 16)
 	c.mu.Lock()
 	if c.err != nil {

@@ -277,20 +277,20 @@ func TestFrozenCOWDifferential(t *testing.T) {
 		case op < 18:
 			_ = en.Delete(pick())
 		case op < 19: // transaction batch, committed or rolled back
-			if err := en.Begin(); err == nil {
-				for i := 0; i < rng.Intn(4); i++ {
-					name := fmt.Sprintf("T%d-%d", step, i)
-					if id, err := en.CreateObject(classes[rng.Intn(len(classes))], name); err == nil {
-						live = append(live, id)
-						names = append(names, name)
-					}
-					_ = en.SetValue(pick(), randValue())
+			tx := en.BeginTx()
+			en.SetActiveTx(tx)
+			for i := 0; i < rng.Intn(4); i++ {
+				name := fmt.Sprintf("T%d-%d", step, i)
+				if id, err := en.CreateObject(classes[rng.Intn(len(classes))], name); err == nil {
+					live = append(live, id)
+					names = append(names, name)
 				}
-				if rng.Intn(3) == 0 {
-					_ = en.Rollback()
-				} else {
-					_ = en.Commit()
-				}
+				_ = en.SetValue(pick(), randValue())
+			}
+			if rng.Intn(3) == 0 {
+				_ = en.RollbackTx(tx)
+			} else {
+				_, _ = en.CommitTx(tx)
 			}
 		default: // physically purge everything purgeable
 			if _, err := en.PurgeDeleted(func(item.ID) bool { return false }); err != nil {

@@ -193,32 +193,30 @@ func TestRandomColumnarVsMapDifferential(t *testing.T) {
 			id := pick()
 			both(step, func(en *Engine) (item.ID, error) { return item.NoID, en.Delete(id) })
 		case op < 19: // transaction batch, committed or rolled back
-			ok := true
+			var txs []*Tx
 			for _, en := range engines {
-				if err := en.Begin(); err != nil {
-					ok = false
-				}
+				tx := en.BeginTx()
+				en.SetActiveTx(tx)
+				txs = append(txs, tx)
 			}
-			if ok {
-				for i := 0; i < rng.Intn(4); i++ {
-					name := fmt.Sprintf("T%d-%d", step, i)
-					class := classes[rng.Intn(len(classes))]
-					if id, ok := both(step, func(en *Engine) (item.ID, error) {
-						return en.CreateObject(class, name)
-					}); ok {
-						live = append(live, id)
-						names = append(names, name)
-					}
-					id, v := pick(), randValue()
-					both(step, func(en *Engine) (item.ID, error) { return item.NoID, en.SetValue(id, v) })
+			for i := 0; i < rng.Intn(4); i++ {
+				name := fmt.Sprintf("T%d-%d", step, i)
+				class := classes[rng.Intn(len(classes))]
+				if id, ok := both(step, func(en *Engine) (item.ID, error) {
+					return en.CreateObject(class, name)
+				}); ok {
+					live = append(live, id)
+					names = append(names, name)
 				}
-				roll := rng.Intn(3) == 0
-				for _, en := range engines {
-					if roll {
-						_ = en.Rollback()
-					} else {
-						_ = en.Commit()
-					}
+				id, v := pick(), randValue()
+				both(step, func(en *Engine) (item.ID, error) { return item.NoID, en.SetValue(id, v) })
+			}
+			roll := rng.Intn(3) == 0
+			for i, en := range engines {
+				if roll {
+					_ = en.RollbackTx(txs[i])
+				} else {
+					_, _ = en.CommitTx(txs[i])
 				}
 			}
 		case op < 20: // physically purge everything purgeable

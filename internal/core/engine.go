@@ -112,7 +112,6 @@ type Engine struct {
 
 	open      map[*Tx]bool       // transactions currently open
 	curTx     *Tx                // transaction the current operation belongs to
-	legacyTx  *Tx                // transaction opened by the legacy Begin
 	commitGen uint64             // bumped per committed transaction or auto-commit write
 	modGen    map[item.ID]uint64 // last commit generation that changed each item
 	nameGen   map[string]uint64  // last commit generation that changed each root name

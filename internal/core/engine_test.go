@@ -382,18 +382,14 @@ func TestDeleteRelationshipOnly(t *testing.T) {
 
 func TestTransactionRollback(t *testing.T) {
 	en := newFig2(t)
-	if err := en.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := en.Begin(); !errors.Is(err, ErrTxState) {
-		t.Errorf("nested Begin: %v", err)
-	}
+	tx := en.BeginTx()
+	en.SetActiveTx(tx)
 	a := mustCreate(t, en, "Data", "A")
 	h := mustCreate(t, en, "Action", "H")
 	if _, err := en.CreateRelationship("Read", map[string]item.ID{"from": a, "by": h}); err != nil {
 		t.Fatal(err)
 	}
-	if err := en.Rollback(); err != nil {
+	if err := en.RollbackTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	v := en.View()
@@ -407,34 +403,34 @@ func TestTransactionRollback(t *testing.T) {
 		t.Errorf("dirty after rollback = %d", en.DirtyCount())
 	}
 	// Commit path.
-	if err := en.Begin(); err != nil {
-		t.Fatal(err)
-	}
+	tx = en.BeginTx()
+	en.SetActiveTx(tx)
 	mustCreate(t, en, "Data", "B")
-	if err := en.Commit(); err != nil {
+	if _, err := en.CommitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := en.View().ObjectByName("B"); !ok {
 		t.Error("committed object missing")
 	}
-	if err := en.Commit(); !errors.Is(err, ErrTxState) {
-		t.Errorf("Commit without tx: %v", err)
+	if _, err := en.CommitTx(tx); !errors.Is(err, ErrTxState) {
+		t.Errorf("Commit of a finished tx: %v", err)
 	}
-	if err := en.Rollback(); !errors.Is(err, ErrTxState) {
-		t.Errorf("Rollback without tx: %v", err)
+	if err := en.RollbackTx(tx); !errors.Is(err, ErrTxState) {
+		t.Errorf("Rollback of a finished tx: %v", err)
 	}
 }
 
 func TestRejectedOpInsideTxLeavesTxIntact(t *testing.T) {
 	en := newFig2(t)
-	_ = en.Begin()
+	tx := en.BeginTx()
+	en.SetActiveTx(tx)
 	a := mustCreate(t, en, "Data", "A")
 	// Rejected op: duplicate name.
 	if _, err := en.CreateObject("Data", "A"); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 	// The transaction continues and commits the good op.
-	if err := en.Commit(); err != nil {
+	if _, err := en.CommitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := en.View().Object(a); !ok {

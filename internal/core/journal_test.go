@@ -129,8 +129,9 @@ func TestApplyRecordErrors(t *testing.T) {
 	}
 }
 
-// TestJournalBufferedInTx: records reach the journal only at Commit, and
-// never after Rollback.
+// TestJournalBufferedInTx: a transaction's records never reach the journal
+// sink — CommitTx hands them to the caller as one batch, RollbackTx drops
+// them.
 func TestJournalBufferedInTx(t *testing.T) {
 	en := newFig3(t)
 	var journal [][]byte
@@ -138,20 +139,25 @@ func TestJournalBufferedInTx(t *testing.T) {
 		journal = append(journal, append([]byte(nil), p...))
 		return nil
 	})
-	_ = en.Begin()
+	tx := en.BeginTx()
+	en.SetActiveTx(tx)
 	_, _ = en.CreateObject("Data", "A")
 	if len(journal) != 0 {
 		t.Fatal("record flushed before commit")
 	}
-	_ = en.Commit()
-	if len(journal) != 1 {
-		t.Fatalf("records after commit = %d", len(journal))
+	records, err := en.CommitTx(tx)
+	if err != nil || len(records) != 1 || len(journal) != 0 {
+		t.Fatalf("commit: %d records, %d journaled, err %v", len(records), len(journal), err)
 	}
-	_ = en.Begin()
+	tx = en.BeginTx()
+	en.SetActiveTx(tx)
 	_, _ = en.CreateObject("Data", "B")
-	_ = en.Rollback()
-	if len(journal) != 1 {
+	_ = en.RollbackTx(tx)
+	if len(journal) != 0 {
 		t.Fatalf("rolled-back record reached journal")
+	}
+	if _, err := en.CreateObject("Data", "C"); err != nil || len(journal) != 1 {
+		t.Fatalf("auto-commit after the transactions: %d journaled, err %v", len(journal), err)
 	}
 }
 

@@ -37,12 +37,12 @@ var ErrTxConflict = errors.New("core: conflicting concurrent transaction")
 // pending for commit, and the write set used for conflict detection. A Tx is
 // created by BeginTx and finished by exactly one CommitTx or RollbackTx.
 type Tx struct {
-	baseGen uint64            // engine commit generation pinned at begin
-	touched map[item.ID]bool  // items this transaction may have perturbed
-	names   map[string]bool   // independent-object names claimed
-	undo    []func()          // inverse steps, in application order
-	pending [][]byte          // validated journal records awaiting commit
-	seq     uint64            // operation counter (seed keys view caches off it)
+	baseGen uint64           // engine commit generation pinned at begin
+	touched map[item.ID]bool // items this transaction may have perturbed
+	names   map[string]bool  // independent-object names claimed
+	undo    []func()         // inverse steps, in application order
+	pending [][]byte         // validated journal records awaiting commit
+	seq     uint64           // operation counter (seed keys view caches off it)
 }
 
 // Seq returns the transaction's operation counter; it advances once per
@@ -67,9 +67,8 @@ func (en *Engine) BeginTx() *Tx {
 // transaction set for the duration of each operation.
 func (en *Engine) SetActiveTx(tx *Tx) { en.curTx = tx }
 
-// ClearActiveTx restores the engine's default attribution: the legacy
-// transaction if one is open (see Begin), auto-commit otherwise.
-func (en *Engine) ClearActiveTx() { en.curTx = en.legacyTx }
+// ClearActiveTx restores auto-commit attribution.
+func (en *Engine) ClearActiveTx() { en.curTx = nil }
 
 // InTx reports whether any transaction is open.
 func (en *Engine) InTx() bool { return len(en.open) > 0 }
@@ -121,14 +120,11 @@ func (en *Engine) RollbackTx(tx *Tx) error {
 	return nil
 }
 
-// closeTx removes tx from the open set and from the attribution fields.
+// closeTx removes tx from the open set and from the attribution field.
 func (en *Engine) closeTx(tx *Tx) {
 	delete(en.open, tx)
 	if en.curTx == tx {
 		en.curTx = nil
-	}
-	if en.legacyTx == tx {
-		en.legacyTx = nil
 	}
 	if len(en.open) == 0 {
 		// No transaction is open, so every conflict stamp predates every
@@ -214,57 +210,6 @@ func (en *Engine) claimName(name string) error {
 		en.nameGen[name] = en.commitGen
 	}
 	return nil
-}
-
-// ---- Legacy single-transaction interface ----
-
-// Begin opens the legacy transaction: every subsequent operation is
-// attributed to it until Commit or Rollback, mirroring the single global
-// transaction SEED had before concurrent check-ins. It does not nest.
-func (en *Engine) Begin() error {
-	if en.legacyTx != nil {
-		return fmt.Errorf("%w: transaction already open", ErrTxState)
-	}
-	en.legacyTx = en.BeginTx()
-	en.curTx = en.legacyTx
-	return nil
-}
-
-// Commit commits the legacy transaction and flushes its journal records.
-// The records are journaled individually, without the database layer's
-// crash-atomic batch framing (the framing tags belong to seed, one layer
-// up) — multi-record crash atomicity is provided by seed.Tx.Commit, which
-// is the production path; this legacy interface exists for in-process
-// engine use and tests.
-func (en *Engine) Commit() error {
-	if en.legacyTx == nil {
-		return fmt.Errorf("%w: no transaction open", ErrTxState)
-	}
-	records, err := en.CommitTx(en.legacyTx)
-	if err != nil {
-		return err
-	}
-	if en.journal != nil {
-		for _, rec := range records {
-			if err := en.journal(rec); err != nil {
-				return fmt.Errorf("core: journaling committed transaction: %w", err)
-			}
-		}
-	}
-	en.undo = en.undo[:0] // committed work can no longer be undone
-	return nil
-}
-
-// LegacyTx returns the transaction opened by Begin (nil outside one), so
-// wrappers can address it through the handle-based interface.
-func (en *Engine) LegacyTx() *Tx { return en.legacyTx }
-
-// Rollback undoes the legacy transaction.
-func (en *Engine) Rollback() error {
-	if en.legacyTx == nil {
-		return fmt.Errorf("%w: no transaction open", ErrTxState)
-	}
-	return en.RollbackTx(en.legacyTx)
 }
 
 // commitRecord finalizes a validated operation: inside a transaction the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,55 +45,17 @@ func TestWriteTimeoutReleasesLocks(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2}); err != nil {
-		t.Fatal(err)
-	}
-	var hello wire.Response
-	if err := wire.ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}}); err != nil {
-		t.Fatal(err)
-	}
+	r := dialRaw(t, addr)
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	r.send(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}})
 	// Flood fat gets and never read a byte: the writer must hit its write
 	// deadline on the full TCP window and reap the connection.
 	for seq := uint64(2); seq < 100; seq++ {
-		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpGet, Seq: seq, Names: []string{"Root"}}); err != nil {
-			t.Fatal(err)
-		}
+		r.send(&wire.Request{Op: wire.OpGet, Seq: seq, Names: []string{"Root"}})
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := c.Checkout("Root")
-		if err == nil {
-			st, serr := c.StatsInfo()
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			if st.OpenTxs != 0 {
-				t.Errorf("reaped connection left %d transactions in flight", st.OpenTxs)
-			}
-			_ = ws.Abandon()
-			c.Close()
-			return
-		}
-		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lock never released: write timeout did not reap the stalled reader")
-		}
-		time.Sleep(20 * time.Millisecond)
+	awaitLockReleased(t, addr, "Root", "write timeout did not reap the stalled reader")
+	if st, err := dial(t, addr).StatsInfo(); err != nil || st.OpenTxs != 0 {
+		t.Errorf("reaped connection left %d transactions in flight (%v)", st.OpenTxs, err)
 	}
 }
 

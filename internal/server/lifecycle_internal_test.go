@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -52,12 +51,6 @@ func TestDrainRefusalMatrix(t *testing.T) {
 		if resp.Err != "" {
 			t.Errorf("%s during drain failed: %s (code %q)", req.Op, resp.Err, resp.Code)
 		}
-	}
-	if !errors.Is(ErrShuttingDown, ErrShuttingDown) || codeOf(ErrShuttingDown) != wire.CodeShuttingDown {
-		t.Error("ErrShuttingDown does not map onto its wire code")
-	}
-	if codeOf(ErrOverloaded) != wire.CodeOverloaded {
-		t.Error("ErrOverloaded does not map onto its wire code")
 	}
 }
 
@@ -145,5 +138,37 @@ func TestShutdownUnderLoad(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close after Shutdown: %v", err)
+	}
+}
+
+// TestEveryWireCodeMapped walks wire.Codes — the one list of codes that
+// cross the wire — and requires each to be what codeOf makes of its server
+// error and to own a seed_responses_total series; a code missing from the
+// metrics table would be counted as an uncoded "error".
+func TestEveryWireCodeMapped(t *testing.T) {
+	produced := make(map[string]bool)
+	for err, want := range map[error]string{
+		ErrLocked: wire.CodeLocked, ErrNotLocked: wire.CodeNotLocked,
+		ErrConflict: wire.CodeConflict, seed.ErrTxConflict: wire.CodeConflict,
+		ErrOverloaded: wire.CodeOverloaded, ErrShuttingDown: wire.CodeShuttingDown,
+		ErrNotPrimary: wire.CodeNotPrimary, seed.ErrNotPrimary: wire.CodeNotPrimary,
+	} {
+		if got := codeOf(fmt.Errorf("wrapped: %w", err)); got != want {
+			t.Errorf("%v maps onto wire code %q, want %q", err, got, want)
+		}
+		produced[want] = true
+	}
+	m := newMetrics()
+	for _, code := range wire.Codes {
+		if !produced[code] {
+			t.Errorf("no server error maps onto wire code %q", code)
+		}
+		m.countCode(code)
+		if c, ok := m.codes[code]; !ok || c.Load() != 1 || m.codes["error"].Load() != 0 {
+			t.Errorf("wire code %q is not counted under its own label", code)
+		}
+	}
+	if len(produced) != len(wire.Codes) {
+		t.Errorf("the table above names %d codes, wire.Codes lists %d", len(produced), len(wire.Codes))
 	}
 }

@@ -49,10 +49,7 @@ func (h *opHist) observe(d time.Duration) {
 
 // respCodes enumerates the response outcomes counted by seed_responses_total.
 // "ok" is a success, "error" an uncoded failure; the rest are the wire codes.
-var respCodes = [...]string{
-	"ok", "error", wire.CodeLocked, wire.CodeNotLocked, wire.CodeConflict,
-	wire.CodeOverloaded, wire.CodeShuttingDown,
-}
+var respCodes = append([]string{"ok", "error"}, wire.Codes...)
 
 // metrics is the server's hot-path counter set. All fields are atomics (or
 // written once before serving starts), so handlers never contend on it.

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -16,84 +17,117 @@ import (
 	"repro/seed"
 )
 
-// TestV1LockstepCompat: a Seq-less client — the v1 protocol — must work
-// against the v2 server unchanged: hello without a version announcement,
-// strict one-request-one-response ordering, and the full checkout/check-in
-// flow. Run once through the lockstep client and once over raw frames.
-func TestV1LockstepCompat(t *testing.T) {
+// rawConn is a bare socket speaking hand-written frames, for protocol tests
+// that must see exactly what the server answers.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn}
+}
+
+func (r *rawConn) send(req *wire.Request) {
+	r.t.Helper()
+	if err := wire.WriteFrame(r.conn, req); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+func (r *rawConn) roundTrip(req *wire.Request) *wire.Response {
+	r.t.Helper()
+	r.send(req)
+	var resp wire.Response
+	if err := wire.ReadFrame(r.conn, &resp); err != nil {
+		r.t.Fatal(err)
+	}
+	return &resp
+}
+
+// awaitLockReleased polls until a fresh client can check name out: the
+// teardown of the connection that held the lock (releaseAll) runs after its
+// socket closes, so the lock drops shortly after, not synchronously.
+func awaitLockReleased(t *testing.T, addr, name, why string) {
+	t.Helper()
+	c := dial(t, addr)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ws, err := c.Checkout(name)
+		if err == nil {
+			_ = ws.Abandon()
+			return
+		}
+		if !errors.Is(err, client.ErrLocked) {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lock never released: %s", why)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRawFrames: a client that hand-writes v2 frames — hello announcing the
+// version, a Seq on every request — is served like the library client.
+func TestRawFrames(t *testing.T) {
 	_, addr, db := startServer(t)
-	alarms, _ := db.CreateObject("Data", "Alarms")
-	_, _ = db.CreateValueObject(alarms, "Description", seed.NewString("old"))
+	if _, err := db.CreateObject("Data", "Alarms"); err != nil {
+		t.Fatal(err)
+	}
+	r := dialRaw(t, addr)
+	hello := r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	if hello.Err != "" || hello.ClientID == "" || hello.Proto != wire.ProtoV2 {
+		t.Errorf("hello = %+v", hello)
+	}
+	if resp := r.roundTrip(&wire.Request{Op: wire.OpGet, Seq: 7, Names: []string{"Alarms"}}); resp.Err != "" || resp.Seq != 7 {
+		t.Errorf("get = %+v", resp)
+	}
+	if resp := r.roundTrip(&wire.Request{Op: wire.OpStats, Seq: 8}); resp.Stats == "" || resp.Seq != 8 {
+		t.Errorf("stats = %+v", resp)
+	}
+}
 
-	t.Run("lockstep client", func(t *testing.T) {
-		c, err := client.DialLockstep(addr)
-		if err != nil {
-			t.Fatal(err)
+// TestRetiredProtocolRejected: the v1 lockstep protocol is gone. A hello
+// that announces less than v2 and a request without a Seq each get exactly
+// one error naming the unsupported protocol, then the connection closes
+// with the usual teardown — locks the client held are released.
+func TestRetiredProtocolRejected(t *testing.T) {
+	_, addr, db := startServer(t)
+	if _, err := db.CreateObject("Data", "Alarms"); err != nil {
+		t.Fatal(err)
+	}
+	rejected := func(t *testing.T, r *rawConn, req *wire.Request) {
+		t.Helper()
+		resp := r.roundTrip(req)
+		if !strings.Contains(resp.Err, "unsupported protocol") || resp.Code != "" {
+			t.Errorf("%s answered %+v, want an unsupported-protocol error", req.Op, resp)
 		}
-		defer c.Close()
-		if c.ID() == "" {
-			t.Error("no client id")
+		_ = r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var next wire.Response
+		if err := wire.ReadFrame(r.conn, &next); !errors.Is(err, io.EOF) {
+			t.Errorf("after the rejection: %+v, %v; want the connection closed", &next, err)
 		}
-		if _, err := c.Send(&wire.Request{Op: wire.OpStats}); err == nil {
-			t.Error("pipelining accepted on a lockstep connection")
-		}
-		names, err := c.List("Data")
-		if err != nil || len(names) != 1 || names[0] != "Alarms" {
-			t.Fatalf("list = %v, %v", names, err)
-		}
-		ws, err := c.Checkout("Alarms")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws.SetValue("Alarms.Description", uint8(seed.KindString), "via v1")
-		if err := ws.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		snaps, err := c.Get("Alarms")
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("get = %v, %v", snaps, err)
-		}
-		found := false
-		for _, o := range snaps[0].Objects {
-			if o.Value == "via v1" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("v1 check-in not applied: %+v", snaps[0].Objects)
-		}
+	}
+
+	t.Run("proto-less hello", func(t *testing.T) {
+		rejected(t, dialRaw(t, addr), &wire.Request{Op: wire.OpHello})
+		dial(t, addr) // the server keeps serving v2 clients
 	})
-
-	t.Run("raw frames", func(t *testing.T) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("seq-less request", func(t *testing.T) {
+		r := dialRaw(t, addr)
+		r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+		if resp := r.roundTrip(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Alarms"}}); resp.Err != "" {
+			t.Fatalf("checkout = %+v", resp)
 		}
-		defer conn.Close()
-		roundTrip := func(req *wire.Request) *wire.Response {
-			t.Helper()
-			if err := wire.WriteFrame(conn, req); err != nil {
-				t.Fatal(err)
-			}
-			var resp wire.Response
-			if err := wire.ReadFrame(conn, &resp); err != nil {
-				t.Fatal(err)
-			}
-			return &resp
-		}
-		hello := roundTrip(&wire.Request{Op: wire.OpHello})
-		if hello.ClientID == "" {
-			t.Error("no client id")
-		}
-		if hello.Proto != 0 {
-			t.Errorf("server pushed protocol %d onto a v1 hello", hello.Proto)
-		}
-		if resp := roundTrip(&wire.Request{Op: wire.OpGet, Names: []string{"Alarms"}}); resp.Err != "" || resp.Seq != 0 {
-			t.Errorf("get = %+v", resp)
-		}
-		if resp := roundTrip(&wire.Request{Op: wire.OpStats}); resp.Stats == "" {
-			t.Errorf("stats = %+v", resp)
-		}
+		rejected(t, r, &wire.Request{Op: wire.OpGet, Names: []string{"Alarms"}})
+		awaitLockReleased(t, addr, "Alarms", "the rejected connection kept its lock")
 	})
 }
 
@@ -293,33 +327,9 @@ func TestIdleTimeoutReleasesLocks(t *testing.T) {
 	}
 	// Now the client says nothing. The server must reap the connection and
 	// release the lock; a fresh client polls until it wins the checkout.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := c.Checkout("Root")
-		if err == nil {
-			st, serr := c.StatsInfo()
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			if st.OpenTxs != 0 {
-				t.Errorf("reaped connection left %d transactions in flight", st.OpenTxs)
-			}
-			_ = ws.Abandon()
-			c.Close()
-			break
-		}
-		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lock never released after idle timeout")
-		}
-		time.Sleep(10 * time.Millisecond)
+	awaitLockReleased(t, addr, "Root", "idle timeout did not reap the silent client")
+	if st, err := dial(t, addr).StatsInfo(); err != nil || st.OpenTxs != 0 {
+		t.Errorf("reaped connection left %d transactions in flight (%v)", st.OpenTxs, err)
 	}
 	// The stalled client's connection is gone: its next request fails.
 	if _, err := stalled.Stats(); err == nil {
@@ -393,51 +403,17 @@ func TestStalledClientReleasesLocks(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2}); err != nil {
-		t.Fatal(err)
-	}
-	var hello wire.Response
-	if err := wire.ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}}); err != nil {
-		t.Fatal(err)
-	}
+	r := dialRaw(t, addr)
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	r.send(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}})
 	// Flood pipelined gets of the fat object — deeper than the dispatch
 	// semaphore plus the write channel together, so the reader ends up
 	// blocked handing off work rather than sitting in Read — and never
 	// read a byte again.
 	for seq := uint64(2); seq < 130; seq++ {
-		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpGet, Seq: seq, Names: []string{"Root"}}); err != nil {
-			t.Fatal(err) // 128 small request frames fit in the socket buffers
-		}
+		r.send(&wire.Request{Op: wire.OpGet, Seq: seq, Names: []string{"Root"}}) // 128 small request frames fit in the socket buffers
 	}
 	// Now silence. The idle deadline must reap the connection and free
 	// the lock even though the writer is stuck on our un-read responses.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := c.Checkout("Root")
-		if err == nil {
-			_ = ws.Abandon()
-			c.Close()
-			return
-		}
-		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lock never released: stalled connection wedged the teardown")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	awaitLockReleased(t, addr, "Root", "stalled connection wedged the teardown")
 }

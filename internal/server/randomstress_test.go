@@ -30,10 +30,6 @@ import (
 // snapshot (the root's lock serializes those, so per-root counters must
 // come out gapless — a gap or duplicate is a lost update or broken lock),
 // and created objects carry client-unique names (so creations commute).
-//
-// The same schedule runs against the serialized-gate baseline, which
-// doubles as a differential test of the concurrent path against the old
-// global write gate.
 
 type stressCreate struct {
 	class, name, desc string
@@ -46,11 +42,6 @@ type stressBatch struct {
 }
 
 func TestRandomizedConcurrentCheckins(t *testing.T) {
-	t.Run("concurrent", func(t *testing.T) { runRandomCheckinStress(t, false) })
-	t.Run("serialized-baseline", func(t *testing.T) { runRandomCheckinStress(t, true) })
-}
-
-func runRandomCheckinStress(t *testing.T, serialize bool) {
 	const (
 		rootCount = 8
 		clients   = 6
@@ -61,7 +52,6 @@ func runRandomCheckinStress(t *testing.T, serialize bool) {
 		t.Fatal(err)
 	}
 	srv := server.New(db)
-	srv.SetSerializedCheckins(serialize)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,17 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	}
 	if client.Classify(err) != client.ClassRedial {
 		t.Fatalf("not-primary must classify as redial, got %v", client.Classify(err))
+	}
+	// The refusals are counted under their own code, not as uncoded errors.
+	var scrape strings.Builder
+	fsrv.WriteMetrics(&scrape)
+	for _, line := range []string{
+		`seed_responses_total{code="not-primary"} 3`,
+		`seed_responses_total{code="error"} 0`,
+	} {
+		if !strings.Contains(scrape.String(), line+"\n") {
+			t.Errorf("/metrics after three follower refusals lacks %q", line)
+		}
 	}
 	// Followers do not chain: subscribe-log is refused too.
 	ls, err := cli.SubscribeLog()

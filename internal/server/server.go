@@ -68,12 +68,6 @@ type Server struct {
 	// staged batch.
 	barrier sync.RWMutex
 
-	// serialize restores the pre-concurrency global write gate (one
-	// check-in at a time, durability wait included) — the E9 baseline and
-	// a differential-testing mode. Set before Listen.
-	serialize bool
-	gate      sync.Mutex
-
 	// Connection hygiene (SetTimeouts, before Listen). idleTimeout bounds
 	// the gap between two frames from one client; writeTimeout bounds one
 	// response write. A connection that trips either is closed, and its
@@ -158,12 +152,6 @@ func (s *Server) SetAdmission(maxInflight, queueDepth, perConn int) {
 		s.perConn = perConn
 	}
 }
-
-// SetSerializedCheckins switches the server back to the global write gate
-// that predated lock-scoped concurrent check-ins: every check-in holds the
-// gate from lock verification through durable commit. It exists as the E9
-// benchmark baseline and for differential testing; call it before Listen.
-func (s *Server) SetSerializedCheckins(on bool) { s.serialize = on }
 
 // SetTimeouts configures the per-connection idle read timeout (maximum gap
 // between two client frames) and write deadline (maximum time one response
@@ -324,9 +312,9 @@ const maxPipelinedReads = 32
 // client's FIFO order — the claim discipline then lets different clients'
 // check-ins run in parallel. Every response funnels through the serialized
 // writer goroutine, which owns the connection's write side, so concurrent
-// handlers never interleave frames. A request without a Seq is handled
-// inline before the next frame is acted on — the v1 lockstep behavior —
-// so v1 clients interoperate unchanged.
+// handlers never interleave frames. A frame of a retired protocol — a hello
+// announcing less than v2, any other request without a Seq — is answered
+// once with an error naming it, and the connection is torn down.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	s.mu.Lock()
@@ -444,6 +432,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	dispatch := runtime.GOMAXPROCS(0) > 1
 	sem := make(chan struct{}, s.perConn)
 	rd := wire.NewReader(bufio.NewReader(conn))
+	rejected := false
 	for {
 		if s.idleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
@@ -451,6 +440,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		req := &wire.Request{}
 		if err := rd.Read(req); err != nil {
 			break // disconnect, protocol error, or idle timeout
+		}
+		if reason := unsupportedProto(req); reason != "" {
+			s.met.countCode("error")
+			s.event(clientID, "protocol-reject", "reason", reason)
+			writeCh <- &wire.Response{Seq: req.Seq, Err: reason}
+			rejected = true
+			break
 		}
 		// Admission: every frame but the handshake takes a global
 		// execution token before it is dispatched. A request that cannot
@@ -494,10 +490,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		switch {
-		case req.Seq == 0:
-			// Lockstep: the response reaches the FIFO write channel before
-			// the next frame is read, exactly the v1 ordering.
-			s.run(clientID, req, release, writeCh)
 		case mutates(req.Op):
 			mutCh <- admitted{req: req, release: release}
 		case !dispatch:
@@ -516,13 +508,37 @@ func (s *Server) serveConn(conn net.Conn) {
 	// timeout). Close it before draining: with no write deadline armed, a
 	// stalled client could otherwise block the writer forever, wedge the
 	// handlers behind the full write channel, and keep releaseAll — the
-	// lock and transaction cleanup below — from ever running.
-	conn.Close()
+	// lock and transaction cleanup below — from ever running. After a
+	// protocol rejection the writer must get that one answer out first, so
+	// the socket stays open through the drain (the deferred Close ends it)
+	// under a write deadline that bounds the same stall.
+	if !rejected {
+		conn.Close()
+	} else if writeTimeout == 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(rejectFlushTimeout))
+	}
 	close(connDone)
 	close(mutCh)
 	handlers.Wait()
 	close(writeCh)
 	<-writerDone
+}
+
+// rejectFlushTimeout bounds the write of a protocol rejection on a server
+// with no write deadline configured.
+const rejectFlushTimeout = 5 * time.Second
+
+// unsupportedProto names what makes a frame one of a retired protocol — a
+// hello announcing less than v2, or any other request without the
+// correlation id v2 requires (the v1 lockstep form); "" for a servable frame.
+func unsupportedProto(req *wire.Request) string {
+	switch {
+	case req.Op == wire.OpHello && req.Proto < wire.ProtoV2:
+		return fmt.Sprintf("server: unsupported protocol %d: hello must announce proto >= %d", req.Proto, wire.ProtoV2)
+	case req.Op != wire.OpHello && req.Seq == 0:
+		return fmt.Sprintf("server: unsupported protocol: %s request without a seq; protocol %d correlates every request", req.Op, wire.ProtoV2)
+	}
+	return ""
 }
 
 // admitted pairs a request with its admission-token release for the
@@ -654,15 +670,8 @@ func (s *Server) handle(clientID string, req *wire.Request) *wire.Response {
 	}
 	switch req.Op {
 	case wire.OpHello:
-		// Version negotiation: a client announcing v2 or newer gets v2
-		// (Seq correlation, pipelining, query); a Proto-less hello pins
-		// the connection to v1 semantics on the client side — the server
-		// keys off per-request Seq either way.
-		resp := &wire.Response{ClientID: clientID}
-		if req.Proto >= wire.ProtoV2 {
-			resp.Proto = wire.ProtoV2
-		}
-		return resp
+		// serveConn has already refused a hello announcing less than v2.
+		return &wire.Response{ClientID: clientID, Proto: wire.ProtoV2}
 	case wire.OpGet:
 		return s.handleGet(req)
 	case wire.OpList:
@@ -747,7 +756,7 @@ func (s *Server) handle(clientID string, req *wire.Request) *wire.Response {
 			}
 		}
 		return &wire.Response{
-			// The one-line summary stays for v1 clients and shells.
+			// The one-line summary stays for shells.
 			Stats: fmt.Sprintf("objects=%d rels=%d versions=%d schema=v%d",
 				st.Core.Objects, st.Core.Relationships, st.Versions, st.SchemaV),
 			StatsV2: sv,
@@ -976,12 +985,6 @@ func (s *Server) handleRelease(clientID string, req *wire.Request) *wire.Respons
 // parallel, and their commits coalesce into shared fsyncs in the
 // group-commit write-ahead log.
 func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Response {
-	if s.serialize {
-		// E9 baseline / differential mode: the old global write gate,
-		// held through the durable commit.
-		s.gate.Lock()
-		defer s.gate.Unlock()
-	}
 	// Check-ins are readers of the whole-database barrier: many at once,
 	// but never interleaved with a version freeze.
 	s.barrier.RLock()

@@ -3,7 +3,6 @@ package server_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -278,19 +277,10 @@ func TestListStableOnWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	r := dialRaw(t, addr)
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
 	for i := 0; i < 3; i++ {
-		if err := wire.WriteFrame(conn, &wire.Request{Op: wire.OpList}); err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		if err := wire.ReadFrame(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := r.roundTrip(&wire.Request{Op: wire.OpList, Seq: uint64(i + 1)})
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}

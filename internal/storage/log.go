@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -83,8 +81,11 @@ func OpenWAL(dir string, opts Options, firstSeg uint64, fn func(payload []byte) 
 	if firstSeg < 1 {
 		firstSeg = 1
 	}
-	if err := migrateLegacyWAL(dir); err != nil {
-		return nil, err
+	// The single-file log that predates segments is no longer read. Opening
+	// past one would silently drop the database's whole history, so refuse.
+	stale := filepath.Join(dir, "wal.seed")
+	if _, err := os.Stat(stale); err == nil {
+		return nil, fmt.Errorf("%w: %s is a pre-segmented log this version cannot read", ErrBadMagic, stale)
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -502,71 +503,4 @@ func (w *WAL) Close() error {
 		return err
 	}
 	return w.tail.f.Close()
-}
-
-// LegacyWALFile is the single-file WAL of the pre-segmented format.
-const LegacyWALFile = "wal.seed"
-
-var legacyMagic = [8]byte{'S', 'E', 'E', 'D', 'L', 'O', 'G', '1'}
-
-// migrateLegacyWAL converts a pre-segmented wal.seed (magic "SEEDLOG1",
-// same record framing, no segment header) into segment 1, so databases
-// written by the old storage layer keep opening. Records stream through a
-// bounded buffer; the legacy file is never loaded whole.
-//
-// The migration is resumable: wal.seed is removed only after segment 1 is
-// durable, and appends cannot start while wal.seed still exists — so if
-// both coexist (a crash or write failure mid-migration), segment 1 holds
-// nothing but a possibly-partial copy and is regenerated from the legacy
-// file, which remains the source of truth.
-func migrateLegacyWAL(dir string) error {
-	path := filepath.Join(dir, LegacyWALFile)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(segs) > 1 || (len(segs) == 1 && segs[0] != 1) {
-		// Migration only ever writes segment 1; anything else next to a
-		// legacy file cannot be explained by an interrupted migration.
-		return fmt.Errorf("%w: legacy wal.seed alongside segment files", ErrCorrupt)
-	}
-	r := bufio.NewReader(f)
-	var magic [8]byte
-	if n, err := io.ReadFull(r, magic[:]); err != nil && n == 0 {
-		// A 0-byte wal.seed (old CreateLog crashed before its header
-		// reached disk) held no records: nothing to migrate.
-		if err := os.Remove(path); err != nil {
-			return err
-		}
-		return syncDir(dir)
-	} else if err != nil || magic != legacyMagic {
-		return fmt.Errorf("%w: legacy wal.seed", ErrBadMagic)
-	}
-	seg, err := createSegment(dir, 1) // truncates an interrupted attempt
-	if err != nil {
-		return err
-	}
-	if _, _, err := scanRecords(r, 0, false, seg.append); err != nil {
-		seg.f.Close()
-		return err
-	}
-	if err := seg.sync(); err != nil {
-		seg.f.Close()
-		return err
-	}
-	if err := seg.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }

@@ -200,7 +200,7 @@ func replaySegment(dir string, n uint64, fn func([]byte) error) (good int64, sea
 		return 0, false, fmt.Errorf("%w: segment file %d claims index %d", ErrCorrupt, n, idx)
 	}
 
-	good, sealed, err = scanRecords(r, segHeaderSize, true, fn)
+	good, sealed, err = scanRecords(r, fn)
 	if err != nil || !sealed {
 		return good, sealed, err
 	}
@@ -211,14 +211,12 @@ func replaySegment(dir string, n uint64, fn func([]byte) error) (good int64, sea
 	return good, true, nil
 }
 
-// scanRecords streams length+crc framed records from r to fn, starting at
-// byte offset, and stops at a torn or checksum-failing tail (never an
-// error — the caller decides whether that is benign). With seals set, a
-// seal marker ends the scan with sealed true; without it (the legacy
-// format) the marker's absurd length reads as a torn tail. This is the one
-// record-scan loop: segment replay and legacy migration must not drift
-// apart.
-func scanRecords(r *bufio.Reader, offset int64, seals bool, fn func([]byte) error) (good int64, sealed bool, err error) {
+// scanRecords streams the length+crc framed records that follow a segment
+// header from r to fn, and stops at a torn or checksum-failing tail (never
+// an error — the caller decides whether that is benign). A seal marker ends
+// the scan with sealed true.
+func scanRecords(r *bufio.Reader, fn func([]byte) error) (good int64, sealed bool, err error) {
+	offset := int64(segHeaderSize)
 	var rh [recordHeaderSize]byte
 	var buf []byte
 	for {
@@ -227,7 +225,7 @@ func scanRecords(r *bufio.Reader, offset int64, seals bool, fn func([]byte) erro
 		}
 		length := binary.LittleEndian.Uint32(rh[0:4])
 		crc := binary.LittleEndian.Uint32(rh[4:8])
-		if seals && length == sealLen && crc == sealCRC {
+		if length == sealLen && crc == sealCRC {
 			return offset + recordHeaderSize, true, nil
 		}
 		if length > MaxRecord {

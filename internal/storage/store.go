@@ -23,12 +23,9 @@ import (
 
 // Snapshot file format: magic "SEEDSNP2", uint64 firstSeg (the first WAL
 // segment NOT covered by the snapshot), uint32 length, uint32 CRC-32,
-// payload. The legacy "SEEDSNAP" header (no firstSeg) is still read and
-// implies firstSeg 1.
-var (
-	snapMagic       = [8]byte{'S', 'E', 'E', 'D', 'S', 'N', 'P', '2'}
-	snapMagicLegacy = [8]byte{'S', 'E', 'E', 'D', 'S', 'N', 'A', 'P'}
-)
+// payload. Any other header — including the retired "SEEDSNAP" one without
+// firstSeg — is ErrCorrupt.
+var snapMagic = [8]byte{'S', 'E', 'E', 'D', 'S', 'N', 'P', '2'}
 
 // SnapshotFile is the snapshot file name within the store directory.
 const SnapshotFile = "snapshot.seed"
@@ -218,10 +215,6 @@ func readSnapshot(path string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(raw) >= 16 && [8]byte(raw[:8]) == snapMagicLegacy {
-		payload, err := checkSnapshotBody(raw[8:])
-		return payload, 1, err
-	}
 	if len(raw) < 24 || [8]byte(raw[:8]) != snapMagic {
 		return nil, 0, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
@@ -229,24 +222,14 @@ func readSnapshot(path string) ([]byte, uint64, error) {
 	if firstSeg < 1 {
 		return nil, 0, fmt.Errorf("%w: snapshot first segment %d", ErrCorrupt, firstSeg)
 	}
-	payload, err := checkSnapshotBody(raw[16:])
-	return payload, firstSeg, err
-}
-
-// checkSnapshotBody validates the length+crc framed payload that follows
-// the magic (and, in the current format, firstSeg) snapshot header fields.
-func checkSnapshotBody(rest []byte) ([]byte, error) {
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
-	}
-	length := binary.LittleEndian.Uint32(rest[0:4])
-	crc := binary.LittleEndian.Uint32(rest[4:8])
-	payload := rest[8:]
+	length := binary.LittleEndian.Uint32(raw[16:20])
+	crc := binary.LittleEndian.Uint32(raw[20:24])
+	payload := raw[24:]
 	if int(length) != len(payload) {
-		return nil, fmt.Errorf("%w: snapshot length %d vs %d", ErrCorrupt, length, len(payload))
+		return nil, 0, fmt.Errorf("%w: snapshot length %d vs %d", ErrCorrupt, length, len(payload))
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}
-	return payload, nil
+	return payload, firstSeg, nil
 }

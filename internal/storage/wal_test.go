@@ -1,13 +1,13 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -460,143 +460,46 @@ func TestStoreCompactCrashBeforeDelete(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration checks that a pre-segmented wal.seed (and legacy
-// snapshot header) still opens: records replay and the file is converted to
-// segment 1.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-write the old single-file format: magic + len/crc framed records.
-	var buf bytes.Buffer
-	buf.Write(legacyMagic[:])
-	for _, p := range []string{"legacy-1", "legacy-2"} {
-		var h [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE([]byte(p)))
-		buf.Write(h[:])
-		buf.WriteString(p)
-	}
-	buf.Write([]byte{3, 0, 0}) // torn tail, must be dropped silently
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var rec recorder
-	st, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.records) != 2 || string(rec.records[0]) != "legacy-1" {
-		t.Fatalf("migrated records = %q", rec.records)
-	}
-	_ = st.Append([]byte("new"))
-	_ = st.Sync()
-	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy wal.seed not removed after migration")
-	}
-
-	var rec2 recorder
-	st2, err := Open(dir, &rec2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if len(rec2.records) != 3 || string(rec2.records[2]) != "new" {
-		t.Errorf("records after migration reopen = %q", rec2.records)
+// TestStaleSingleFileWALRejected: the pre-segmented wal.seed is no longer
+// migrated. Skipping it would open the store as if its history never
+// existed, so Open must refuse and name the file — whatever it contains.
+func TestStaleSingleFileWALRejected(t *testing.T) {
+	for name, content := range map[string][]byte{
+		"records": []byte("SEEDLOG1\x03\x00\x00\x00"),
+		"empty":   nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			stale := filepath.Join(dir, "wal.seed")
+			if err := os.WriteFile(stale, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(dir, &recorder{}, Options{})
+			if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), stale) {
+				t.Fatalf("open beside a stale wal.seed: %v", err)
+			}
+			if segs, _ := listSegments(dir); len(segs) != 0 {
+				t.Errorf("refused open still created segments %v", segs)
+			}
+		})
 	}
 }
 
-// TestLegacyWALMigrationInterrupted simulates a crash mid-migration:
-// segment 1 exists (partially written) while wal.seed is still present.
-// The next open must regenerate segment 1 from the legacy file instead of
-// refusing to open.
-func TestLegacyWALMigrationInterrupted(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// TestRetiredSnapshotHeaderRejected: a snapshot.seed with the retired
+// "SEEDSNAP" header (no firstSeg field) is corrupt to this reader, even with
+// a valid length and checksum behind it.
+func TestRetiredSnapshotHeaderRejected(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte("a payload past the size check")
+	raw := []byte("SEEDSNAP")
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(len(payload)))
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+	raw = append(raw, payload...)
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.Write(legacyMagic[:])
-	for _, p := range []string{"keep-1", "keep-2", "keep-3"} {
-		var h [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE([]byte(p)))
-		buf.Write(h[:])
-		buf.WriteString(p)
-	}
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A partial migration artifact: segment 1 with only a header.
-	seg, err := createSegment(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = seg.append([]byte("keep-1")) // first record made it, then "crash"
-	_ = seg.sync()
-	seg.f.Close()
-
-	var rec recorder
-	st, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if len(rec.records) != 3 || string(rec.records[2]) != "keep-3" {
-		t.Fatalf("records after resumed migration = %q", rec.records)
-	}
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy wal.seed not removed after resumed migration")
-	}
-	// Segments 2+ next to a legacy file cannot be a migration artifact.
-	dir2 := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir2, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg2, err := createSegment(dir2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg2.f.Close()
-	if _, err := Open(dir2, nil, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("legacy file alongside segment 2: %v", err)
-	}
-}
-
-// TestLegacyWALEmptyFile: a 0-byte wal.seed (old writer crashed before its
-// header hit disk) held no records and must not brick the store.
-func TestLegacyWALEmptyFile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, &recorder{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st.Append([]byte("fresh"))
-	_ = st.Sync()
-	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("empty legacy wal.seed not removed")
-	}
-	var rec recorder
-	st2, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if len(rec.records) != 1 || string(rec.records[0]) != "fresh" {
-		t.Errorf("records = %q", rec.records)
+	if _, err := Open(dir, &recorder{}, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open over a SEEDSNAP-headed snapshot: %v", err)
 	}
 }
 

@@ -8,15 +8,14 @@
 //
 // Messages are length-prefixed JSON frames over any byte stream.
 //
-// Protocol v2 adds correlated, pipelined frames: a request may carry a
+// Frames are correlated and pipelined (protocol v2): every request carries a
 // nonzero Seq, which the server echoes in the matching response, so one
 // connection can have many requests in flight and receive retrieval
 // responses out of order. Mutating operations keep per-client FIFO order.
-// A request without a Seq gets protocol v1's lockstep behavior — the
-// response is written before the next request is acted on — so v1 clients
-// interoperate unchanged. The version is negotiated at hello: a client
-// announcing Proto >= 2 is answered with the server's protocol version and
-// may pipeline; a hello without Proto pins the connection to v1 semantics.
+// The version is announced at hello: the client sends Proto >= 2 and is
+// answered with the server's protocol version. A hello announcing less, or
+// any later frame without a Seq, is answered with one error naming the
+// unsupported protocol and the connection is closed.
 package wire
 
 import (
@@ -31,13 +30,9 @@ import (
 // MaxFrame bounds one protocol frame (8 MiB).
 const MaxFrame = 8 << 20
 
-// Protocol versions negotiated at hello.
-const (
-	// ProtoV1 is the lockstep protocol: one request, one response, in order.
-	ProtoV1 = 1
-	// ProtoV2 adds Seq correlation (pipelining) and the query operation.
-	ProtoV2 = 2
-)
+// ProtoV2 is the protocol version announced at hello: Seq correlation
+// (pipelining) and the query operation. It is the only one served.
+const ProtoV2 = 2
 
 // Frame errors.
 var (
@@ -174,8 +169,8 @@ type QueryPlan struct {
 	Forced     bool   `json:"forced,omitempty"`
 }
 
-// Stats is the structured form of the server's state summary. The legacy
-// one-line string stays in Response.Stats for v1 clients and shells.
+// Stats is the structured form of the server's state summary. The one-line
+// string stays in Response.Stats for shells.
 type Stats struct {
 	Objects       int    `json:"objects"`
 	Relationships int    `json:"rels"`
@@ -279,11 +274,18 @@ const (
 	CodeNotPrimary = "not-primary"
 )
 
+// Codes lists every error code above, in declaration order. The server's
+// error-to-code mapping, the client's code-to-sentinel and retry-class
+// mappings and the metrics labels are all checked (or derived) against it.
+var Codes = []string{
+	CodeLocked, CodeNotLocked, CodeConflict,
+	CodeOverloaded, CodeShuttingDown, CodeNotPrimary,
+}
+
 // Request is one client request frame. Seq correlates the request with its
-// response under protocol v2: a nonzero Seq is echoed in the response and
-// allows the server to answer retrieval requests out of order; Seq zero
-// requests the v1 lockstep behavior. Proto is sent at hello to announce the
-// client's protocol version.
+// response: it is echoed in the response and allows the server to answer
+// retrieval requests out of order. Only the hello may leave it zero. Proto
+// is sent at hello to announce the client's protocol version.
 type Request struct {
 	Op      Op       `json:"op"`
 	Seq     uint64   `json:"seq,omitempty"`
@@ -295,8 +297,8 @@ type Request struct {
 	Query   *Query   `json:"query,omitempty"`
 }
 
-// Response is one server response frame. Seq echoes the request's Seq (zero
-// for lockstep requests); Proto answers a hello's version announcement.
+// Response is one server response frame. Seq echoes the request's Seq; Proto
+// answers a hello's version announcement.
 type Response struct {
 	Seq       uint64        `json:"seq,omitempty"`
 	Proto     int           `json:"proto,omitempty"` // hello only

@@ -123,13 +123,14 @@ func TestTransactionInvisibleUntilCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.Begin(); err != nil {
+	tx, err := db.BeginTx()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetValue(desc, NewString("in-flight")); err != nil {
+	if err := tx.SetValue(desc, NewString("in-flight")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateObject("Data", "Mid"); err != nil {
+	if _, err := tx.CreateObject("Data", "Mid"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,12 +141,16 @@ func TestTransactionInvisibleUntilCommit(t *testing.T) {
 	if _, ok := db.View().ObjectByName("Mid"); ok {
 		t.Error("mid-transaction snapshot sees an uncommitted object")
 	}
-	// The transaction itself can address what it created.
-	if _, err := db.ResolvePath("Mid"); err != nil {
+	// The transaction itself can address what it created; the database's
+	// own resolution, like its views, cannot.
+	if _, err := tx.ResolvePath("Mid"); err != nil {
 		t.Errorf("in-transaction path resolution: %v", err)
 	}
+	if _, err := db.ResolvePath("Mid"); err == nil {
+		t.Error("database path resolution sees an uncommitted object")
+	}
 
-	if err := db.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if o, _ := db.View().Object(desc); o.Value.Str() != "in-flight" {
@@ -183,18 +188,19 @@ func TestSnapshotsNeverTorn(t *testing.T) {
 	go func() {
 		defer stop.Store(true)
 		for i := 1; i <= rounds; i++ {
-			if err := db.Begin(); err != nil {
+			tx, err := db.BeginTx()
+			if err != nil {
 				writerErr <- err
 				return
 			}
 			tag := fmt.Sprintf("tag-%d", i)
 			for _, id := range ids {
-				if err := db.SetValue(id, NewString(tag)); err != nil {
+				if err := tx.SetValue(id, NewString(tag)); err != nil {
 					writerErr <- err
 					return
 				}
 			}
-			if err := db.Commit(); err != nil {
+			if err := tx.Commit(); err != nil {
 				writerErr <- err
 				return
 			}
@@ -257,10 +263,11 @@ func TestWholeDatabaseOpsRejectedMidTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.Begin(); err != nil {
+	tx, err := db.BeginTx()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateObject("Data", "InFlight"); err != nil {
+	if _, err := tx.CreateObject("Data", "InFlight"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.SaveVersion("mid-tx"); !errors.Is(err, ErrTxOpen) {
@@ -281,7 +288,7 @@ func TestWholeDatabaseOpsRejectedMidTransaction(t *testing.T) {
 	if _, err := db.Vacuum(); !errors.Is(err, ErrTxOpen) {
 		t.Errorf("Vacuum mid-tx: %v, want ErrTxOpen", err)
 	}
-	if err := db.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// After the commit everything is allowed again.

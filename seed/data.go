@@ -292,21 +292,13 @@ func (tx *Tx) Reclassify(id ID, newName string) error {
 // resolution sees the transaction's own staged effects (a batch can address
 // items it created earlier) but never another transaction's.
 func (tx *Tx) ResolvePath(path string) (ID, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return NoID, err
-	}
 	db := tx.db
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if tx.done {
 		return NoID, ErrTxDone
 	}
-	id, ok := item.Resolve(tx.viewLocked(), p)
-	if !ok {
-		return NoID, fmt.Errorf("seed: no object at path %q", path)
-	}
-	return id, nil
+	return resolvePath(tx.viewLocked(), path)
 }
 
 // viewLocked returns the user-facing spliced view over the live engine
@@ -346,9 +338,6 @@ func (tx *Tx) Commit() error {
 		return ErrClosed
 	}
 	tx.done = true
-	if db.legacy == tx {
-		db.legacy = nil
-	}
 	records, err := db.engine.CommitTx(tx.core)
 	if err != nil {
 		db.mu.Unlock()
@@ -387,9 +376,6 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	tx.done = true
-	if db.legacy == tx {
-		db.legacy = nil
-	}
 	if err := db.engine.RollbackTx(tx.core); err != nil {
 		return err
 	}
@@ -399,69 +385,16 @@ func (tx *Tx) Rollback() error {
 	return nil
 }
 
-// Begin opens the legacy global transaction: subsequent Database-level
-// operations commit or roll back as a unit, exactly as before concurrent
-// transactions existed. It is a thin wrapper over BeginTx; the handle is
-// held by the database and finished by Commit or Rollback.
-func (db *Database) Begin() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.replica {
-		return ErrNotPrimary
-	}
-	if err := db.engine.Begin(); err != nil {
-		return err
-	}
-	db.legacy = &Tx{db: db, core: db.engine.LegacyTx()}
-	db.snapshotLocked()
-	return nil
-}
-
-// Commit makes the legacy transaction permanent (see Tx.Commit).
-func (db *Database) Commit() error {
-	db.mu.Lock()
-	lt := db.legacy
-	db.mu.Unlock()
-	if lt == nil {
-		return fmt.Errorf("%w: no transaction open", core.ErrTxState)
-	}
-	return lt.Commit()
-}
-
-// Rollback undoes the legacy transaction.
-func (db *Database) Rollback() error {
-	db.mu.Lock()
-	lt := db.legacy
-	db.mu.Unlock()
-	if lt == nil {
-		return fmt.Errorf("%w: no transaction open", core.ErrTxState)
-	}
-	return lt.Rollback()
-}
-
-// finish bumps the mutation generation on success. Inside the legacy
-// transaction the generation does not move — snapshot views keep showing
-// the last committed state until Commit advances it once for the whole
-// batch — and compaction is deferred to Commit: a snapshot written
-// mid-transaction would persist uncommitted operations and truncate the
-// log before their buffered journal records exist.
+// finish bumps the mutation generation after a successful auto-committed
+// mutation and runs due auto-compaction.
 //
 // seed:locked-caller — runs at the tail of every mutation, under db.mu.
 func (db *Database) finish(id ID, err error) (ID, error) {
 	if err != nil {
 		return NoID, err
 	}
-	if db.legacy != nil {
-		return id, nil
-	}
 	db.gen++
-	if cerr := db.maybeCompact(); cerr != nil {
-		return id, cerr
-	}
-	return id, nil
+	return id, db.maybeCompact()
 }
 
 // ---- Retrieval ----
@@ -487,7 +420,7 @@ func (c *snapshotCache) userView() *pattern.Spliced {
 // snapshotLocked returns the snapshot of the current generation, building
 // and caching it if necessary. Callers hold db.mu in either mode — the
 // generation cannot advance while they do. While a transaction is open the
-// generation does not advance either, so the snapshot pinned by Begin keeps
+// generation does not advance either, so the snapshot pinned by BeginTx keeps
 // serving readers the last committed state until Commit.
 //
 // seed:locked-caller
@@ -526,27 +459,6 @@ func (db *Database) RawView() View {
 	return db.snapshotLocked().raw
 }
 
-// updateViewLocked returns the view path resolution for updates runs
-// against: normally the current snapshot, but while the legacy transaction
-// is open a view over the live engine state, so that a batch can address
-// items it created earlier in the same transaction (per-Tx resolution goes
-// through Tx.ResolvePath). Callers hold db.mu and must not let a live view
-// escape the lock.
-//
-// seed:locked-caller
-func (db *Database) updateViewLocked(user bool) View {
-	if lt := db.legacy; lt != nil {
-		if !user {
-			return db.engine.View()
-		}
-		return lt.viewLocked()
-	}
-	if user {
-		return db.snapshotLocked().userView()
-	}
-	return db.snapshotLocked().raw
-}
-
 // Origin reports the provenance of a virtual (inherited) item in the
 // current user view.
 func (db *Database) Origin(id ID) (source, patternRoot, inheritor ID, ok bool) {
@@ -571,20 +483,10 @@ func (db *Database) GetObject(name string) (Object, bool) {
 }
 
 // ResolvePath navigates a qualified name ("Alarms.Text[0].Selector") in the
-// user view. Inside an open transaction resolution sees the transaction's
-// own effects, so a batch can address items it created earlier.
+// user view of the last committed state. A staged batch that must address
+// items it created earlier resolves through Tx.ResolvePath instead.
 func (db *Database) ResolvePath(path string) (ID, error) {
-	p, err := ParsePath(path)
-	if err != nil {
-		return NoID, err
-	}
-	db.mu.RLock()
-	id, ok := item.Resolve(db.updateViewLocked(true), p)
-	db.mu.RUnlock()
-	if !ok {
-		return NoID, fmt.Errorf("seed: no object at path %q", path)
-	}
-	return id, nil
+	return resolvePath(db.View(), path)
 }
 
 // ResolvePathRaw navigates a qualified name in the raw (administrative)
@@ -592,13 +494,16 @@ func (db *Database) ResolvePath(path string) (ID, error) {
 // sub-objects for updates, since pattern information is updatable only in
 // the pattern itself.
 func (db *Database) ResolvePathRaw(path string) (ID, error) {
+	return resolvePath(db.RawView(), path)
+}
+
+// resolvePath parses a qualified name and navigates it in v.
+func resolvePath(v View, path string) (ID, error) {
 	p, err := ParsePath(path)
 	if err != nil {
 		return NoID, err
 	}
-	db.mu.RLock()
-	id, ok := item.Resolve(db.updateViewLocked(false), p)
-	db.mu.RUnlock()
+	id, ok := item.Resolve(v, p)
 	if !ok {
 		return NoID, fmt.Errorf("seed: no object at path %q", path)
 	}

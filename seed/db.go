@@ -76,9 +76,6 @@ type Options struct {
 	Mode SnapshotMode
 	// SyncPolicy selects when journal records become durable.
 	SyncPolicy SyncPolicy
-	// SyncEveryOp is the legacy spelling of SyncPolicy: SyncGroupCommit.
-	// Deprecated: set SyncPolicy instead.
-	SyncEveryOp bool
 	// SegmentSize caps one write-ahead-log segment file in bytes before the
 	// log rotates to the next numbered segment (0 selects the storage
 	// default, 4 MiB).
@@ -92,25 +89,16 @@ type Options struct {
 	Clock func() time.Time
 }
 
-// storage returns the storage-layer options this configuration implies.
-func (o Options) storage() storage.Options {
-	so := storage.Options{SegmentSize: o.SegmentSize, SyncPolicy: o.SyncPolicy}
-	if o.SyncEveryOp {
-		so.SyncPolicy = storage.SyncGroupCommit
-	}
-	return so
-}
-
 // Database is a SEED database: the current state, the version tree, and —
 // when file-backed — a write-ahead log plus snapshot in one directory.
 // Methods are safe for use from multiple goroutines: mutations serialize on
 // a write lock, retrieval runs in parallel on a read lock, and View/RawView
 // return immutable snapshots that stay consistent while mutations proceed.
-// Several transactions may be staged concurrently via BeginTx — each Tx
-// carries its own batch, and transactions with disjoint write sets commit
-// independently (overlaps surface as ErrTxConflict); the server maps
-// check-out lock sets onto transactions, which is what retires its global
-// write gate (DESIGN.md section 8).
+// The Database's own mutators always auto-commit, one operation at a time;
+// a batch is always a Tx from BeginTx. Several may be staged concurrently —
+// each Tx carries its own batch, and transactions with disjoint write sets
+// commit independently (overlaps surface as ErrTxConflict); the server maps
+// check-out lock sets onto transactions (DESIGN.md section 8).
 type Database struct {
 	// mu guards the mutable database state below. The seed:guarded-by
 	// annotations are enforced at compile time by the guardedby analyzer
@@ -129,8 +117,6 @@ type Database struct {
 	snapMu sync.Mutex                    // serializes snapshot builds
 	snap   atomic.Pointer[snapshotCache] // snapshot of the last built generation
 	gen    uint64                        // seed:guarded-by(mu) — mutation generation (bumped per visible change)
-
-	legacy *Tx // seed:guarded-by(mu) — transaction opened by the legacy Begin (global operations join it)
 
 	// Follower replication (replica.go). replica marks a read-only
 	// follower — every mutation entry point refuses with ErrNotPrimary.
@@ -160,7 +146,7 @@ func Open(dir string, opts Options) (*Database, error) {
 	}
 	db.vers = version.NewManager()
 	rec := &recovery{db: db}
-	st, err := storage.Open(dir, rec, opts.storage())
+	st, err := storage.Open(dir, rec, storage.Options{SegmentSize: opts.SegmentSize, SyncPolicy: opts.SyncPolicy})
 	if err != nil {
 		return nil, err
 	}

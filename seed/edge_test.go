@@ -2,7 +2,6 @@ package seed
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/pattern"
@@ -70,19 +69,6 @@ func TestOpenRejectsNonInitialSchema(t *testing.T) {
 	unfrozen := NewSchema("X")
 	if _, err := NewMemory(unfrozen); err == nil {
 		t.Error("unfrozen schema accepted")
-	}
-}
-
-func TestSyncEveryOp(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db := openDB(t, dir, Options{Schema: Figure2Schema(), SyncEveryOp: true, Clock: fixedClock()})
-	create(t, db, "Data", "A")
-	create(t, db, "Data", "B")
-	db.Close()
-	db2 := openDB(t, dir, Options{Clock: fixedClock()})
-	defer db2.Close()
-	if got := db2.Stats().Core.Objects; got != 2 {
-		t.Errorf("objects after SyncEveryOp reopen = %d", got)
 	}
 }
 

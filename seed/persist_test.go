@@ -4,11 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/item"
 	"repro/internal/storage"
 )
 
@@ -486,18 +486,19 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Begin(); err != nil {
+	tx, err := db.BeginTx()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := db.CreateValueObject(keep, "Description", NewString("doomed")); err != nil {
+		if _, err := tx.CreateValueObject(keep, "Description", NewString("doomed")); err != nil {
 			// Description is 0..1; only the first create succeeds — use
 			// fresh objects instead to generate volume.
 			break
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := db.CreateObject("Data", "Doomed"+string(rune('A'+i))); err != nil {
+		if _, err := tx.CreateObject("Data", "Doomed"+string(rune('A'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -508,7 +509,7 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	if !midTx.ModTime().Equal(preTx.ModTime()) || midTx.Size() != preTx.Size() {
 		t.Fatal("compaction ran inside the open transaction")
 	}
-	if err := db.Rollback(); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	// Force the deferred compaction on the next committed operation and
@@ -533,73 +534,26 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatV1Load: databases compacted before the symbol-coded
-// snapshot format landed must still load. The test encodes the state in the
-// retired format-1 layout (inline strings per item, no symbol table) and
-// feeds it through the recovery path.
-func TestSnapshotFormatV1Load(t *testing.T) {
+// TestSnapshotFormat1Rejected: the inline-string snapshot layout that
+// predates the symbol table is no longer read. A store whose snapshot
+// payload announces format 1 must refuse to open, not load as empty.
+func TestSnapshotFormat1Rejected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
-	defer db.Close()
-
-	alarms := create(t, db, "Data", "Alarms")
-	sensor := create(t, db, "Action", "Sensor")
-	acc, err := db.CreateRelationship("Access", map[string]ID{"from": alarms, "by": sensor})
+	st, err := storage.Open(dir, nil, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, _ := db.CreateSubObject(alarms, "Text")
-	sel, err := db.CreateValueObject(text, "Selector", NewString("Representation"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.SaveVersion("v1"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Encode the current state exactly as the retired format 1 did, under
-	// the lock the engine and version fields are guarded by.
-	db.mu.RLock()
 	e := storage.NewEncoder(nil)
-	e.Uint64(snapshotFormatV1)
-	e.Uint64(uint64(db.engine.NextID()))
-	e.Int(len(db.schemas))
-	for _, sch := range db.schemas {
-		e.String(RenderSDL(sch))
+	e.Uint64(1) // format word
+	e.Uint64(1) // nextID
+	if err := st.Compact(e.Bytes()); err != nil {
+		t.Fatal(err)
 	}
-	objs, rels := db.engine.CaptureAll()
-	e.Int(len(objs))
-	for i := range objs {
-		item.EncodeObject(e, &objs[i])
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	e.Int(len(rels))
-	for i := range rels {
-		item.EncodeRelationship(e, &rels[i])
-	}
-	dirty := db.engine.DirtyIDs()
-	e.Int(len(dirty))
-	for _, id := range dirty {
-		e.Uint64(uint64(id))
-	}
-	db.vers.Encode(e)
-	db.mu.RUnlock()
-
-	db2 := openDB(t, filepath.Join(t.TempDir(), "db2"), Options{Schema: Figure3Schema(), Clock: fixedClock()})
-	defer db2.Close()
-	if err := db2.loadSnapshot(e.Bytes()); err != nil {
-		t.Fatalf("format-1 snapshot load: %v", err)
-	}
-	v := db2.View()
-	if id, ok := v.ObjectByName("Alarms"); !ok || id != alarms {
-		t.Fatalf("Alarms after v1 load = %d %v", id, ok)
-	}
-	if o, ok := v.Object(sel); !ok || o.Value.Str() != "Representation" {
-		t.Errorf("Selector after v1 load = %v %v", o.Value, ok)
-	}
-	if r, ok := v.Relationship(acc); !ok || r.Assoc.Name() != "Access" {
-		t.Errorf("Access after v1 load: %v", ok)
-	}
-	if names := db2.Versions(); len(names) == 0 {
-		t.Error("version tree lost in v1 load")
+	_, err = Open(dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format 1") {
+		t.Fatalf("open over a format-1 snapshot: %v", err)
 	}
 }

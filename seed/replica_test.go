@@ -180,7 +180,6 @@ func TestReplicaRefusesMutations(t *testing.T) {
 		"CreateObject": func() error { _, err := rep.CreateObject("Data", "X"); return err }(),
 		"SetValue":     rep.SetValue(alarms, NewString("x")),
 		"Delete":       rep.Delete(alarms),
-		"Begin":        rep.Begin(),
 		"BeginTx":      func() error { _, err := rep.BeginTx(); return err }(),
 		"SaveVersion":  func() error { _, err := rep.SaveVersion("v"); return err }(),
 		"SelectVersion": func() error {

@@ -552,21 +552,26 @@ func TestSchemaEvolution(t *testing.T) {
 
 func TestTransactionsThroughFacade(t *testing.T) {
 	db := memDB(t, Figure2Schema())
-	if err := db.Begin(); err != nil {
+	tx, err := db.BeginTx()
+	if err != nil {
 		t.Fatal(err)
 	}
-	create(t, db, "Data", "A")
-	if err := db.Rollback(); err != nil {
+	if _, err := tx.CreateObject("Data", "A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.GetObject("A"); ok {
 		t.Error("rolled-back object visible")
 	}
-	if err := db.Begin(); err != nil {
+	if tx, err = db.BeginTx(); err != nil {
 		t.Fatal(err)
 	}
-	create(t, db, "Data", "B")
-	if err := db.Commit(); err != nil {
+	if _, err := tx.CreateObject("Data", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.GetObject("B"); !ok {

@@ -23,14 +23,8 @@ import (
 //	dirty    count + IDs
 //	versions the version tree (per-node deltas encoded against the schema
 //	         version each node was created under)
-//
-// Format 1 (inline strings per item, no symbol table) is still loaded for
-// databases compacted before the columnar store landed.
 
-const (
-	snapshotFormat   = 2
-	snapshotFormatV1 = 1
-)
+const snapshotFormat = 2
 
 // compactLocked rewrites the log as one snapshot record, then rebuilds the
 // engine's intern tables from the live rows.
@@ -128,7 +122,7 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if format != snapshotFormat && format != snapshotFormatV1 {
+	if format != snapshotFormat {
 		return fmt.Errorf("seed: unsupported snapshot format %d", format)
 	}
 	nextID, err := d.Uint64()
@@ -164,13 +158,7 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	}
 	en.BeginReplay()
 
-	var objs []item.Object
-	var rels []item.Relationship
-	if format == snapshotFormatV1 {
-		objs, rels, err = decodeItemsV1(d, latest)
-	} else {
-		objs, rels, err = decodeItemsV2(d, latest)
-	}
+	objs, rels, err := decodeItems(d, latest)
 	if err != nil {
 		return err
 	}
@@ -202,34 +190,9 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	return nil
 }
 
-// decodeItemsV1 reads the format-1 item sections: inline strings per item.
-func decodeItemsV1(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
-	objCount, err := d.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	objs := make([]item.Object, objCount)
-	for i := range objs {
-		if objs[i], err = item.DecodeObject(d, latest); err != nil {
-			return nil, nil, err
-		}
-	}
-	relCount, err := d.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	rels := make([]item.Relationship, relCount)
-	for i := range rels {
-		if rels[i], err = item.DecodeRelationship(d, latest); err != nil {
-			return nil, nil, err
-		}
-	}
-	return objs, rels, nil
-}
-
-// decodeItemsV2 reads the format-2 item sections: the symbol table, then the
-// sym-coded items blob.
-func decodeItemsV2(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
+// decodeItems reads the item sections: the symbol table, then the sym-coded
+// items blob.
+func decodeItems(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
 	strs, err := item.DecodeSymTab(d)
 	if err != nil {
 		return nil, nil, err
