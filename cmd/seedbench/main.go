@@ -16,12 +16,11 @@
 // lock-scoped check-in path against a harness-serialized baseline, E10
 // the pipelined v2 wire protocol with server-side queries, E11 the
 // follower-replication read scale-out with its lag and convergence
-// differential, E12 the columnar item store against the map-backed
-// ablation, E13 the attribute indexes and cost-based planner against the
+// differential, E13 the attribute indexes and cost-based planner against the
 // forced linear scan, and E14 the production-hardening fault harness
 // (overload shedding, chaos clients, graceful drain). With -json, the
 // machine-readable data of the selected measurement experiment (e8, or
-// e9/e10/e11/e12/e13/e14 when selected with -exp)
+// e9/e10/e11/e13/e14 when selected with -exp)
 // is written out so the perf trajectory is tracked across PRs. The experiment list below is the
 // single source of truth: -list and the -exp flag help enumerate it.
 package main
@@ -51,7 +50,6 @@ var experiments = []struct {
 	{"e9", "check-ins: lock-scoped concurrency vs the global write gate", nil},    // wired in main
 	{"e10", "wire v2: pipelined frames and server-side queries", nil},             // wired in main
 	{"e11", "replication: follower read scale-out, lag, convergence", nil},        // wired in main
-	{"e12", "columnar store: bytes/item, freeze and query latency vs map", nil},   // wired in main
 	{"e13", "planner: attribute-indexed predicates vs forced linear scan", nil},   // wired in main
 	{"e14", "hardening: overload shedding, fault injection, graceful drain", nil}, // wired in main
 }
@@ -84,7 +82,6 @@ func main() {
 	e9Workload := bench.DefaultCheckinWorkload
 	e10Workload := bench.DefaultPipelineWorkload
 	e11Workload := bench.DefaultReplicaWorkload
-	e12Workload := bench.DefaultColumnarWorkload
 	e13Workload := bench.DefaultPredicateWorkload
 	e14Workload := bench.DefaultFaultWorkload
 	if *short {
@@ -92,7 +89,6 @@ func main() {
 		e9Workload = bench.ShortCheckinWorkload
 		e10Workload = bench.ShortPipelineWorkload
 		e11Workload = bench.ShortReplicaWorkload
-		e12Workload = bench.ShortColumnarWorkload
 		e13Workload = bench.ShortPredicateWorkload
 		e14Workload = bench.ShortFaultWorkload
 	}
@@ -100,7 +96,6 @@ func main() {
 	var e9Data *bench.E9Data
 	var e10Data *bench.E10Data
 	var e11Data *bench.E11Data
-	var e12Data *bench.E12Data
 	var e13Data *bench.E13Data
 	var e14Data *bench.E14Data
 
@@ -119,8 +114,6 @@ func main() {
 			r, e10Data = bench.E10Stats(e10Workload)
 		case "e11":
 			r, e11Data = bench.E11Stats(e11Workload)
-		case "e12":
-			r, e12Data = bench.E12Stats(e12Workload)
 		case "e13":
 			r, e13Data = bench.E13Stats(e13Workload)
 		case "e14":
@@ -157,12 +150,6 @@ func main() {
 				os.Exit(1)
 			}
 			payload = e11Data
-		case strings.EqualFold(*exp, "e12"):
-			if e12Data == nil {
-				fmt.Fprintf(os.Stderr, "seedbench: -json given but experiment e12 did not run (-exp %s)\n", *exp)
-				os.Exit(1)
-			}
-			payload = e12Data
 		case strings.EqualFold(*exp, "e13"):
 			if e13Data == nil {
 				fmt.Fprintf(os.Stderr, "seedbench: -json given but experiment e13 did not run (-exp %s)\n", *exp)

@@ -66,7 +66,7 @@ type E13Data struct {
 	Sizes      []E13SizeStats `json:"sizes"`
 }
 
-// buildPredicateDB populates a columnar database of n objects where exactly
+// buildPredicateDB populates a database of n objects where exactly
 // hits Data objects carry the needle Description and a Revised date at or
 // after the range cut; every other object carries hay values. The dataset
 // has no patterns or inheritance, so the user view splices nothing virtual
@@ -75,9 +75,6 @@ type E13Data struct {
 // path at full scale rather than the bulk build.
 func buildPredicateDB(n, hits int) *seed.Database {
 	db := mustDB()
-	if err := db.SetColumnarStore(true); err != nil {
-		panic(err)
-	}
 	if err := db.CreateAttrIndex("Data", "Description", seed.AttrHash); err != nil {
 		panic(err)
 	}
@@ -129,7 +126,7 @@ func e13RangeQuery() *seed.Query {
 // lets the planner choose) and reports the executed plan. One untimed
 // warm-up rep precedes the clock: the first read of a generation pays the
 // one-time freeze of the attribute indexes (an O(n) cost the snapshot
-// amortizes, measured by E12 as freeze latency), and E13's claim is about
+// amortizes), and E13's claim is about
 // the steady-state query latency after it.
 func measurePlanned(v seed.View, mk func() *seed.Query, force seed.Access, hits, reps int) (time.Duration, *seed.Plan, error) {
 	var plan *seed.Plan

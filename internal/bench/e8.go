@@ -43,7 +43,7 @@ var ShortChurnWorkload = ChurnWorkload{
 type E8SizeStats struct {
 	Objects               int     `json:"objects"`
 	FirstReadCOWNanos     int64   `json:"first_read_cow_ns"`      // median over Commits
-	FirstReadCOWMeanNanos int64   `json:"first_read_cow_mean_ns"` // mean (includes chain-collapse rebuilds)
+	FirstReadCOWMeanNanos int64   `json:"first_read_cow_mean_ns"` // mean
 	FirstReadRebuildNanos int64   `json:"first_read_rebuild_ns"`  // median, COW disabled
 	FirstReadSpeedup      float64 `json:"first_read_speedup"`     // rebuild / cow, medians
 	QueryIndexedNanos     int64   `json:"query_by_class_indexed_ns"`

@@ -13,70 +13,61 @@ import (
 // and the by-class index — hand out decoded values and shared immutable
 // slices without allocating. A regression here (a defensive copy creeping
 // into an accessor, a decode round-tripping through the heap) multiplies
-// across every item a reader visits, which is exactly what E12's GC-pause
-// numbers measure; this pins it at zero per call for both representations.
+// across every item a reader visits; this pins it at zero per call. The
+// subtest is named for the store it runs on.
 func TestFrozenAccessorAllocs(t *testing.T) {
-	for _, columnar := range []bool{true, false} {
-		name := "columnar"
-		if !columnar {
-			name = "map"
+	t.Run("columnar", func(t *testing.T) {
+		en := newFig3(t)
+		var parent item.ID
+		for i := 0; i < 200; i++ {
+			id := mustCreate(t, en, "Data", fmt.Sprintf("Obj%03d", i))
+			if i == 0 {
+				parent = id
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			en := newFig3(t)
-			if err := en.SetColumnarStore(columnar); err != nil {
-				t.Fatal(err)
-			}
-			var parent item.ID
-			for i := 0; i < 200; i++ {
-				id := mustCreate(t, en, "Data", fmt.Sprintf("Obj%03d", i))
-				if i == 0 {
-					parent = id
-				}
-			}
-			if _, err := en.CreateValueObject(parent, "Description", value.NewString("short")); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := en.CreateSubObject(parent, "Revised"); err != nil {
-				t.Fatal(err)
-			}
-			v := en.FrozenView()
-			iv, ok := v.(frozenIndexes)
-			if !ok {
-				t.Fatal("frozen view lost the index extensions")
-			}
+		if _, err := en.CreateValueObject(parent, "Description", value.NewString("short")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := en.CreateSubObject(parent, "Revised"); err != nil {
+			t.Fatal(err)
+		}
+		v := en.FrozenView()
+		iv, ok := v.(frozenIndexes)
+		if !ok {
+			t.Fatal("frozen view lost the index extensions")
+		}
 
-			check := func(op string, f func()) {
-				t.Helper()
-				if n := testing.AllocsPerRun(200, f); n > 0 {
-					t.Errorf("%s allocates %.1f times per call, want 0", op, n)
-				}
+		check := func(op string, f func()) {
+			t.Helper()
+			if n := testing.AllocsPerRun(200, f); n > 0 {
+				t.Errorf("%s allocates %.1f times per call, want 0", op, n)
 			}
-			check("Object", func() {
-				if _, ok := v.Object(parent); !ok {
-					t.Fatal("object lost")
-				}
-			})
-			check("Children", func() {
-				if len(v.Children(parent, "")) != 2 {
-					t.Fatal("children lost")
-				}
-			})
-			check("Children(role)", func() {
-				if len(v.Children(parent, "Description")) != 1 {
-					t.Fatal("role children lost")
-				}
-			})
-			check("ObjectByName", func() {
-				if _, ok := v.ObjectByName("Obj000"); !ok {
-					t.Fatal("name lost")
-				}
-			})
-			check("ObjectsOfClass", func() {
-				ids, _ := iv.ObjectsOfClass("Data")
-				if len(ids) != 200 {
-					t.Fatal("class index lost")
-				}
-			})
+		}
+		check("Object", func() {
+			if _, ok := v.Object(parent); !ok {
+				t.Fatal("object lost")
+			}
 		})
-	}
+		check("Children", func() {
+			if len(v.Children(parent, "")) != 2 {
+				t.Fatal("children lost")
+			}
+		})
+		check("Children(role)", func() {
+			if len(v.Children(parent, "Description")) != 1 {
+				t.Fatal("role children lost")
+			}
+		})
+		check("ObjectByName", func() {
+			if _, ok := v.ObjectByName("Obj000"); !ok {
+				t.Fatal("name lost")
+			}
+		})
+		check("ObjectsOfClass", func() {
+			ids, _ := iv.ObjectsOfClass("Data")
+			if len(ids) != 200 {
+				t.Fatal("class index lost")
+			}
+		})
+	})
 }

@@ -7,15 +7,14 @@ import (
 	"repro/internal/item"
 )
 
-// Attribute index maintenance, shared by both store representations. The
-// registered specs live on the engine and are pushed into the store
-// (setAttrSpecs); every frozen generation carries one immutable
-// item.AttrIdx per spec, built from scratch on a full freeze and patched
-// from the previous generation otherwise — the same per-generation
-// discipline as the class and name indexes, and safe while transactions
-// are staged for the same reason: patching reads only frozen data (the new
-// and previous generations) plus the dirty set, never the live state
-// wholesale.
+// Attribute index maintenance. The registered specs live on the engine and
+// are shared with the store (colStore.attrSpecs); every frozen generation
+// carries one immutable item.AttrIdx per spec, built from scratch on a full
+// freeze and patched from the previous generation otherwise — the same
+// per-generation discipline as the class and name indexes, and safe while
+// transactions are staged for the same reason: patching reads only frozen
+// data (the new and previous generations) plus the dirty set, never the
+// live state wholesale.
 
 // Attribute index errors.
 var (
@@ -51,14 +50,13 @@ func (en *Engine) CreateAttrIndex(spec item.AttrSpec) error {
 			if en.attrSpecs[i].Kind == spec.Kind {
 				return nil // already registered as requested
 			}
-			en.attrSpecs[i].Kind = spec.Kind
-			en.st.setAttrSpecs(en.attrSpecs)
+			en.attrSpecs[i].Kind = spec.Kind // the store shares the slice
 			en.invalidateFrozen()
 			return nil
 		}
 	}
 	en.attrSpecs = append(en.attrSpecs, spec)
-	en.st.setAttrSpecs(en.attrSpecs)
+	en.st.attrSpecs = en.attrSpecs
 	en.invalidateFrozen()
 	return nil
 }
@@ -71,21 +69,12 @@ func (en *Engine) DropAttrIndex(key item.AttrKey) error {
 	for i := range en.attrSpecs {
 		if en.attrSpecs[i].Key == key {
 			en.attrSpecs = append(en.attrSpecs[:i], en.attrSpecs[i+1:]...)
-			en.st.setAttrSpecs(en.attrSpecs)
+			en.st.attrSpecs = en.attrSpecs
 			en.invalidateFrozen()
 			return nil
 		}
 	}
 	return fmt.Errorf("%w: %s", ErrNoAttrIndex, key)
-}
-
-// attrPostingsFn derives the postings of one root in a frozen view; the
-// columnar store plugs in a row-native walk, the map store the generic one.
-type attrPostingsFn func(v frozen, root item.ID, roles []string) []item.AttrPosting
-
-// genericAttrPostings is the item.View-level walk (map store, fallbacks).
-func genericAttrPostings(v frozen, root item.ID, roles []string) []item.AttrPosting {
-	return item.AttrPostingsOf(v, root, roles)
 }
 
 // attrRoles resolves a spec's role path (validated at registration).
@@ -100,23 +89,23 @@ func attrRoles(spec item.AttrSpec) []string {
 // buildAttrs builds every registered index from scratch over a finished
 // generation (the full-freeze and scan paths). Roots come from the class
 // index, so the cost is proportional to the indexed class populations.
-func buildAttrs(specs []item.AttrSpec, f frozen, postingsOf attrPostingsFn) map[item.AttrKey]*item.AttrIdx {
+func buildAttrs(specs []item.AttrSpec, f *colFrozen) map[item.AttrKey]*item.AttrIdx {
 	if len(specs) == 0 {
 		return nil
 	}
 	out := make(map[item.AttrKey]*item.AttrIdx, len(specs))
 	for _, spec := range specs {
-		out[spec.Key] = buildOneAttr(spec, f, postingsOf)
+		out[spec.Key] = buildOneAttr(spec, f)
 	}
 	return out
 }
 
-func buildOneAttr(spec item.AttrSpec, f frozen, postingsOf attrPostingsFn) *item.AttrIdx {
+func buildOneAttr(spec item.AttrSpec, f *colFrozen) *item.AttrIdx {
 	roles := attrRoles(spec)
 	var posts []item.AttrPosting
 	roots, _ := f.ObjectsOfClass(spec.Key.Class)
 	for _, root := range roots {
-		posts = append(posts, postingsOf(f, root, roles)...)
+		posts = append(posts, f.attrPostings(root, roles)...)
 	}
 	return item.NewAttrIdx(spec.Kind, posts)
 }
@@ -130,7 +119,7 @@ func buildOneAttr(spec item.AttrSpec, f frozen, postingsOf attrPostingsFn) *item
 // and inserts their fresh ones. Untouched specs share the previous index
 // pointer; the cost of a touched one is proportional to the indexed class
 // population, like a class index patch — never to the database.
-func patchAttrs(specs []item.AttrSpec, f, prev frozen, dirty map[item.ID]bool, postingsOf attrPostingsFn) map[item.AttrKey]*item.AttrIdx {
+func patchAttrs(specs []item.AttrSpec, f, prev *colFrozen, dirty map[item.ID]bool) map[item.AttrKey]*item.AttrIdx {
 	if len(specs) == 0 {
 		return nil
 	}
@@ -139,7 +128,7 @@ func patchAttrs(specs []item.AttrSpec, f, prev frozen, dirty map[item.ID]bool, p
 		byClass[spec.Key.Class] = append(byClass[spec.Key.Class], i)
 	}
 	affected := make(map[string]map[item.ID]bool)
-	mark := func(v frozen, id item.ID) {
+	mark := func(v *colFrozen, id item.ID) {
 		cur := id
 		for hops := 0; hops < 1_000_000; hops++ { // cycle guard
 			o, ok := v.Object(cur)
@@ -171,7 +160,7 @@ func patchAttrs(specs []item.AttrSpec, f, prev frozen, dirty map[item.ID]bool, p
 		if !ok || prevIdx == nil {
 			// The spec was registered without an invalidation (defensive):
 			// build this index from scratch.
-			out[spec.Key] = buildOneAttr(spec, f, postingsOf)
+			out[spec.Key] = buildOneAttr(spec, f)
 			continue
 		}
 		roots := affected[spec.Key.Class]
@@ -183,10 +172,10 @@ func patchAttrs(specs []item.AttrSpec, f, prev frozen, dirty map[item.ID]bool, p
 		var remove, add []item.AttrPosting
 		for root := range roots {
 			if o, ok := prev.Object(root); ok && o.Class.QualifiedName() == spec.Key.Class {
-				remove = append(remove, postingsOf(prev, root, roles)...)
+				remove = append(remove, prev.attrPostings(root, roles)...)
 			}
 			if o, ok := f.Object(root); ok && o.Class.QualifiedName() == spec.Key.Class {
-				add = append(add, postingsOf(f, root, roles)...)
+				add = append(add, f.attrPostings(root, roles)...)
 			}
 		}
 		out[spec.Key] = prevIdx.Patch(remove, add)

@@ -9,10 +9,9 @@ import (
 	"repro/internal/schema"
 )
 
-// Frozen generations of the columnar store. Where the map store layers
-// map-patch overlays and collapses chains, the columnar store versions its
-// row and adjacency arrays as chunked verArrs (verarr.go) and the live state
-// itself is the builders of the next generation: freezing seals the builders
+// Frozen generations of the columnar store. The store versions its row and
+// adjacency arrays as chunked verArrs (verarr.go) and the live state itself
+// is the builders of the next generation: freezing seals the builders
 // — no row is copied, every untouched 1024-entry chunk is shared with the
 // previous generation structurally — and restarts them over the sealed
 // arrays. There is no chain to walk, no depth bound, and no collapse step;
@@ -48,9 +47,8 @@ type colFrozen struct {
 	// Name indexes, maintained per generation like the class index.
 	// nameStrs is a snapshot of the symbol table's published string array
 	// (append-only, entries immutable), so probes resolve symbols without
-	// the RWMutex round trip SymTab.Lookup pays per call — the 1.5x
-	// by-name gap vs the map ablation E12 measured. byName is the ordered
-	// name index — every interned name symbol sorted by its string; the
+	// the RWMutex round trip SymTab.Lookup pays per call. byName is the
+	// ordered name index — every interned name symbol sorted by its string; the
 	// query planner ranges over it for prefix name globs — and nameHash is
 	// an open-addressed point-lookup table over the same symbols. Both may
 	// hold symbols of currently unbound (deleted or staged) names:
@@ -92,15 +90,18 @@ func nameHashInsert(tab []item.Sym, strs []string, s item.Sym) {
 	tab[h] = s
 }
 
-// ---- columnar store freeze policy ----
+// ---- freeze policy ----
 
-// freezeView implements the store freeze entry point for the columnar
-// representation. Unstaged freezes seal the live builders; staged freezes
-// patch the dirty committed items over the previous generation instead (a
-// nil base cannot coincide with staged changes because BeginTx pins a
-// snapshot first). cowOff is the ablation: a deep, share-nothing rebuild on
-// every freeze.
-func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) frozen {
+// freezeView returns the immutable snapshot of the current live state.
+// Unstaged freezes seal the live builders; staged freezes (transactions are
+// open, so the builders hold uncommitted rows) patch the dirty committed
+// items over the previous generation instead — the dirty set only ever names
+// committed changes, and the claim discipline keeps them disjoint from staged
+// items. A nil base cannot coincide with staged changes because BeginTx pins
+// a snapshot first, and the invalidating operations (restore, schema change)
+// are rejected while transactions are open. cowOff is the ablation: a deep,
+// share-nothing rebuild on every freeze.
+func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) *colFrozen {
 	if cowOff && !staged {
 		f := cs.fullFreeze(sch)
 		cs.lastFrozen = f
@@ -119,10 +120,6 @@ func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOf
 	cs.lastFrozen = f
 	return f
 }
-
-func (cs *colStore) rebuildView(sch *schema.Schema) frozen { return cs.fullFreeze(sch) }
-
-func (cs *colStore) invalidate() { cs.lastFrozen = nil }
 
 // sealFreeze seals the live builders into a generation. Rows are not copied;
 // the dense indexes are patched from the dirty set against prev when the
@@ -180,7 +177,7 @@ func (cs *colStore) scanIndexes(f *colFrozen) {
 		sortIDs(ids)
 	}
 	cs.scanNameIndex(f)
-	f.attrs = buildAttrs(cs.attrSpecs, f, colAttrPostings)
+	f.attrs = buildAttrs(cs.attrSpecs, f)
 }
 
 // scanNameIndex builds the name indexes from the full symbol table.
@@ -236,14 +233,10 @@ func (cs *colStore) patchNameIndex(f, prev *colFrozen) {
 	}
 }
 
-// colAttrPostings is the columnar-native posting walk: role symbols resolve
-// once per path, the frontier runs over the frozen kid lists, and leaf
-// values decode straight off the rows — no item.Object materialization.
-func colAttrPostings(v frozen, root item.ID, roles []string) []item.AttrPosting {
-	f, ok := v.(*colFrozen)
-	if !ok {
-		return item.AttrPostingsOf(v, root, roles)
-	}
+// attrPostings derives the postings of one root: role symbols resolve once
+// per path, the frontier runs over the frozen kid lists, and leaf values
+// decode straight off the rows — no item.Object materialization.
+func (f *colFrozen) attrPostings(root item.ID, roles []string) []item.AttrPosting {
 	frontier := []item.ID{root}
 	for _, role := range roles {
 		sym, ok := f.dec.schemaSyms.Lookup(role)
@@ -371,7 +364,7 @@ func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 	}
 
 	cs.patchNameIndex(f, prev)
-	f.attrs = patchAttrs(cs.attrSpecs, f, prev, dirty, colAttrPostings)
+	f.attrs = patchAttrs(cs.attrSpecs, f, prev, dirty)
 }
 
 // deltaFreeze builds a generation over prev's arrays, patching in exactly
@@ -481,7 +474,7 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 	}
 
 	// Refresh the touched adjacency and name entries from the live state —
-	// pointer shares, both representations are immutable values.
+	// pointer shares, kid lists and relationship lists are immutable values.
 	for parent := range touchedParents {
 		tag := cs.ords.at(int(parent))
 		if !tag.Valid() {
@@ -518,7 +511,7 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 }
 
 // fullFreeze builds a deep, share-nothing generation from the live state:
-// the A1 (COW off) ablation and the differential rebuild path.
+// the A3 (COW off) ablation and the differential rebuild path.
 func (cs *colStore) fullFreeze(sch *schema.Schema) *colFrozen {
 	cs.gen++
 	gen := cs.gen
@@ -612,8 +605,7 @@ func (f *colFrozen) Object(id item.ID) (item.Object, bool) {
 	return f.dec.decodeObj(&row), true
 }
 
-// Relationship returns a value whose Ends slice is immutable shared data,
-// like the map store's frozen views.
+// Relationship returns a value whose Ends slice is immutable shared data.
 func (f *colFrozen) Relationship(id item.ID) (item.Relationship, bool) {
 	row, ok := f.relRowOf(id)
 	if !ok {

@@ -10,12 +10,15 @@ import (
 	"repro/internal/value"
 )
 
-// colStore is the columnar representation (the default): one flat row per
-// item in dense per-kind ordinal order, strings interned into append-only
-// symbol tables, and adjacency kept as immutable per-ordinal lists. Compared
-// to the map store's one-heap-object-per-item layout this removes the
-// per-item pointer, the map buckets, and the duplicated strings — the E12
-// experiment measures the bytes-per-object ratio against the map ablation.
+// colStore is the engine's item store: one flat row per item in dense
+// per-kind ordinal order, strings interned into append-only symbol tables,
+// and adjacency kept as immutable per-ordinal lists — no per-item pointer,
+// no map buckets, no duplicated strings (DESIGN.md section 11).
+//
+// The store is externally synchronized exactly like the engine. Accessors
+// that return slices (children, childrenAll, relsOf, and the Ends inside
+// rel results) hand out stable snapshots: the caller may retain them across
+// subsequent mutations and must not modify them.
 //
 // The live state is not a separate copy of the last frozen generation: it is
 // a set of persistent verArr builders (verarr.go) continuing the frozen
@@ -54,12 +57,11 @@ type colStore struct {
 	sealed     bool
 	lastFrozen *colFrozen // previous frozen generation (COW base)
 
-	attrSpecs []item.AttrSpec // registered attribute indexes
+	// attrSpecs are the engine's attribute index registrations; the engine
+	// invalidates the frozen base whenever it replaces them, so the next
+	// freeze builds them.
+	attrSpecs []item.AttrSpec
 }
-
-// setAttrSpecs records the attribute index registrations; the engine
-// invalidates the frozen base so the next freeze builds them.
-func (cs *colStore) setAttrSpecs(specs []item.AttrSpec) { cs.attrSpecs = specs }
 
 // reopen restarts the builders on a fresh generation after a seal, so
 // mutations clone chunks instead of corrupting the frozen generation that
@@ -168,14 +170,17 @@ type colDecoder struct {
 	assocBySym []*schema.Association
 }
 
-func newColStore() store {
+// newColStore creates an empty store carrying the engine's attribute index
+// registrations.
+func newColStore(attrSpecs []item.AttrSpec) *colStore {
 	cs := &colStore{
 		colDecoder: colDecoder{
 			schemaSyms: item.NewSymTab(),
 			nameSyms:   item.NewSymTab(),
 			valSyms:    item.NewSymTab(),
 		},
-		gen: 1,
+		gen:       1,
+		attrSpecs: attrSpecs,
 	}
 	cs.ords = verArr[item.TaggedOrd]{}.builder(1)
 	cs.objRows = verArr[objRow]{}.builder(1)
@@ -307,7 +312,7 @@ func (d *colDecoder) decodeRel(row *relRow) item.Relationship {
 	return r
 }
 
-// ---- item state ----
+// ---- item state (deleted items included; the engine filters) ----
 
 // objOrd resolves an ID to its object ordinal.
 func (cs *colStore) objOrd(id item.ID) (int, bool) {
@@ -394,8 +399,6 @@ func (cs *colStore) visibleRels() []item.ID {
 	sortIDs(out)
 	return out
 }
-
-func (cs *colStore) counts() (int, int) { return cs.nObjs, cs.nRels }
 
 // ---- physical row mutation ----
 
@@ -579,6 +582,8 @@ func (cs *colStore) kidSlot(parent item.ID) (*verBuilder[*kidList], int) {
 	return cs.relKids, int(tag.Ord())
 }
 
+// children lists the live sub-objects of a parent in one role, index order.
+//
 //seedlint:frozen
 func (cs *colStore) children(parent item.ID, role string) []item.ID {
 	b, ord := cs.kidSlot(parent)
@@ -601,6 +606,9 @@ func (cs *colStore) children(parent item.ID, role string) []item.ID {
 	return nil
 }
 
+// childrenAll lists all live sub-objects of a parent, role-name order and
+// index order within a role.
+//
 //seedlint:frozen
 func (cs *colStore) childrenAll(parent item.ID) []item.ID {
 	b, ord := cs.kidSlot(parent)
@@ -619,6 +627,10 @@ func (cs *colStore) childIndex(id item.ID) int {
 	return int(cs.objRows.at(ord).index)
 }
 
+// linkChild inserts a child into its parent's role list keeping index
+// order; index is the child's own positional index. Siblings with equal
+// indexes (index-less ones under a pattern, which cardinality checks exempt)
+// order by ID, so the list is a function of the state, not of its history.
 func (cs *colStore) linkChild(parent item.ID, role string, child item.ID, index int) {
 	cs.reopen()
 	b, ord := cs.kidSlot(parent)
@@ -638,7 +650,8 @@ func (cs *colStore) linkChild(parent item.ID, role string, child item.ID, index 
 		ne = append(make([]kidEntry, 0, len(entries)), entries...)
 		ids := entries[pos].ids
 		ipos := sort.Search(len(ids), func(i int) bool {
-			return cs.childIndex(ids[i]) >= index
+			x := cs.childIndex(ids[i])
+			return x > index || x == index && ids[i] > child
 		})
 		nids := make([]item.ID, 0, len(ids)+1)
 		nids = append(nids, ids[:ipos]...)
@@ -695,6 +708,8 @@ func (cs *colStore) unlinkChild(parent item.ID, role string, child item.ID) {
 
 // ---- relationship adjacency ----
 
+// relsOf lists the live relationships of an object in ascending ID order.
+//
 //seedlint:frozen
 func (cs *colStore) relsOf(obj item.ID) []item.ID {
 	ord, ok := cs.objOrd(obj)
@@ -702,12 +717,6 @@ func (cs *colStore) relsOf(obj item.ID) []item.ID {
 		return nil
 	}
 	return cs.relsOfA.at(ord)
-}
-
-// symbolCount is the total across the three append-only intern tables; see
-// Engine.SymbolCount.
-func (cs *colStore) symbolCount() int {
-	return cs.schemaSyms.Len() + cs.nameSyms.Len() + cs.valSyms.Len()
 }
 
 func (cs *colStore) linkRel(obj, rel item.ID) {

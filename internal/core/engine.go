@@ -81,16 +81,14 @@ type Procedure func(Event) error
 // tx.go); the claim discipline keeps their write sets disjoint, so the
 // server can interleave lock-scoped check-ins without a global write gate.
 //
-// The physical representation of item state lives behind the store
-// interface (store.go): the columnar store by default, the map-backed store
-// as the ablation baseline. The engine keeps only the logical bookkeeping —
-// ID allocation, dirt, transactions, procedures — representation-free.
+// The physical representation of item state is the columnar store
+// (colstore.go) and its frozen generations (colfrozen.go). The engine keeps
+// the logical bookkeeping — ID allocation, dirt, transactions, procedures.
 type Engine struct {
 	sch *schema.Schema
 
-	st         store   // physical item state; seed:guarded-by(external)
-	mapStoreOn bool    // ablation: use the map-backed store for new state
-	nextID     item.ID // seed:guarded-by(external)
+	st     *colStore // physical item state; seed:guarded-by(external)
+	nextID item.ID   // seed:guarded-by(external)
 
 	attrSpecs []item.AttrSpec // registered attribute indexes (in-memory DDL)
 
@@ -132,7 +130,7 @@ func NewEngine(sch *schema.Schema) (*Engine, error) {
 		modGen:    make(map[item.ID]uint64),
 		nameGen:   make(map[string]uint64),
 	}
-	en.st = en.newStore()
+	en.st = newColStore(nil)
 	return en, nil
 }
 

@@ -584,6 +584,27 @@ func TestStatsAndRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsRelationshipAttributes: relationship rows must exist
+// before sub-objects link to them, or a restore (snapshot load, version
+// selection) drops relationship attributes from Children.
+func TestRestoreKeepsRelationshipAttributes(t *testing.T) {
+	en := newFig3(t)
+	a := mustCreate(t, en, "OutputData", "A")
+	h := mustCreate(t, en, "Action", "H")
+	w, err := en.CreateRelationship("Write", map[string]item.ID{"from": a, "by": h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := en.CreateValueObject(w, "NumberOfWrites", value.NewInteger(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	en.Restore(en.CaptureAll())
+	if got := en.View().Children(w, ""); len(got) != 1 || got[0] != n {
+		t.Errorf("Children(%d) after restore = %v, want [%d]", w, got, n)
+	}
+}
+
 func TestDirtyTracking(t *testing.T) {
 	en := newFig2(t)
 	if en.DirtyCount() != 0 {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/item"
-	"repro/internal/schema"
 )
 
 // Frozen views: immutable snapshots of the engine's raw view. The engine
@@ -17,21 +16,15 @@ import (
 //
 // Snapshots are generational and copy-on-write: the engine tracks the items
 // dirtied since the last freeze (every mutation funnels through markDirty)
-// and hands the set to the store, which patches only those entries over the
-// previous generation. How a generation shares with its predecessor is the
-// store's affair: the map-backed store (this file) layers map-patch overlays
-// with nil-value tombstones and collapses chains at maxFrozenDepth; the
-// columnar store versions chunked arrays instead (colfrozen.go) and never
-// forms chains. Either way a small commit freezes in O(delta), not O(n).
+// and hands the set to the store, whose chunked arrays (colfrozen.go,
+// verarr.go) share every untouched chunk with the previous generation, so a
+// small commit freezes in O(delta), not O(n). The dirty set drives the dense
+// indexes (ID lists, class, name, attribute) and, while transactions are
+// staged, the choice of which items to patch.
 //
 // Accessors return shared, immutable slices and relationship values whose
 // Ends are shared — callers must not modify results (the item.View
 // contract); anyone needing a mutable copy clones explicitly.
-
-// maxFrozenDepth bounds the overlay chain before a full rebuild collapses
-// it: lookups walk at most this many maps, and at most this many generations
-// of overlays are retained by the newest view.
-const maxFrozenDepth = 16
 
 // FrozenView returns the frozen snapshot of the engine's current raw view
 // (deleted items hidden, patterns visible) as an immutable item.View. The
@@ -49,7 +42,7 @@ func (en *Engine) FrozenView() item.View {
 // bypassing the copy-on-write path and leaving the incremental bookkeeping
 // untouched. The differential tests compare it against FrozenView after
 // every operation, and the E8 ablation measures it as the pre-COW baseline.
-func (en *Engine) FrozenViewRebuild() item.View { return en.st.rebuildView(en.sch) }
+func (en *Engine) FrozenViewRebuild() item.View { return en.st.fullFreeze(en.sch) }
 
 // SetSnapshotCOW switches incremental copy-on-write snapshots on or off
 // (they are on by default). With COW off every quiescent FrozenView call
@@ -66,413 +59,8 @@ func (en *Engine) SetSnapshotCOW(enabled bool) {
 // rebuilds from scratch. Called whenever the engine changes in ways the
 // dirty-set does not capture (whole-state restore, schema rebinding).
 func (en *Engine) invalidateFrozen() {
-	en.st.invalidate()
+	en.st.lastFrozen = nil
 	en.snapDirty = make(map[item.ID]bool)
-}
-
-// ---- map-backed store freeze policy ----
-
-// freezeView implements the store freeze entry point for the map-backed
-// representation. While transactions are staged, the live maps hold their
-// uncommitted state, so a full rebuild would freeze it; the delta path is
-// safe because the dirty set only ever names committed changes (transaction
-// dirt stays on the Tx until commit) and the claim discipline keeps staged
-// items disjoint from it. The depth cap is enforced either way: a quiescent
-// freeze collapses by rebuilding from the live maps, a staged one by merging
-// the frozen overlay chain itself (pure frozen data, no live-map reads). A
-// nil base cannot coincide with staged changes: BeginTx pins a snapshot
-// before any staging, and the invalidating operations (restore, schema
-// change) are rejected while transactions are open.
-func (ms *mapStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) frozen {
-	if cowOff && !staged {
-		// Ablation/bench mode: rebuild from scratch every time. The
-		// bookkeeping stays maintained — the rebuild still becomes the COW
-		// base — so if a transaction is staged on the next call, the normal
-		// path below has a valid base to patch over.
-		f := ms.fullFreeze(sch)
-		ms.lastFrozen = f
-		return f
-	}
-	prev := ms.lastFrozen
-	if prev != nil && len(dirty) == 0 {
-		return prev // nothing changed: the previous generation is current
-	}
-	var f *frozenView
-	switch {
-	case prev == nil:
-		f = ms.fullFreeze(sch)
-	case !staged &&
-		(prev.sch != sch || prev.depth+1 > maxFrozenDepth || 4*len(dirty) >= prev.liveCount()):
-		f = ms.fullFreeze(sch)
-	default:
-		f = ms.deltaFreeze(sch, prev, dirty)
-		if f.depth > maxFrozenDepth {
-			f = f.collapse()
-		}
-	}
-	ms.lastFrozen = f
-	return f
-}
-
-func (ms *mapStore) rebuildView(sch *schema.Schema) frozen { return ms.fullFreeze(sch) }
-
-func (ms *mapStore) invalidate() { ms.lastFrozen = nil }
-
-// frozenChildren is one parent's frozen child lists: the per-role slices
-// plus the flattened all-roles list (roles in name order, each in index
-// order), precomputed once at freeze time so Children(parent, "") never
-// re-sorts role names per call.
-type frozenChildren struct {
-	byRole map[string][]item.ID
-	flat   []item.ID
-}
-
-// frozenView is one immutable generation. A view with base == nil is
-// self-contained: its maps hold every live entry. A view with a base holds
-// only the entries that changed since that base, with nil values (or NoID in
-// byName) marking entries that disappeared; lookups walk the chain and the
-// first map that knows the key wins. It mirrors rawView's semantics exactly:
-// only live items resolve, sibling lists are index-ordered, relationship
-// lists are ID-ordered.
-type frozenView struct {
-	sch   *schema.Schema
-	base  *frozenView // previous generation; nil when self-contained
-	depth int         // chain length (0 when self-contained)
-
-	objects  map[item.ID]*item.Object       // nil entry: hidden since base
-	rels     map[item.ID]*item.Relationship // nil entry: hidden since base
-	byName   map[string]item.ID             // NoID entry: name gone since base
-	children map[item.ID]*frozenChildren    // nil entry: no live children
-	relsOf   map[item.ID][]item.ID          // nil entry: no live relationships
-	byClass  map[string][]item.ID           // nil entry: class emptied since base
-
-	objIDs   []item.ID // live objects, ascending (shared when unchanged)
-	relIDs   []item.ID // live relationships, ascending (shared when unchanged)
-	inherits []item.ID // live inherits-relationships, ascending (shared when unchanged)
-
-	// attrs holds the full attribute index set of this generation (indexes
-	// shared pointer-wise with the base when untouched) — unlike the entry
-	// maps above there is no overlay chain to walk, so collapse carries it
-	// unchanged.
-	attrs map[item.AttrKey]*item.AttrIdx
-}
-
-func (f *frozenView) liveCount() int { return len(f.objIDs) + len(f.relIDs) }
-
-// fullFreeze builds a self-contained frozen view from the live maps.
-func (ms *mapStore) fullFreeze(sch *schema.Schema) *frozenView {
-	f := &frozenView{
-		sch:      sch,
-		objects:  make(map[item.ID]*item.Object, len(ms.objects)),
-		rels:     make(map[item.ID]*item.Relationship, len(ms.rels)),
-		byName:   make(map[string]item.ID, len(ms.byName)),
-		children: make(map[item.ID]*frozenChildren, len(ms.childrenM)),
-		relsOf:   make(map[item.ID][]item.ID, len(ms.relsOfM)),
-		byClass:  make(map[string][]item.ID),
-	}
-	for id, o := range ms.objects {
-		if o.Deleted {
-			continue
-		}
-		c := *o
-		f.objects[id] = &c
-		f.objIDs = append(f.objIDs, id)
-		f.byClass[o.Class.QualifiedName()] = append(f.byClass[o.Class.QualifiedName()], id)
-	}
-	sortIDs(f.objIDs)
-	for _, ids := range f.byClass {
-		sortIDs(ids)
-	}
-	for name, id := range ms.byName {
-		f.byName[name] = id
-	}
-	for id, r := range ms.rels {
-		if r.Deleted {
-			continue
-		}
-		c := r.Clone()
-		f.rels[id] = &c
-		f.relIDs = append(f.relIDs, id)
-		if r.Inherits {
-			f.inherits = append(f.inherits, id)
-		}
-	}
-	sortIDs(f.relIDs)
-	sortIDs(f.inherits)
-	for parent, byRole := range ms.childrenM {
-		if fc := freezeChildren(byRole); fc != nil {
-			f.children[parent] = fc
-		}
-	}
-	for obj, ids := range ms.relsOfM {
-		if len(ids) > 0 {
-			f.relsOf[obj] = copyIDs(ids)
-		}
-	}
-	f.attrs = buildAttrs(ms.attrSpecs, f, genericAttrPostings)
-	return f
-}
-
-// deltaFreeze patches the items dirtied since prev over prev, sharing every
-// untouched entry. Cost is proportional to the delta (plus the sizes of the
-// directly affected adjacency and index entries), never to the database.
-func (ms *mapStore) deltaFreeze(sch *schema.Schema, prev *frozenView, dirty map[item.ID]bool) *frozenView {
-	f := &frozenView{
-		sch:      sch,
-		base:     prev,
-		depth:    prev.depth + 1,
-		objects:  make(map[item.ID]*item.Object, len(dirty)),
-		rels:     make(map[item.ID]*item.Relationship),
-		byName:   make(map[string]item.ID),
-		children: make(map[item.ID]*frozenChildren),
-		relsOf:   make(map[item.ID][]item.ID),
-		byClass:  make(map[string][]item.ID),
-	}
-
-	// Derived entries to recompute from the live maps after the item pass.
-	touchedParents := make(map[item.ID]bool)
-	touchedRelsOf := make(map[item.ID]bool)
-	touchedNames := make(map[string]bool)
-	classAdd := make(map[string][]item.ID)
-	classDel := make(map[string]map[item.ID]bool)
-	var objAdd, objDel, relAdd, relDel, inhAdd, inhDel []item.ID
-	delClass := func(name string, id item.ID) {
-		set := classDel[name]
-		if set == nil {
-			set = make(map[item.ID]bool)
-			classDel[name] = set
-		}
-		set[id] = true
-	}
-
-	for id := range dirty {
-		if o, ok := ms.objects[id]; ok {
-			prevO, had := prev.Object(id)
-			if o.Deleted {
-				if !had {
-					continue // rolled-back create or deleted before prev froze
-				}
-				f.objects[id] = nil
-				f.children[id] = nil
-				f.relsOf[id] = nil
-				objDel = append(objDel, id)
-				delClass(prevO.Class.QualifiedName(), id)
-				if o.Independent() {
-					touchedNames[o.Name] = true
-				} else {
-					touchedParents[o.Parent] = true
-				}
-				continue
-			}
-			c := *o
-			f.objects[id] = &c
-			if !had {
-				objAdd = append(objAdd, id)
-				classAdd[o.Class.QualifiedName()] = append(classAdd[o.Class.QualifiedName()], id)
-				if o.Independent() {
-					touchedNames[o.Name] = true
-				} else {
-					touchedParents[o.Parent] = true
-				}
-			} else if prevO.Class != o.Class { // reclassified
-				delClass(prevO.Class.QualifiedName(), id)
-				classAdd[o.Class.QualifiedName()] = append(classAdd[o.Class.QualifiedName()], id)
-			}
-			continue
-		}
-		if r, ok := ms.rels[id]; ok {
-			_, had := prev.Relationship(id)
-			if r.Deleted {
-				if !had {
-					continue
-				}
-				f.rels[id] = nil
-				f.children[id] = nil // attribute sub-objects die with it
-				relDel = append(relDel, id)
-				for _, e := range r.Ends {
-					touchedRelsOf[e.Object] = true
-				}
-				if r.Inherits {
-					inhDel = append(inhDel, id)
-				}
-				continue
-			}
-			c := r.Clone()
-			f.rels[id] = &c
-			if !had {
-				relAdd = append(relAdd, id)
-				for _, e := range r.Ends {
-					touchedRelsOf[e.Object] = true
-				}
-				if r.Inherits {
-					inhAdd = append(inhAdd, id)
-				}
-			}
-			continue
-		}
-		// The item vanished from the engine maps entirely (physically purged
-		// after its deletion was already frozen, or created and rolled back
-		// within the delta) — nothing visible can have changed, but hide a
-		// prev entry defensively if one exists.
-		if prevO, had := prev.Object(id); had {
-			f.objects[id] = nil
-			f.children[id] = nil
-			f.relsOf[id] = nil
-			objDel = append(objDel, id)
-			delClass(prevO.Class.QualifiedName(), id)
-			if prevO.Independent() {
-				touchedNames[prevO.Name] = true
-			} else {
-				touchedParents[prevO.Parent] = true
-			}
-		} else if prevR, had := prev.Relationship(id); had {
-			f.rels[id] = nil
-			f.children[id] = nil
-			relDel = append(relDel, id)
-			for _, e := range prevR.Ends {
-				touchedRelsOf[e.Object] = true
-			}
-			if prevR.Inherits {
-				inhDel = append(inhDel, id)
-			}
-		}
-	}
-
-	// Recompute the touched adjacency and index entries from the live maps.
-	for parent := range touchedParents {
-		if _, tombstoned := f.children[parent]; !tombstoned {
-			f.children[parent] = freezeChildren(ms.childrenM[parent])
-		}
-	}
-	for obj := range touchedRelsOf {
-		if _, tombstoned := f.relsOf[obj]; !tombstoned {
-			f.relsOf[obj] = copyIDs(ms.relsOfM[obj])
-		}
-	}
-	for name := range touchedNames {
-		if id, ok := ms.byName[name]; ok {
-			f.byName[name] = id
-		} else {
-			f.byName[name] = item.NoID
-		}
-	}
-	for name, ids := range classAdd {
-		sortIDs(ids)
-		f.byClass[name] = patchSorted(prev.objectsOfClass(name), ids, classDel[name])
-		delete(classDel, name)
-	}
-	for name, del := range classDel {
-		f.byClass[name] = patchSorted(prev.objectsOfClass(name), nil, del)
-	}
-
-	f.objIDs = patchMembers(prev.objIDs, objAdd, objDel)
-	f.relIDs = patchMembers(prev.relIDs, relAdd, relDel)
-	f.inherits = patchMembers(prev.inherits, inhAdd, inhDel)
-	f.attrs = patchAttrs(ms.attrSpecs, f, prev, dirty, genericAttrPostings)
-	return f
-}
-
-// collapse flattens an overlay chain into an equivalent self-contained
-// view by merging the patches oldest to newest — pure frozen data, no
-// live-map reads, so it is safe while transactions are staged (when a
-// fullFreeze would capture their uncommitted state). Entry values are
-// shared with the chain, not copied; cost is O(live entries + patches).
-func (f *frozenView) collapse() *frozenView {
-	if f.base == nil {
-		return f
-	}
-	var chain []*frozenView // newest first; last element is self-contained
-	for v := f; v != nil; v = v.base {
-		chain = append(chain, v)
-	}
-	root := chain[len(chain)-1]
-	out := &frozenView{
-		sch:      f.sch,
-		objects:  make(map[item.ID]*item.Object, len(root.objects)),
-		rels:     make(map[item.ID]*item.Relationship, len(root.rels)),
-		byName:   make(map[string]item.ID, len(root.byName)),
-		children: make(map[item.ID]*frozenChildren, len(root.children)),
-		relsOf:   make(map[item.ID][]item.ID, len(root.relsOf)),
-		byClass:  make(map[string][]item.ID, len(root.byClass)),
-		objIDs:   f.objIDs,
-		relIDs:   f.relIDs,
-		inherits: f.inherits,
-		attrs:    f.attrs,
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		v := chain[i]
-		for id, o := range v.objects {
-			if o == nil {
-				delete(out.objects, id)
-			} else {
-				out.objects[id] = o
-			}
-		}
-		for id, r := range v.rels {
-			if r == nil {
-				delete(out.rels, id)
-			} else {
-				out.rels[id] = r
-			}
-		}
-		for name, id := range v.byName {
-			if id == item.NoID {
-				delete(out.byName, name)
-			} else {
-				out.byName[name] = id
-			}
-		}
-		for parent, fc := range v.children {
-			if fc == nil {
-				delete(out.children, parent)
-			} else {
-				out.children[parent] = fc
-			}
-		}
-		for obj, ids := range v.relsOf {
-			if ids == nil {
-				delete(out.relsOf, obj)
-			} else {
-				out.relsOf[obj] = ids
-			}
-		}
-		for name, ids := range v.byClass {
-			if ids == nil {
-				delete(out.byClass, name)
-			} else {
-				out.byClass[name] = ids
-			}
-		}
-	}
-	return out
-}
-
-// freezeChildren copies one parent's live role map into a frozenChildren,
-// with the flattened all-roles list precomputed. Returns nil when the parent
-// has no live children.
-func freezeChildren(byRole map[string][]item.ID) *frozenChildren {
-	total := 0
-	for _, ids := range byRole {
-		total += len(ids)
-	}
-	if total == 0 {
-		return nil
-	}
-	fc := &frozenChildren{byRole: make(map[string][]item.ID, len(byRole))}
-	roles := make([]string, 0, len(byRole))
-	for role, ids := range byRole {
-		if len(ids) == 0 {
-			continue
-		}
-		fc.byRole[role] = copyIDs(ids)
-		roles = append(roles, role)
-	}
-	sort.Strings(roles)
-	fc.flat = make([]item.ID, 0, total)
-	for _, role := range roles {
-		fc.flat = append(fc.flat, fc.byRole[role]...)
-	}
-	return fc
 }
 
 // patchMembers shares base when nothing changed, and otherwise merges the
@@ -527,110 +115,3 @@ func copyIDs(ids []item.ID) []item.ID {
 	copy(out, ids)
 	return out
 }
-
-// ---- item.View ----
-
-func (f *frozenView) Schema() *schema.Schema { return f.sch }
-
-func (f *frozenView) Object(id item.ID) (item.Object, bool) {
-	for v := f; v != nil; v = v.base {
-		if o, ok := v.objects[id]; ok {
-			if o == nil {
-				return item.Object{}, false
-			}
-			return *o, true
-		}
-	}
-	return item.Object{}, false
-}
-
-// Relationship returns the shared frozen value: the Ends slice is immutable
-// shared data. Callers that need to mutate ends clone explicitly (see
-// item.Relationship.Clone).
-func (f *frozenView) Relationship(id item.ID) (item.Relationship, bool) {
-	for v := f; v != nil; v = v.base {
-		if r, ok := v.rels[id]; ok {
-			if r == nil {
-				return item.Relationship{}, false
-			}
-			return *r, true
-		}
-	}
-	return item.Relationship{}, false
-}
-
-func (f *frozenView) ObjectByName(name string) (item.ID, bool) {
-	for v := f; v != nil; v = v.base {
-		if id, ok := v.byName[name]; ok {
-			if id == item.NoID {
-				return item.NoID, false
-			}
-			return id, true
-		}
-	}
-	return item.NoID, false
-}
-
-func (f *frozenView) childEntry(parent item.ID) *frozenChildren {
-	for v := f; v != nil; v = v.base {
-		if fc, ok := v.children[parent]; ok {
-			return fc
-		}
-	}
-	return nil
-}
-
-// Children returns shared immutable slices; the empty role uses the
-// flattened list precomputed at freeze time.
-func (f *frozenView) Children(parent item.ID, role string) []item.ID {
-	fc := f.childEntry(parent)
-	if fc == nil {
-		return nil
-	}
-	if role != "" {
-		return fc.byRole[role]
-	}
-	return fc.flat
-}
-
-func (f *frozenView) RelationshipsOf(obj item.ID) []item.ID {
-	for v := f; v != nil; v = v.base {
-		if ids, ok := v.relsOf[obj]; ok {
-			return ids
-		}
-	}
-	return nil
-}
-
-func (f *frozenView) Objects() []item.ID { return f.objIDs }
-
-func (f *frozenView) Relationships() []item.ID { return f.relIDs }
-
-// ---- item.IndexedView / item.InheritsLister ----
-
-func (f *frozenView) objectsOfClass(qualified string) []item.ID {
-	for v := f; v != nil; v = v.base {
-		if ids, ok := v.byClass[qualified]; ok {
-			return ids
-		}
-	}
-	return nil
-}
-
-// ObjectsOfClass implements item.IndexedView over the incrementally
-// maintained class index: live objects whose exact class has the given
-// qualified name, ascending, as a shared immutable slice.
-func (f *frozenView) ObjectsOfClass(qualified string) ([]item.ID, bool) {
-	return f.objectsOfClass(qualified), true
-}
-
-// AttrIndex implements item.AttrIndexedView over the per-generation
-// attribute indexes (every generation carries the full set — no chain walk).
-func (f *frozenView) AttrIndex(key item.AttrKey) (*item.AttrIdx, bool) {
-	x, ok := f.attrs[key]
-	return x, ok
-}
-
-// InheritsRelationships implements item.InheritsLister: the live
-// inherits-relationships, ascending, as a shared immutable slice.
-func (f *frozenView) InheritsRelationships() []item.ID { return f.inherits }

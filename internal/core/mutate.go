@@ -273,8 +273,13 @@ func (en *Engine) setPattern(id item.ID, pat bool) error {
 			return fmt.Errorf("%w: object %d", ErrHasInheritors, id)
 		}
 		en.setPatternSubtree(id, pat)
-		// Re-validate every relationship of the subtree: normal
+		// Re-validate the subtree: a cleared pattern is normal data again and
+		// must meet the cardinalities patterns are exempt from, and normal
 		// relationships must not reference a pattern.
+		if err := en.validateSubtree(id); err != nil {
+			en.rollbackTo(mark)
+			return err
+		}
 		for _, rid := range en.subtreeRels(id) {
 			if err := en.validateRel(rid); err != nil {
 				en.rollbackTo(mark)
@@ -298,7 +303,21 @@ func (en *Engine) setPattern(id item.ID, pat bool) error {
 	en.push(func() { en.st.setPattern(id, old) })
 	en.markDirty(id)
 	en.setPatternSubtree(id, pat) // attribute sub-objects follow the relationship
+	if err := en.validateSubtree(id); err != nil {
+		en.rollbackTo(mark)
+		return err
+	}
 	return en.finishMutation(id, item.KindRelationship, OpUpdate, mark, en.encSetPattern(id, pat))
+}
+
+// validateSubtree re-checks every live sub-object below id.
+func (en *Engine) validateSubtree(id item.ID) error {
+	for _, ch := range en.subtreeObjects(id) {
+		if err := consistency.CheckObject(en.View(), ch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // setPatternSubtree flips the pattern flag on an object and its live
@@ -346,14 +365,17 @@ func (en *Engine) Delete(id item.ID) error {
 		}
 	}
 	// The cascade perturbs every victim, the relationship lists of every
-	// victim relationship's ends (unlinking), and the name index entries of
-	// deleted independent roots: claim the full write set before applying.
+	// victim relationship's ends and the child list of every victim
+	// sub-object's parent (unlinking), and the name index entries of deleted
+	// independent roots: claim the full write set before applying.
 	claims := append([]item.ID(nil), victims...)
 	for _, vid := range victims {
 		if r, ok := en.st.rel(vid); ok {
 			for _, e := range r.Ends {
 				claims = append(claims, e.Object)
 			}
+		} else if o, ok := en.st.object(vid); ok {
+			claims = append(claims, o.Parent) // NoID for roots: skipped
 		}
 	}
 	if err := en.claimItems(claims...); err != nil {
@@ -492,11 +514,13 @@ func (en *Engine) reclassifyObject(o item.Object, newName string) error {
 		return fmt.Errorf("%w: %q and %q are not in one generalization hierarchy",
 			ErrBadReclassify, o.Class.QualifiedName(), newName)
 	}
-	if ncls == o.Class {
-		return nil
-	}
+	// Claim before the no-op check: an auto-commit reclassification must not
+	// succeed on another transaction's uncommitted item.
 	if err := en.claimItems(o.ID); err != nil {
 		return err
+	}
+	if ncls == o.Class {
+		return nil
 	}
 	mark := en.mark()
 	id, old := o.ID, o.Class
@@ -538,11 +562,11 @@ func (en *Engine) reclassifyRel(r item.Relationship, newName string) error {
 		return fmt.Errorf("%w: %q and %q are not in one generalization hierarchy",
 			ErrBadReclassify, r.Assoc.Name(), newName)
 	}
-	if nas == r.Assoc {
-		return nil
-	}
 	if err := en.claimItems(r.ID); err != nil {
 		return err
+	}
+	if nas == r.Assoc {
+		return nil
 	}
 	mark := en.mark()
 	id, old := r.ID, r.Assoc

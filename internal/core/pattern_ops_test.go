@@ -82,6 +82,25 @@ func TestClearPatternRejectedWithInheritors(t *testing.T) {
 	}
 }
 
+// TestClearPatternRevalidatesSubtree: a pattern is exempt from cardinality
+// checks, so it may hold more sub-objects than the schema allows; clearing it
+// must re-check them instead of leaving normal data inconsistent.
+func TestClearPatternRevalidatesSubtree(t *testing.T) {
+	en := newFig3(t)
+	p, _ := en.CreatePatternObject("Data", "P")
+	for i := 0; i < 2; i++ {
+		if _, err := en.CreateSubObject(p, "Revised"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := en.ClearPattern(p); !errors.Is(err, consistency.ErrMaxCard) {
+		t.Fatalf("clear with two Revised sub-objects: %v, want ErrMaxCard", err)
+	}
+	if o, _ := en.Object(p); !o.Pattern {
+		t.Error("the rejected clear left the flag cleared")
+	}
+}
+
 func TestPatternRelationship(t *testing.T) {
 	en := newFig3(t)
 	alarms := mustCreate(t, en, "OutputData", "Alarms")

@@ -60,7 +60,7 @@ func (en *Engine) CaptureAll() ([]item.Object, []item.Relationship) {
 // collide with items frozen in other versions. The dirty set is cleared;
 // the caller establishes the new version base.
 func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
-	en.st = en.newStore()
+	en.st = newColStore(en.attrSpecs)
 	en.indexCtr = make(map[item.ID]map[string]int)
 	en.dirty.Reset()
 	en.undo = en.undo[:0]
@@ -79,24 +79,6 @@ func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
 			en.bumpIndex(o.Parent, o.Role, o.Index)
 		}
 	}
-	// Link live objects into the name and containment indexes. Iterate in
-	// ID order so sibling lists come out index-sorted deterministically.
-	ids := make([]item.ID, 0, len(objs))
-	for i := range objs {
-		ids = append(ids, objs[i].ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o, _ := en.st.object(id)
-		if o.Deleted {
-			continue
-		}
-		if o.Independent() {
-			en.st.setName(o.Name, o.ID)
-		} else {
-			en.st.linkChild(o.Parent, o.Role, o.ID, o.Index)
-		}
-	}
 	for i := range rels {
 		r := rels[i].Clone() // the store takes ownership of the Ends
 		en.st.insertRel(&r)
@@ -108,6 +90,17 @@ func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
 			if r.Inherits {
 				en.inheritsLive++
 			}
+		}
+	}
+	// Link live objects into the name and containment indexes once every
+	// parent row exists — relationships own attribute sub-objects too.
+	for i := range objs {
+		switch o := &objs[i]; {
+		case o.Deleted:
+		case o.Independent():
+			en.st.setName(o.Name, o.ID)
+		default:
+			en.st.linkChild(o.Parent, o.Role, o.ID, o.Index)
 		}
 	}
 }
@@ -202,14 +195,10 @@ func (en *Engine) Stats() Stats {
 }
 
 // SymbolCount reports the total entries across the store's intern tables
-// (class/association/role names, root names, short string values), or 0 for
-// a store without intern tables (the map ablation). The tables are
-// append-only between snapshots, so a long churn of unique values grows
-// them without bound — the database layer rebuilds them at compaction and
-// uses this count to verify the rebuild took.
+// (class/association/role names, root names, short string values). The
+// tables are append-only between snapshots, so a long churn of unique values
+// grows them without bound — the database layer rebuilds them at compaction
+// and uses this count to verify the rebuild took.
 func (en *Engine) SymbolCount() int {
-	if sc, ok := en.st.(interface{ symbolCount() int }); ok {
-		return sc.symbolCount()
-	}
-	return 0
+	return en.st.schemaSyms.Len() + en.st.nameSyms.Len() + en.st.valSyms.Len()
 }

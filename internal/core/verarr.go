@@ -9,9 +9,9 @@ package core
 // vpatchMax patches it is materialized into a fresh dense base, which bounds
 // every read to one chunk lookup plus a short binary search.
 //
-// Unlike the map store's overlay chains there is no chain to walk and no
-// collapse step: each generation is self-contained, sharing chunk *storage*
-// with its predecessor rather than deferring lookups to it.
+// There is no chain of generations to walk and no collapse step: each
+// generation is self-contained, sharing chunk *storage* with its predecessor
+// rather than deferring lookups to it.
 
 const (
 	vchunkShift = 10

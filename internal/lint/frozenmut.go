@@ -12,15 +12,15 @@ import (
 // InheritsRelationships — and the Ends slice inside a Relationship
 // returned by View.Relationship is shared, immutable data backing every
 // concurrent reader of a generation. A write through one of them is a
-// data race against every other snapshot reader and corrupts the COW
-// overlay chain for all later generations.
+// data race against every other snapshot reader and corrupts the chunks
+// later generations share with it.
 //
 // The check is intraprocedural: values produced by an accessor call on
 // anything implementing item.View (or by a package-local function, method,
-// or interface method marked `//seedlint:frozen` — the columnar store's
-// children/childrenAll/relsOf accessors and the store interface that
-// dispatches to them) are tracked through local assignments and
-// reslicing, and the following operations on them are flagged:
+// or interface method marked `//seedlint:frozen` — the item store's
+// children/childrenAll/relsOf accessors) are tracked through local
+// assignments and reslicing, and the following operations on them are
+// flagged:
 //
 //   - element or map assignment:  fr[i] = x, fr[i] += x, fr[i]++
 //   - taking an element address:  &fr[i]
@@ -126,10 +126,9 @@ func findViewInterface(pkg *types.Package) *types.Interface {
 
 // localFrozenFuncs collects the package-local declarations whose doc
 // carries //seedlint:frozen — their first result is shared immutable data.
-// The directive is honored on plain functions, on methods (the columnar
-// store's children/childrenAll/relsOf accessors), and on interface method
-// fields (the store interface), so both concrete and interface-dispatched
-// calls resolve to a marked object.
+// The directive is honored on plain functions, on methods (the item store's
+// children/childrenAll/relsOf accessors), and on interface method fields, so
+// both concrete and interface-dispatched calls resolve to a marked object.
 func localFrozenFuncs(pass *Pass) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	mark := func(name *ast.Ident) {

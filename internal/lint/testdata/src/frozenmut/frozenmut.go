@@ -136,8 +136,8 @@ type colTable struct {
 //seedlint:frozen
 func (t *colTable) children(parent int) []int { return t.kids[parent] }
 
-// table mirrors the store interface: the directive on an interface method
-// field covers dispatched calls too.
+// table is an interface: the directive on an interface method field covers
+// dispatched calls too.
 type table interface {
 	//seedlint:frozen
 	children(parent int) []int

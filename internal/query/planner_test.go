@@ -19,7 +19,7 @@ import (
 // scan, and the index-less scanOnly view as independent ground truth. The
 // dataset is randomized over several value kinds, includes pattern objects
 // and spliced (virtual) items, and churns through copy-on-write
-// generations; both store representations run the same checks.
+// generations.
 
 // plannerClasses are the Figure 3 classes the test registers indexes on —
 // Thing's whole specialization subtree, so includeSpecs queries have an
@@ -201,66 +201,60 @@ func checkAllPaths(t *testing.T, ctx string, v item.View, mk func() *query.Query
 
 // TestPlannerRandomForcedDifferential is the planner's randomized
 // differential: every access path agrees on every random query, over the
-// spliced user view and the raw view, across copy-on-write churn, on both
-// store representations.
+// spliced user view and the raw view, across copy-on-write churn. The
+// subtest is named for the store it runs on.
 func TestPlannerRandomForcedDifferential(t *testing.T) {
-	for _, columnar := range []bool{true, false} {
-		columnar := columnar
-		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
-			db, err := seed.NewMemory(seed.Figure3Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if err := db.SetColumnarStore(columnar); err != nil {
-				t.Fatal(err)
-			}
-			registerPlannerIndexes(t, db)
-			buildPlannerDataset(t, db, 31)
+	t.Run("columnar=true", func(t *testing.T) {
+		db, err := seed.NewMemory(seed.Figure3Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		registerPlannerIndexes(t, db)
+		buildPlannerDataset(t, db, 31)
 
-			rng := rand.New(rand.NewSource(67))
-			views := func() map[string]item.View {
-				return map[string]item.View{"user": db.View(), "raw": db.RawView()}
+		rng := rand.New(rand.NewSource(67))
+		views := func() map[string]item.View {
+			return map[string]item.View{"user": db.View(), "raw": db.RawView()}
+		}
+		for vname, v := range views() {
+			for i := 0; i < 60; i++ {
+				label, mk := randomPlannerQuery(rng)
+				checkAllPaths(t, fmt.Sprintf("%s q%d %s", vname, i, label), v, mk)
+			}
+		}
+
+		// Churn: deletions, reclassifications, and value rewrites move
+		// postings between and within indexes across generations.
+		all, err := query.New().Class("Thing", true).Run(db.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 6; round++ {
+			for i := 0; i < 12 && len(all) > 0; i++ {
+				id := all[rng.Intn(len(all))]
+				switch rng.Intn(4) {
+				case 0:
+					_ = db.Delete(id)
+				case 1:
+					_ = db.Reclassify(id, "OutputData")
+				case 2:
+					_ = db.Reclassify(id, "Data")
+				default:
+					if sub, err := db.CreateValueObject(id, "Description",
+						seed.NewString(fmt.Sprintf("desc %d", rng.Intn(5)))); err != nil {
+						_ = sub // role may be occupied or id deleted; both fine
+					}
+				}
 			}
 			for vname, v := range views() {
-				for i := 0; i < 60; i++ {
+				for i := 0; i < 15; i++ {
 					label, mk := randomPlannerQuery(rng)
-					checkAllPaths(t, fmt.Sprintf("%s q%d %s", vname, i, label), v, mk)
+					checkAllPaths(t, fmt.Sprintf("round%d %s q%d %s", round, vname, i, label), v, mk)
 				}
 			}
-
-			// Churn: deletions, reclassifications, and value rewrites move
-			// postings between and within indexes across generations.
-			all, err := query.New().Class("Thing", true).Run(db.View())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round < 6; round++ {
-				for i := 0; i < 12 && len(all) > 0; i++ {
-					id := all[rng.Intn(len(all))]
-					switch rng.Intn(4) {
-					case 0:
-						_ = db.Delete(id)
-					case 1:
-						_ = db.Reclassify(id, "OutputData")
-					case 2:
-						_ = db.Reclassify(id, "Data")
-					default:
-						if sub, err := db.CreateValueObject(id, "Description",
-							seed.NewString(fmt.Sprintf("desc %d", rng.Intn(5)))); err != nil {
-							_ = sub // role may be occupied or id deleted; both fine
-						}
-					}
-				}
-				for vname, v := range views() {
-					for i := 0; i < 15; i++ {
-						label, mk := randomPlannerQuery(rng)
-						checkAllPaths(t, fmt.Sprintf("round%d %s q%d %s", round, vname, i, label), v, mk)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPlannerChoosesIndexedPath pins the planner's choices on unambiguous

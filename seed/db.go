@@ -320,26 +320,6 @@ func (db *Database) SetSnapshotCOW(enabled bool) {
 	db.engine.SetSnapshotCOW(enabled)
 }
 
-// SetColumnarStore switches the engine between the columnar representation
-// (the default) and the map-backed representation that survives as the
-// ablation baseline (A4 in DESIGN.md section 11; the E12 experiment measures
-// the two against each other). Switching migrates every item state into a
-// fresh store of the other representation and rebuilds read snapshots from
-// scratch on the next View; results are identical either way. Refused while
-// a transaction is open.
-func (db *Database) SetColumnarStore(enabled bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.engine.SetColumnarStore(enabled)
-}
-
-// ColumnarStore reports whether the engine is on the columnar representation.
-func (db *Database) ColumnarStore() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.ColumnarStore()
-}
-
 // RegisterProcedure registers an attached procedure implementation under
 // the name schema elements reference.
 func (db *Database) RegisterProcedure(name string, p Procedure) {
