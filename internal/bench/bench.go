@@ -544,8 +544,7 @@ func runWireReads(addr string, readers, readsPer, keywords int) (time.Duration, 
 // conflicts surface as typed, retryable errors), and aggregate retrieval
 // throughput scales with parallel readers because snapshot reads never
 // block each other — a serial client is bound by its own round-trip
-// latency, which parallel clients overlap. E9 measures the write side's
-// scaling on disjoint lock sets.
+// latency, which parallel clients overlap.
 func E7() *Result {
 	r := &Result{Name: "E7: concurrency — parallel retrieval vs serialized check-ins"}
 	w := DefaultReadWorkload
@@ -659,5 +658,5 @@ func E7() *Result {
 
 // All runs every experiment.
 func All() []*Result {
-	return []*Result{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9()}
+	return []*Result{E1(), E2(), E3(), E4(), E5(), E6(), E7()}
 }

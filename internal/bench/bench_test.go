@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestAllExperimentsPass guards the reproduction: every structural
-// assertion of E1-E5 must hold.
+// TestAllExperimentsPass guards the reproduction: every assertion of
+// E1-E7 must hold.
 func TestAllExperimentsPass(t *testing.T) {
 	for _, r := range All() {
 		if r.Failed {

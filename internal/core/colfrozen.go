@@ -99,14 +99,8 @@ func nameHashInsert(tab []item.Sym, strs []string, s item.Sym) {
 // committed changes, and the claim discipline keeps them disjoint from staged
 // items. A nil base cannot coincide with staged changes because BeginTx pins
 // a snapshot first, and the invalidating operations (restore, schema change)
-// are rejected while transactions are open. cowOff is the ablation: a deep,
-// share-nothing rebuild on every freeze.
-func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) *colFrozen {
-	if cowOff && !staged {
-		f := cs.fullFreeze(sch)
-		cs.lastFrozen = f
-		return f
-	}
+// are rejected while transactions are open.
+func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, staged bool) *colFrozen {
 	prev := cs.lastFrozen
 	if prev != nil && len(dirty) == 0 && prev.sch == sch {
 		return prev
@@ -511,7 +505,7 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 }
 
 // fullFreeze builds a deep, share-nothing generation from the live state:
-// the A3 (COW off) ablation and the differential rebuild path.
+// the differential rebuild path (FrozenViewRebuild).
 func (cs *colStore) fullFreeze(sch *schema.Schema) *colFrozen {
 	cs.gen++
 	gen := cs.gen

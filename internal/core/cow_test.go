@@ -31,21 +31,3 @@ func TestFrozenSharedGeneration(t *testing.T) {
 		t.Errorf("new generation Object(%d) = %+v, %v", d, o, ok)
 	}
 }
-
-// TestFrozenCOWAblation: with COW disabled every freeze is a rebuild, and
-// re-enabling starts cleanly from a full build.
-func TestFrozenCOWAblation(t *testing.T) {
-	en := newFig3(t)
-	mustCreate(t, en, "Data", "A")
-	en.SetSnapshotCOW(false)
-	v1 := en.FrozenView()
-	if v2 := en.FrozenView(); v2 == v1 {
-		t.Error("COW-off freeze returned a cached generation")
-	}
-	en.SetSnapshotCOW(true)
-	mustCreate(t, en, "Data", "B")
-	got := en.FrozenView().(frozenIndexes)
-	if err := viewsDiff(got, en.FrozenViewRebuild().(frozenIndexes), en.Schema().ClassNames()); err != nil {
-		t.Fatal(err)
-	}
-}

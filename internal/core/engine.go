@@ -97,7 +97,6 @@ type Engine struct {
 	dirty item.IDSet // items changed since the last version freeze (dense bitset)
 
 	snapDirty map[item.ID]bool // items changed since the last frozen generation
-	cowOff    bool             // ablation: rebuild every frozen view from scratch
 
 	inheritsLive int // live inherits-relationships (fast path when zero)
 

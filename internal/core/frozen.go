@@ -33,7 +33,7 @@ import (
 // FrozenView calls must be serialized by the caller (the seed database uses
 // a dedicated snapshot mutex). The returned view needs no locking at all.
 func (en *Engine) FrozenView() item.View {
-	f := en.st.freezeView(en.sch, en.snapDirty, en.cowOff, len(en.open) > 0)
+	f := en.st.freezeView(en.sch, en.snapDirty, len(en.open) > 0)
 	en.snapDirty = make(map[item.ID]bool)
 	return f
 }
@@ -41,19 +41,8 @@ func (en *Engine) FrozenView() item.View {
 // FrozenViewRebuild builds a self-contained frozen view from scratch,
 // bypassing the copy-on-write path and leaving the incremental bookkeeping
 // untouched. The differential tests compare it against FrozenView after
-// every operation, and the E8 ablation measures it as the pre-COW baseline.
+// every operation.
 func (en *Engine) FrozenViewRebuild() item.View { return en.st.fullFreeze(en.sch) }
-
-// SetSnapshotCOW switches incremental copy-on-write snapshots on or off
-// (they are on by default). With COW off every quiescent FrozenView call
-// rebuilds the snapshot from scratch — the ablation baseline the E8
-// experiment measures. The COW base stays maintained in both modes (and is
-// deliberately not dropped here), so toggling while transactions are
-// staged can never force a full rebuild that would read their uncommitted
-// state.
-func (en *Engine) SetSnapshotCOW(enabled bool) {
-	en.cowOff = !enabled
-}
 
 // invalidateFrozen drops the incremental snapshot base: the next FrozenView
 // rebuilds from scratch. Called whenever the engine changes in ways the

@@ -257,10 +257,33 @@ func TestPlannerRandomForcedDifferential(t *testing.T) {
 	})
 }
 
+// classCounting forwards a view's class and attribute index extensions and
+// counts the calls that list a class extent and those that only size it.
+type classCounting struct {
+	item.View
+	lists, counts int
+}
+
+func (c *classCounting) ObjectsOfClass(qualified string) ([]item.ID, bool) {
+	c.lists++
+	return c.View.(item.IndexedView).ObjectsOfClass(qualified)
+}
+
+func (c *classCounting) CountOfClass(qualified string) (int, bool) {
+	c.counts++
+	ids, ok := c.View.(item.IndexedView).ObjectsOfClass(qualified)
+	return len(ids), ok
+}
+
+func (c *classCounting) AttrIndex(key item.AttrKey) (*item.AttrIdx, bool) {
+	return c.View.(item.AttrIndexedView).AttrIndex(key)
+}
+
 // TestPlannerChoosesIndexedPath pins the planner's choices on unambiguous
 // queries: equality on an indexed path reports attr-eq with est matching
-// the enumerated candidates, ranges report attr-range, a literal name wins
-// over everything, and an unindexed view falls back to the scan.
+// the enumerated candidates and a class estimate that never lists the
+// extent, ranges report attr-range, a literal name wins over everything,
+// and an unindexed view falls back to the scan.
 func TestPlannerChoosesIndexedPath(t *testing.T) {
 	db, err := seed.NewMemory(seed.Figure3Schema())
 	if err != nil {
@@ -328,11 +351,22 @@ func TestPlannerChoosesIndexedPath(t *testing.T) {
 		if !reflect.DeepEqual(ids, truth) {
 			t.Errorf("%s: got %v, want %v", tc.name, ids, truth)
 		}
-		if (tc.access == query.AccessAttrEq || tc.access == query.AccessAttrRange) &&
-			plan.Est != plan.Candidates {
+		if tc.access != query.AccessAttrEq && tc.access != query.AccessAttrRange {
+			continue
+		}
+		if plan.Est != plan.Candidates {
 			// Attribute estimates count index postings the executor then
 			// enumerates one-to-one, so est and candidates agree exactly.
 			t.Errorf("%s: est %d != candidates %d", tc.name, plan.Est, plan.Candidates)
+		}
+		// Ranking the losing class path must count it via item.ClassCounter:
+		// listing the extent just to size it is O(class) on a spliced view.
+		cv := &classCounting{View: v}
+		if _, plan, err := tc.mk().RunPlan(cv); err != nil || plan.Access != tc.access {
+			t.Fatalf("%s via classCounting: plan %v, err %v", tc.name, plan, err)
+		}
+		if cv.lists != 0 || cv.counts == 0 {
+			t.Errorf("%s: class extent listed %d times, counted %d; want 0 lists", tc.name, cv.lists, cv.counts)
 		}
 	}
 

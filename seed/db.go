@@ -309,17 +309,6 @@ func (db *Database) SetSnapshotMode(m SnapshotMode) {
 	db.opts.Mode = m
 }
 
-// SetSnapshotCOW switches the incremental copy-on-write read snapshots on
-// or off (on by default). With COW off, the first View/RawView after every
-// mutation rebuilds the whole snapshot from scratch — the pre-COW baseline
-// the E8 experiment measures (A3 in DESIGN.md section 7). Results are
-// identical either way; only the freeze cost changes.
-func (db *Database) SetSnapshotCOW(enabled bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.engine.SetSnapshotCOW(enabled)
-}
-
 // RegisterProcedure registers an attached procedure implementation under
 // the name schema elements reference.
 func (db *Database) RegisterProcedure(name string, p Procedure) {

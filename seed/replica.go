@@ -201,7 +201,7 @@ func (db *Database) guardReplicaApply() error {
 // dirty marks, and the version tree — everything a snapshot serializes,
 // hashed. Two databases that applied the same committed history digest
 // identically, which is the replica-vs-primary differential the replication
-// tests and the E11 harness gate on. A follower before its first bootstrap
+// tests gate on. A follower before its first bootstrap
 // digests as "empty".
 func (db *Database) StateDigest() (string, error) {
 	db.mu.RLock()

@@ -65,8 +65,7 @@ func (db *Database) rebuildStoreLocked() {
 }
 
 // SymbolCount reports the engine's total interned symbols (class, name and
-// short-value tables; 0 on the map-store ablation and on a follower before
-// its first bootstrap). The churn regression test gates on it shrinking
+// short-value tables; 0 on a follower before its first bootstrap). The churn regression test gates on it shrinking
 // across a Compact.
 func (db *Database) SymbolCount() int {
 	db.mu.RLock()
