@@ -1,12 +1,14 @@
 package repro
 
 // One benchmark group per evaluation artifact of the paper (experiments
-// E1-E5 of DESIGN.md) plus the ablation groups A1-A3. The paper reports no
-// absolute numbers — its host is a 1986 workstation — so these benches
-// document the cost shape of each mechanism: what the eager consistency
-// checking costs per update, how delta versions scale against full copies,
-// what pattern splicing costs per inheritor, and how the SEED-backed
-// specification tool compares against the plain-struct baseline.
+// E1-E5 of DESIGN.md), the ablation groups A1-A2, a fresh-vs-cached pattern
+// splice group and one staged check-in. The paper reports no absolute
+// numbers — its host is a 1986 workstation — so these benches document the
+// cost shape of each mechanism: what the eager consistency checking costs
+// per update, how delta versions scale against full copies, what pattern
+// splicing costs per inheritor, what a check-in costs against the
+// relationship count, and how the SEED-backed specification tool compares
+// against the plain-struct baseline.
 
 import (
 	"fmt"
@@ -416,7 +418,7 @@ func BenchmarkAblation_Consistency_DeferredFullRecheck(b *testing.B) {
 	}
 }
 
-// ---- A3 ablation: spliced pattern reads (computed) vs. cached view ----
+// ---- Pattern splice: a fresh splice after every write vs. the cached view ----
 
 func BenchmarkAblation_Pattern_FreshSplice(b *testing.B) {
 	db := mustMem(b, seed.Figure3Schema())
@@ -468,6 +470,82 @@ func BenchmarkAblation_Pattern_CachedView(b *testing.B) {
 		if got := len(v.Children(first, "Description")); got != 1 {
 			b.Fatalf("children = %d", got)
 		}
+	}
+}
+
+// ---- Check-in: one staged batch shaped like seedmark's edit unit ----
+
+// BenchmarkTx_Checkin times one check-in of three resolve-and-stage steps
+// (SetValue Description, SetValue Revised, a new Keywords entry) and its
+// commit, plus the freeze the next reader forces with db.View(). ns/op
+// should not grow with rels; run it with -cpuprofile to see where a
+// check-in's time goes.
+func BenchmarkTx_Checkin(b *testing.B) {
+	const roots, actions = 1000, 50
+	must := func(id seed.ID, err error) seed.ID {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return id
+	}
+	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, rels := range []int{0, 5000} {
+		b.Run(fmt.Sprintf("rels=%d", rels), func(b *testing.B) {
+			db := mustMem(b, seed.Figure3Schema())
+			defer db.Close()
+			if err := db.CreateAttrIndex("Data", "Description", seed.AttrHash); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.CreateAttrIndex("Data", "Revised", seed.AttrOrdered); err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]seed.ID, roots)
+			for i := range ids {
+				ids[i] = must(db.CreateObject("Data", fmt.Sprintf("Obj%d", i)))
+				must(db.CreateValueObject(ids[i], "Description", seed.NewString("d")))
+				must(db.CreateValueObject(ids[i], "Revised", seed.NewDate(day)))
+				text := must(db.CreateSubObject(ids[i], "Text"))
+				must(db.CreateSubObject(text, "Body"))
+				must(db.CreateValueObject(text, "Selector", seed.NewString("sel")))
+			}
+			acts := make([]seed.ID, actions)
+			for i := range acts {
+				acts[i] = must(db.CreateObject("Action", fmt.Sprintf("A%d", i)))
+			}
+			for i := 0; i < rels; i++ { // distinct (from, by) pairs up to 50 per root
+				by := acts[(i%roots+i/roots)%actions]
+				must(db.CreateRelationship("Access", map[string]seed.ID{"from": ids[i%roots], "by": by}))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx, err := db.BeginTx()
+				if err != nil {
+					b.Fatal(err)
+				}
+				stage := func(path string, op func(seed.ID) error) {
+					id, err := tx.ResolvePath(path)
+					if err == nil {
+						err = op(id)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				name := fmt.Sprintf("Obj%d", i%roots)
+				stage(name+".Description", func(id seed.ID) error { return tx.SetValue(id, seed.NewString(fmt.Sprintf("v%d", i))) })
+				stage(name+".Revised", func(id seed.ID) error { return tx.SetValue(id, seed.NewDate(day.AddDate(0, 0, i%3650))) })
+				stage(name+".Text[0].Body", func(id seed.ID) error {
+					_, err := tx.CreateValueObject(id, "Keywords", seed.NewString("kw"))
+					return err
+				})
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				db.View()
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/consistency"
 	"repro/internal/item"
@@ -98,7 +99,7 @@ type Engine struct {
 
 	snapDirty map[item.ID]bool // items changed since the last frozen generation
 
-	inheritsLive int // live inherits-relationships (fast path when zero)
+	inheritsLive map[item.ID]bool // live inherits-relationships (rawView lists them)
 
 	procs   map[string]Procedure
 	journal func(payload []byte) error // persistence sink; nil while replaying or in-memory
@@ -120,14 +121,15 @@ func NewEngine(sch *schema.Schema) (*Engine, error) {
 		return nil, schema.ErrNotFrozen
 	}
 	en := &Engine{
-		sch:       sch,
-		nextID:    1,
-		indexCtr:  make(map[item.ID]map[string]int),
-		snapDirty: make(map[item.ID]bool),
-		procs:     make(map[string]Procedure),
-		open:      make(map[*Tx]bool),
-		modGen:    make(map[item.ID]uint64),
-		nameGen:   make(map[string]uint64),
+		sch:          sch,
+		nextID:       1,
+		indexCtr:     make(map[item.ID]map[string]int),
+		snapDirty:    make(map[item.ID]bool),
+		inheritsLive: make(map[item.ID]bool),
+		procs:        make(map[string]Procedure),
+		open:         make(map[*Tx]bool),
+		modGen:       make(map[item.ID]uint64),
+		nameGen:      make(map[string]uint64),
 	}
 	en.st = newColStore(nil)
 	return en, nil
@@ -250,6 +252,19 @@ func (v rawView) Objects() []item.ID { return v.en.st.visibleObjects() }
 
 // seed:locked-caller — live view, accessed under db.mu.
 func (v rawView) Relationships() []item.ID { return v.en.st.visibleRels() }
+
+// InheritsRelationships implements item.InheritsLister: the live
+// inherits-relationships, ascending, as a fresh slice.
+//
+// seed:locked-caller — live view, accessed under db.mu.
+func (v rawView) InheritsRelationships() []item.ID {
+	ids := make([]item.ID, 0, len(v.en.inheritsLive))
+	for id := range v.en.inheritsLive {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Object returns a copy of an object's state, including deleted objects
 // (deleted items remain addressable for version management).

@@ -101,16 +101,14 @@ func (en *Engine) insertRelRaw(r *item.Relationship) {
 		en.st.linkRel(e.Object, id)
 	}
 	if inh {
-		en.inheritsLive++
+		en.inheritsLive[id] = true
 	}
 	en.markDirty(id)
 	en.push(func() {
 		for _, e := range ends {
 			en.st.unlinkRel(e.Object, id)
 		}
-		if inh {
-			en.inheritsLive--
-		}
+		delete(en.inheritsLive, id)
 		en.st.removeRel(id)
 	})
 }
@@ -140,9 +138,7 @@ func (en *Engine) deleteRaw(id item.ID) {
 		for _, e := range r.Ends {
 			en.st.unlinkRel(e.Object, id)
 		}
-		if r.Inherits {
-			en.inheritsLive--
-		}
+		delete(en.inheritsLive, id)
 		en.markDirty(id)
 		en.push(func() {
 			en.st.setDeleted(id, false)
@@ -150,7 +146,7 @@ func (en *Engine) deleteRaw(id item.ID) {
 				en.st.linkRel(e.Object, id)
 			}
 			if r.Inherits {
-				en.inheritsLive++
+				en.inheritsLive[id] = true
 			}
 		})
 	}

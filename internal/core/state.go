@@ -64,7 +64,7 @@ func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
 	en.indexCtr = make(map[item.ID]map[string]int)
 	en.dirty.Reset()
 	en.undo = en.undo[:0]
-	en.inheritsLive = 0
+	en.inheritsLive = make(map[item.ID]bool)
 	en.invalidateFrozen() // wholesale replacement: the COW base is meaningless
 	// Conflict stamps refer to the replaced state; callers guarantee no
 	// transaction is open across a restore (seed rejects it with ErrTxOpen).
@@ -88,7 +88,7 @@ func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
 				en.st.linkRel(e.Object, r.ID)
 			}
 			if r.Inherits {
-				en.inheritsLive++
+				en.inheritsLive[r.ID] = true
 			}
 		}
 	}

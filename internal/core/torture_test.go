@@ -530,6 +530,10 @@ func (g *torturer) check() error {
 		if err := viewsDiff(rebuilt, got, g.classes); err != nil {
 			return fmt.Errorf("rebuild vs frozen view: %w", err)
 		}
+		live := g.en.View().(item.InheritsLister).InheritsRelationships()
+		if want := g.m.InheritsRelationships(); !slices.Equal(live, want) {
+			return fmt.Errorf("live InheritsRelationships() = %v, want %v", live, want)
+		}
 		if g.cfg.cow && (g.held == nil || g.heldAge >= 16) {
 			g.held, g.heldWant, g.heldAge = got, rebuilt, 0
 		}

@@ -42,13 +42,7 @@ type Tx struct {
 	names   map[string]bool  // independent-object names claimed
 	undo    []func()         // inverse steps, in application order
 	pending [][]byte         // validated journal records awaiting commit
-	seq     uint64           // operation counter (seed keys view caches off it)
 }
-
-// Seq returns the transaction's operation counter; it advances once per
-// buffered record and lets callers key caches off "did this transaction
-// change anything since".
-func (tx *Tx) Seq() uint64 { return tx.seq }
 
 // BeginTx opens a new transaction. Any number may be open concurrently;
 // operations are attributed to one of them via SetActiveTx.
@@ -220,7 +214,6 @@ func (en *Engine) commitRecord(record []byte) error {
 		if record != nil {
 			tx.pending = append(tx.pending, record)
 		}
-		tx.seq++
 		return nil
 	}
 	if en.journal != nil && record != nil {

@@ -247,9 +247,10 @@ type NamePrefixView interface {
 }
 
 // InheritsLister is an optional View extension enumerating the live
-// inherits-relationships directly, in ascending ID order, as a shared
-// immutable slice. Pattern splicing uses it to avoid scanning every
-// relationship of the view per generation.
+// inherits-relationships directly, in ascending ID order. A frozen view
+// returns a shared immutable slice; the engine's live view returns a fresh
+// one. Callers must not mutate the result either way. Pattern splicing
+// uses it to avoid scanning every relationship of the view.
 type InheritsLister interface {
 	InheritsRelationships() []ID
 }

@@ -93,9 +93,9 @@ type Spliced struct {
 
 // NewSpliced builds the spliced view over a base (raw) view. The splice is
 // computed eagerly; build a fresh view after mutations. When the base
-// implements item.InheritsLister (the engine's frozen snapshots do), the
-// construction cost is proportional to the inherited information, not to
-// the whole relationship population.
+// implements item.InheritsLister (the engine's live and frozen views both
+// do), the construction cost is proportional to the inherited information,
+// not to the whole relationship population.
 func NewSpliced(base item.View) *Spliced {
 	s := &Spliced{
 		base:      base,

@@ -193,11 +193,6 @@ type Tx struct {
 	db   *Database
 	core *core.Tx
 	done bool
-
-	spliceMu  sync.Mutex       // several read-locked resolvers may race on the cache
-	splice    *pattern.Spliced // cached user view over the staged state
-	spliceSeq uint64           // transaction op counter the cache was built at
-	spliceGen uint64           // database generation the cache was built at
 }
 
 // BeginTx opens a new staged transaction. Begin pins the current snapshot:
@@ -290,7 +285,13 @@ func (tx *Tx) Reclassify(id ID, newName string) error {
 
 // ResolvePath navigates a qualified name in the transaction's user view:
 // resolution sees the transaction's own staged effects (a batch can address
-// items it created earlier) but never another transaction's.
+// items it created earlier) but never another transaction's. Each call
+// splices a fresh view over the live engine state under the lock; that is
+// cheap because the live view lists its inherits-relationships, so the
+// splice costs the inherited information, not the relationship count. The
+// live state may hold other transactions' staged items, but their write
+// sets are disjoint from this transaction's by the claim discipline, so
+// resolution within this transaction's domain is unaffected.
 func (tx *Tx) ResolvePath(path string) (ID, error) {
 	db := tx.db
 	db.mu.RLock()
@@ -298,27 +299,7 @@ func (tx *Tx) ResolvePath(path string) (ID, error) {
 	if tx.done {
 		return NoID, ErrTxDone
 	}
-	return resolvePath(tx.viewLocked(), path)
-}
-
-// viewLocked returns the user-facing spliced view over the live engine
-// state, cached per (transaction op counter, database generation) so a
-// batch of path resolutions rebuilds the splice only after a change. The
-// live state may hold other transactions' staged items, but their write
-// sets are disjoint from this transaction's by the claim discipline, so
-// resolution within this transaction's domain is unaffected. Callers hold
-// db.mu in either mode and must not let the view escape the lock.
-//
-// seed:locked-caller
-func (tx *Tx) viewLocked() View {
-	tx.spliceMu.Lock()
-	defer tx.spliceMu.Unlock()
-	seq, gen := tx.core.Seq(), tx.db.gen
-	if tx.splice == nil || tx.spliceSeq != seq || tx.spliceGen != gen {
-		tx.splice = pattern.NewSpliced(tx.db.engine.View())
-		tx.spliceSeq, tx.spliceGen = seq, gen
-	}
-	return tx.splice
+	return resolvePath(pattern.NewSpliced(db.engine.View()), path)
 }
 
 // Commit makes the staged batch permanent: it publishes atomically into a

@@ -3,8 +3,11 @@ package seed
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/pattern"
 )
 
 // Tests for the concurrent transaction handles (BeginTx): disjoint staging
@@ -141,6 +144,105 @@ func TestTxConflictSurfacesAndRetries(t *testing.T) {
 	// Finished handles reject further staging.
 	if err := tx3.SetValue(d, NewString("late")); !errors.Is(err, ErrTxDone) {
 		t.Errorf("staging on finished tx: got %v, want ErrTxDone", err)
+	}
+}
+
+// TestTxResolveAllocsIndependentOfRelationships: staging an op and then
+// resolving a path in the transaction allocates the same on a database with
+// 20 relationships as on one with 2 000. The splice over the live state
+// costs the inherited information (none here), not the relationship count.
+// Bytes are compared as well as allocation counts: listing every
+// relationship is one allocation whatever its length.
+func TestTxResolveAllocsIndependentOfRelationships(t *testing.T) {
+	type cost struct{ allocs, bytes uint64 }
+	measure := func(rels int) cost {
+		db := memDB(t, Figure3Schema())
+		desc, err := db.CreateValueObject(create(t, db, "Data", "Root"), "Description", NewString("d"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := create(t, db, "Action", "Sink")
+		for i := 0; i < rels; i++ {
+			from := create(t, db, "Data", fmt.Sprintf("D%d", i))
+			if _, err := db.CreateRelationship("Access", map[string]ID{"from": from, "by": sink}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx, err := db.BeginTx()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		staged := NewString("staged")
+		step := func() {
+			if err := tx.SetValue(desc, staged); err != nil {
+				t.Fatal(err)
+			}
+			if id, err := tx.ResolvePath("Root.Description"); err != nil || id != desc {
+				t.Fatalf("resolve = %d, %v; want %d", id, err, desc)
+			}
+		}
+		const runs = 50
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+		step()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return cost{(after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs}
+	}
+	few, many := measure(20), measure(2000)
+	// 1 KiB of slack for runtime noise; the IDs of 2 000 relationships
+	// alone are 16 KB.
+	if few.allocs != many.allocs || many.bytes > few.bytes+1024 {
+		t.Errorf("stage + resolve per run: %d allocs / %d B at 20 relationships, %d allocs / %d B at 2000",
+			few.allocs, few.bytes, many.allocs, many.bytes)
+	}
+}
+
+// TestTxResolvesThroughInheritedData: a transaction resolves a path through
+// a pattern's sub-object inherited by X, stops resolving it once it stages
+// the deletion of the inherits-relationship, and resolves it again in a
+// fresh transaction after the rollback.
+func TestTxResolvesThroughInheritedData(t *testing.T) {
+	db := memDB(t, Figure3Schema())
+	p, err := db.CreatePatternObject("Data", "P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateValueObject(p, "Description", NewString("inherited")); err != nil {
+		t.Fatal(err)
+	}
+	link, err := db.Inherit(p, create(t, db, "Data", "X"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	virtual, err := tx.ResolvePath("X.Description")
+	if err != nil || !pattern.IsVirtualID(virtual) {
+		t.Fatalf("resolve before disinherit = %d, %v; want a virtual ID", virtual, err)
+	}
+	if err := tx.Delete(link); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := tx.ResolvePath("X.Description"); err == nil {
+		t.Errorf("resolve after staged disinherit = %d, want an error", id)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err = db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if id, err := tx.ResolvePath("X.Description"); err != nil || id != virtual {
+		t.Errorf("resolve after rollback = %d, %v; want %d", id, err, virtual)
 	}
 }
 
