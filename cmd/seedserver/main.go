@@ -47,14 +47,15 @@
 // sealed segments + live records), serves the whole retrieval surface
 // (get, list, query, versions, completeness, stats) from its own pinned
 // snapshots at replication lag, and refuses every mutation with the
-// retryable "not-primary" wire code — clients redial the primary
-// (client.Classify reports ClassRedial). The listener starts only after
-// the first complete bootstrap, so a follower that accepts connections is
-// serving real state; dropped primary connections reconnect with backoff
-// and resync without interrupting reads. -dir, -schema, -segment-size and
-// -sync are ignored in follower mode (the replica is not durable — it
-// re-bootstraps from the primary on restart). OpStats reports the
-// follower's applied generation and observed lag.
+// retryable "not-primary" wire code — clients redial the primary (its
+// wire.Refusals row has the redial class, which client.Classify reports).
+// The listener starts only after the first complete bootstrap, so a
+// follower that accepts connections is serving real state; dropped primary
+// connections reconnect with backoff and resync without interrupting
+// reads. -dir, -schema, -segment-size and -sync are ignored in follower
+// mode (the replica is not durable — it re-bootstraps from the primary on
+// restart). OpStats reports the follower's applied generation and observed
+// lag.
 //
 // Query acceleration: each -attr-index (repeatable) registers an attribute
 // index on a class and role path ("Tool.Defect:Text.Selector" indexes the

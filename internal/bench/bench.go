@@ -25,6 +25,7 @@ import (
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
 	"repro/internal/storage"
+	"repro/internal/wire"
 	"repro/seed"
 )
 
@@ -603,7 +604,7 @@ func E7() *Result {
 			for i := 1; !stop.Load(); i++ {
 				ws, err := c.Checkout("Doc")
 				if err != nil {
-					if errors.Is(err, client.ErrLocked) {
+					if errors.Is(err, wire.ErrLocked) {
 						conflicts.Add(1) // the other writer holds it; retry
 						continue
 					}

@@ -10,11 +10,13 @@
 // Send/Await expose the pipeline directly for callers that want many
 // requests in flight from one goroutine.
 //
-// Transient server-side failures — a lock held by another client
-// (ErrLocked), a check-in conflict (ErrConflict), or an admission-control
-// rejection when the server is overloaded (ErrOverloaded) — are retryable:
-// wrap the operation in Retry, which backs off exponentially with jitter
-// (capped, context-bounded) and gives up immediately on everything else.
+// A refusal the server reports with a wire code comes back as an error that
+// wraps ErrRemote and the same wire sentinel the server returned
+// (wire.ErrLocked, wire.ErrConflict, ...), so callers errors.Is-match the
+// one value on either side of the wire. Classify reads the sentinel's retry
+// class from the same wire.Refusals row; Retry backs off exponentially with
+// jitter (capped, context-bounded) on the retryable class and gives up
+// immediately on everything else.
 package client
 
 import (
@@ -28,33 +30,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Client errors. ErrLocked and ErrNotLocked mirror the server's lock
-// errors: the wire protocol carries an error code alongside the message, so
-// the identity survives the round trip and callers can errors.Is-match —
-// a checkout that fails with ErrLocked is retryable once the holder checks
-// in or releases.
-var (
-	ErrRemote    = errors.New("client: server error")
-	ErrLocked    = errors.New("client: object is checked out by another client")
-	ErrNotLocked = errors.New("client: object is not checked out by this client")
-	// ErrConflict mirrors the server's transaction-conflict error: two
-	// concurrently staged check-ins overlapped. Retryable — check out
-	// again and re-stage the batch.
-	ErrConflict = errors.New("client: check-in conflicted with a concurrent check-in")
-	// ErrOverloaded mirrors the server's admission-control rejection: the
-	// global in-flight limit was reached and the bounded wait queue was
-	// full, so the request was shed without executing. Retryable with
-	// backoff — Retry handles it.
-	ErrOverloaded = errors.New("client: server overloaded, request shed")
-	// ErrShuttingDown mirrors the server's graceful-drain refusal: the
-	// server stopped accepting new mutations while it drains. Retryable
-	// against the server's replacement, not against this server.
-	ErrShuttingDown = errors.New("client: server shutting down, mutation refused")
-	// ErrNotPrimary mirrors a read-only follower's refusal: mutations (and
-	// log subscriptions) must go to the primary. Retryable after redialing
-	// — never against this connection (Classify says ClassRedial).
-	ErrNotPrimary = errors.New("client: server is a read-only follower, mutate on the primary")
-)
+// ErrRemote is wrapped by every error a server reported in a response.
+var ErrRemote = errors.New("client: server error")
 
 // Client is one connection to a SEED server. It is safe for concurrent use:
 // independent goroutines' requests interleave on the wire and their
@@ -291,25 +268,24 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 }
 
 // remoteError rebuilds a matchable error from a failure response: every
-// remote error wraps ErrRemote, and responses carrying a wire code
-// additionally wrap the corresponding sentinel.
+// remote error wraps ErrRemote, and a response carrying a wire code
+// additionally wraps that code's sentinel.
 func remoteError(resp *wire.Response) error {
-	switch resp.Code {
-	case wire.CodeLocked:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrLocked, resp.Err)
-	case wire.CodeNotLocked:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotLocked, resp.Err)
-	case wire.CodeConflict:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrConflict, resp.Err)
-	case wire.CodeOverloaded:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrOverloaded, resp.Err)
-	case wire.CodeShuttingDown:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrShuttingDown, resp.Err)
-	case wire.CodeNotPrimary:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotPrimary, resp.Err)
+	if r := wire.RefusalByCode(resp.Code); r != nil {
+		return fmt.Errorf("%w: %w", ErrRemote, refusal{resp.Err, r.Err})
 	}
 	return fmt.Errorf("%w: %s", ErrRemote, resp.Err)
 }
+
+// refusal is a coded failure response: it reads as the server's message,
+// which already starts with the sentinel's text, and matches the sentinel.
+type refusal struct {
+	msg      string
+	sentinel error
+}
+
+func (e refusal) Error() string { return e.msg }
+func (e refusal) Unwrap() error { return e.sentinel }
 
 // Get retrieves object subtrees by name (no locks).
 func (c *Client) Get(names ...string) ([]wire.Snapshot, error) {

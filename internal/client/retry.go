@@ -2,10 +2,11 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // RetryPolicy shapes Retry's backoff: the delay before attempt n+1 is
@@ -22,60 +23,37 @@ type RetryPolicy struct {
 // 500ms cap — about two seconds of total patience.
 var DefaultRetry = RetryPolicy{Base: 5 * time.Millisecond, Cap: 500 * time.Millisecond, Attempts: 8}
 
-// FailureClass is the retry decision an error maps onto. Retryable and
-// RetryableWith collapse it to a boolean; callers that manage their own
-// connections branch on the class directly.
-type FailureClass int
+// FailureClass is the retry decision an error maps onto: the class column
+// of the wire.Refusals table. Retryable collapses it to a boolean; callers
+// that manage their own connections branch on the class directly.
+type FailureClass = wire.FailureClass
 
+// The retry classes, documented at their wire declarations.
 const (
-	// ClassPermanent: retrying cannot help — a validation failure, an
-	// unknown name, a protocol error. Surface it.
-	ClassPermanent FailureClass = iota
-	// ClassRetry: transient pushback from this server — a held lock, a
-	// check-in conflict, an admission-control rejection. Retry the same
-	// connection with backoff.
-	ClassRetry
-	// ClassRedial: this server will never stop refusing — it is draining
-	// for shutdown, or it is a read-only follower. Retry only against a
-	// different endpoint: the drained server's replacement, the primary.
-	ClassRedial
+	ClassPermanent = wire.ClassPermanent
+	ClassRetry     = wire.ClassRetry
+	ClassRedial    = wire.ClassRedial
 )
 
-// Classify maps an error onto its retry decision. Errors that are not the
-// client's matchable sentinels (transport failures included) classify as
-// permanent: a retry loop must not spin on an error it cannot reason about.
+// Classify maps an error onto the class of the wire.Refusals row whose
+// sentinel it wraps. Every other error (transport failures included)
+// classifies as permanent: a retry loop must not spin on an error it cannot
+// reason about.
 func Classify(err error) FailureClass {
-	switch {
-	case errors.Is(err, ErrLocked), errors.Is(err, ErrConflict), errors.Is(err, ErrOverloaded):
-		return ClassRetry
-	case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrNotPrimary):
-		return ClassRedial
+	if r := wire.RefusalOf(err); r != nil {
+		return r.Class
 	}
 	return ClassPermanent
 }
 
 // Retryable reports whether an error is transient server pushback worth
 // retrying: a lock held by another client, a check-in conflict, or an
-// admission-control rejection. Everything else — including ErrShuttingDown
-// and ErrNotPrimary, which this server will never stop returning — is
-// permanent for the purposes of a retry loop against one connection.
+// admission-control rejection. Everything else — including
+// wire.ErrShuttingDown and wire.ErrNotPrimary, which this server will never
+// stop returning — is permanent for the purposes of a retry loop against
+// one connection.
 func Retryable(err error) bool {
 	return Classify(err) == ClassRetry
-}
-
-// RetryableWith is Retryable for callers that can redial: when canRedial is
-// true, the redial class (shutting-down, not-primary) counts as retryable
-// too, because the caller re-resolves its endpoint between attempts.
-func RetryableWith(err error, canRedial bool) bool {
-	switch Classify(err) {
-	case ClassRetry:
-		return true
-	case ClassRedial:
-		return canRedial
-	case ClassPermanent:
-		return false
-	}
-	return false
 }
 
 // Retry runs op, retrying with DefaultRetry's jittered exponential backoff

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/wire"
 )
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
@@ -17,7 +18,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 		func() error {
 			calls++
 			if calls < 3 {
-				return fmt.Errorf("wrapped: %w", client.ErrOverloaded)
+				return fmt.Errorf("wrapped: %w", wire.ErrOverloaded)
 			}
 			return nil
 		})
@@ -45,11 +46,11 @@ func TestRetryExhaustionKeepsIdentity(t *testing.T) {
 	calls := 0
 	err := client.RetryWith(context.Background(),
 		client.RetryPolicy{Base: time.Microsecond, Cap: time.Microsecond, Attempts: 4},
-		func() error { calls++; return client.ErrLocked })
+		func() error { calls++; return wire.ErrLocked })
 	if calls != 4 {
 		t.Errorf("calls = %d, want 4", calls)
 	}
-	if !errors.Is(err, client.ErrLocked) {
+	if !errors.Is(err, wire.ErrLocked) {
 		t.Errorf("exhaustion error %v lost the sentinel identity", err)
 	}
 }
@@ -61,7 +62,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	go func() {
 		done <- client.RetryWith(ctx,
 			client.RetryPolicy{Base: time.Hour, Cap: time.Hour, Attempts: 10},
-			func() error { calls++; return client.ErrConflict })
+			func() error { calls++; return wire.ErrConflict })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -70,7 +71,7 @@ func TestRetryHonorsContext(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
-		if !errors.Is(err, client.ErrConflict) {
+		if !errors.Is(err, wire.ErrConflict) {
 			t.Errorf("err = %v, should keep the last attempt's identity", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -81,72 +82,37 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 }
 
+// TestRetryableClassification: Retryable holds for exactly the rows of the
+// wire error table in the retry class, wrapped or not, and for nothing the
+// table does not name. A draining server or a follower is never retried in
+// place: it will not stop refusing.
 func TestRetryableClassification(t *testing.T) {
-	for _, err := range []error{client.ErrLocked, client.ErrConflict, client.ErrOverloaded} {
-		if !client.Retryable(fmt.Errorf("w: %w", err)) {
-			t.Errorf("Retryable(%v) = false", err)
+	for _, r := range wire.Refusals {
+		if got := client.Retryable(fmt.Errorf("w: %w", r.Err)); got != (r.Class == client.ClassRetry) {
+			t.Errorf("Retryable(%v) = %v, row class %v", r.Err, got, r.Class)
 		}
 	}
-	for _, err := range []error{client.ErrShuttingDown, client.ErrNotLocked, client.ErrRemote, errors.New("x")} {
+	for _, err := range []error{wire.ErrNotLocked, wire.ErrShuttingDown, wire.ErrNotPrimary, client.ErrRemote, errors.New("x"), nil} {
 		if client.Retryable(err) {
 			t.Errorf("Retryable(%v) = true", err)
 		}
 	}
 }
 
-// TestClassifyTable pins the full failure taxonomy: transient pushback
-// retries in place, a draining or follower server demands a redial, and
-// everything the client cannot reason about is permanent.
+// TestClassifyTable: Classify returns the class of the wire.Refusals row
+// whose sentinel an error wraps, and permanent for everything the table
+// does not name — ErrRemote alone, transport failures, nil.
 func TestClassifyTable(t *testing.T) {
-	cases := []struct {
-		err  error
-		want client.FailureClass
-	}{
-		{client.ErrLocked, client.ClassRetry},
-		{client.ErrConflict, client.ClassRetry},
-		{client.ErrOverloaded, client.ClassRetry},
-		{client.ErrShuttingDown, client.ClassRedial},
-		{client.ErrNotPrimary, client.ClassRedial},
-		{client.ErrNotLocked, client.ClassPermanent},
-		{client.ErrRemote, client.ClassPermanent},
-		{errors.New("transport: broken pipe"), client.ClassPermanent},
-		{nil, client.ClassPermanent},
-	}
-	for _, c := range cases {
-		if got := client.Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
-		}
-		// Wrapping must not change the decision.
-		if c.err != nil {
-			if got := client.Classify(fmt.Errorf("w: %w", c.err)); got != c.want {
-				t.Errorf("Classify(wrapped %v) = %v, want %v", c.err, got, c.want)
+	for _, r := range wire.Refusals {
+		for _, err := range []error{r.Err, fmt.Errorf("w: %w", r.Err)} {
+			if got := client.Classify(err); got != r.Class {
+				t.Errorf("Classify(%v) = %v, want %v", err, got, r.Class)
 			}
 		}
 	}
-}
-
-// TestRetryableWithRedial: the redial class counts as retryable exactly
-// when the caller can re-resolve its endpoint between attempts.
-func TestRetryableWithRedial(t *testing.T) {
-	for _, c := range []struct {
-		err       error
-		canRedial bool
-		want      bool
-	}{
-		{client.ErrOverloaded, false, true}, // in-place retry never needs a redial
-		{client.ErrOverloaded, true, true},
-		{client.ErrShuttingDown, false, false},
-		{client.ErrShuttingDown, true, true},
-		{client.ErrNotPrimary, false, false},
-		{client.ErrNotPrimary, true, true},
-		{client.ErrRemote, true, false}, // permanent stays permanent with a dialer in hand
-	} {
-		if got := client.RetryableWith(fmt.Errorf("w: %w", c.err), c.canRedial); got != c.want {
-			t.Errorf("RetryableWith(%v, %v) = %v, want %v", c.err, c.canRedial, got, c.want)
+	for _, err := range []error{client.ErrRemote, errors.New("transport: broken pipe"), nil} {
+		if got := client.Classify(err); got != client.ClassPermanent {
+			t.Errorf("Classify(%v) = %v, want permanent", err, got)
 		}
-	}
-	// Retryable is RetryableWith pinned to one connection.
-	if client.Retryable(client.ErrNotPrimary) {
-		t.Error("Retryable(ErrNotPrimary) = true; a follower never becomes the primary on retry")
 	}
 }

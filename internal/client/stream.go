@@ -25,7 +25,7 @@ type LogStream struct {
 // SubscribeLog requests the server's replication feed: a snapshot chunk,
 // sealed-segment record chunks, a caught-up marker, then live record chunks
 // until the connection dies. The server refuses it while draining, and on a
-// follower (ErrNotPrimary) — feeds come from the primary only.
+// follower (wire.ErrNotPrimary) — feeds come from the primary only.
 func (c *Client) SubscribeLog() (*LogStream, error) {
 	ch := make(chan *wire.Response, 16)
 	c.mu.Lock()

@@ -8,7 +8,7 @@ import (
 // admission is the server's overload-protection gate: a global limit on
 // requests executing at once, with a bounded FIFO wait queue in front of
 // it. A request that finds the limit reached waits for a slot if the queue
-// has room and is shed with wire.CodeOverloaded otherwise — so offered
+// has room and is shed with wire.ErrOverloaded otherwise — so offered
 // load beyond capacity turns into fast, typed, retryable rejections
 // instead of unbounded queues in the dispatch path (pipelined clients can
 // otherwise park arbitrarily many frames in handler and channel buffers).

@@ -107,7 +107,7 @@ func TestAdmissionShedsOverload(t *testing.T) {
 				switch _, err := p.Await(); {
 				case err == nil:
 					okCount.Add(1)
-				case errors.Is(err, client.ErrOverloaded):
+				case errors.Is(err, wire.ErrOverloaded):
 					if !client.Retryable(err) {
 						t.Error("overload rejection not classified retryable")
 					}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/wire"
 	"repro/seed"
 )
 
@@ -115,7 +116,7 @@ func TestDisconnectReleasesLocksOnWire(t *testing.T) {
 			_ = ws.Abandon()
 			return
 		}
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, wire.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

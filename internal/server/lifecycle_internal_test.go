@@ -35,8 +35,8 @@ func TestDrainRefusalMatrix(t *testing.T) {
 		{Op: wire.OpSaveVersion, Note: "nope"},
 	} {
 		resp := s.handle("client-1", req)
-		if resp.Code != wire.CodeShuttingDown {
-			t.Errorf("%s during drain: code %q, want %q (err %q)", req.Op, resp.Code, wire.CodeShuttingDown, resp.Err)
+		if resp.Code != "shutting-down" {
+			t.Errorf("%s during drain: code %q, want %q (err %q)", req.Op, resp.Code, "shutting-down", resp.Err)
 		}
 	}
 	for _, req := range []*wire.Request{
@@ -141,34 +141,21 @@ func TestShutdownUnderLoad(t *testing.T) {
 	}
 }
 
-// TestEveryWireCodeMapped walks wire.Codes — the one list of codes that
-// cross the wire — and requires each to be what codeOf makes of its server
-// error and to own a seed_responses_total series; a code missing from the
+// TestEveryWireCodeMapped: the seed sentinels codeOf translates (wire
+// cannot import seed) still reach their codes, and every row of the wire
+// error table owns a seed_responses_total series — a code missing from the
 // metrics table would be counted as an uncoded "error".
 func TestEveryWireCodeMapped(t *testing.T) {
-	produced := make(map[string]bool)
-	for err, want := range map[error]string{
-		ErrLocked: wire.CodeLocked, ErrNotLocked: wire.CodeNotLocked,
-		ErrConflict: wire.CodeConflict, seed.ErrTxConflict: wire.CodeConflict,
-		ErrOverloaded: wire.CodeOverloaded, ErrShuttingDown: wire.CodeShuttingDown,
-		ErrNotPrimary: wire.CodeNotPrimary, seed.ErrNotPrimary: wire.CodeNotPrimary,
-	} {
+	for err, want := range map[error]string{seed.ErrTxConflict: "conflict", seed.ErrNotPrimary: "not-primary"} {
 		if got := codeOf(fmt.Errorf("wrapped: %w", err)); got != want {
 			t.Errorf("%v maps onto wire code %q, want %q", err, got, want)
 		}
-		produced[want] = true
 	}
 	m := newMetrics()
-	for _, code := range wire.Codes {
-		if !produced[code] {
-			t.Errorf("no server error maps onto wire code %q", code)
+	for _, r := range wire.Refusals {
+		m.countCode(r.Code)
+		if c, ok := m.codes[r.Code]; !ok || c.Load() != 1 || m.codes["error"].Load() != 0 {
+			t.Errorf("wire code %q is not counted under its own label", r.Code)
 		}
-		m.countCode(code)
-		if c, ok := m.codes[code]; !ok || c.Load() != 1 || m.codes["error"].Load() != 0 {
-			t.Errorf("wire code %q is not counted under its own label", code)
-		}
-	}
-	if len(produced) != len(wire.Codes) {
-		t.Errorf("the table above names %d codes, wire.Codes lists %d", len(produced), len(wire.Codes))
 	}
 }

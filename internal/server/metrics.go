@@ -49,7 +49,13 @@ func (h *opHist) observe(d time.Duration) {
 
 // respCodes enumerates the response outcomes counted by seed_responses_total.
 // "ok" is a success, "error" an uncoded failure; the rest are the wire codes.
-var respCodes = append([]string{"ok", "error"}, wire.Codes...)
+var respCodes = func() []string {
+	codes := []string{"ok", "error"}
+	for _, r := range wire.Refusals {
+		codes = append(codes, r.Code)
+	}
+	return codes
+}()
 
 // metrics is the server's hot-path counter set. All fields are atomics (or
 // written once before serving starts), so handlers never contend on it.

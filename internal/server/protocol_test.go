@@ -64,7 +64,7 @@ func awaitLockReleased(t *testing.T, addr, name, why string) {
 			_ = ws.Abandon()
 			return
 		}
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, wire.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/item"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/seed"
 )
 
@@ -102,7 +103,7 @@ func TestRandomizedConcurrentCheckins(t *testing.T) {
 					}
 					ws, err := cl.Checkout(names...)
 					if err != nil {
-						if errors.Is(err, client.ErrLocked) {
+						if errors.Is(err, wire.ErrLocked) {
 							lockConflicts.Add(1) // another client holds one; skip this round
 							continue
 						}
@@ -153,7 +154,7 @@ func TestRandomizedConcurrentCheckins(t *testing.T) {
 				case a < 7: // checkout then abandon: locks must come back
 					ws, err := cl.Checkout(rootNames[rng.Intn(rootCount)])
 					if err != nil {
-						if errors.Is(err, client.ErrLocked) {
+						if errors.Is(err, wire.ErrLocked) {
 							lockConflicts.Add(1)
 							continue
 						}

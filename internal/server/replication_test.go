@@ -135,14 +135,14 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	}
 
 	// Mutations are refused with the redial class.
-	if _, err := cli.Checkout("Alarms"); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := cli.Checkout("Alarms"); !errors.Is(err, wire.ErrNotPrimary) {
 		t.Fatalf("Checkout on follower = %v, want ErrNotPrimary", err)
 	}
-	if _, err := cli.SaveVersion("nope"); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := cli.SaveVersion("nope"); !errors.Is(err, wire.ErrNotPrimary) {
 		t.Fatalf("SaveVersion on follower = %v, want ErrNotPrimary", err)
 	}
 	err = cli.Release("Alarms")
-	if !errors.Is(err, client.ErrNotPrimary) {
+	if !errors.Is(err, wire.ErrNotPrimary) {
 		t.Fatalf("Release on follower = %v, want ErrNotPrimary", err)
 	}
 	if client.Classify(err) != client.ClassRedial {
@@ -164,7 +164,7 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.Next(); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := ls.Next(); !errors.Is(err, wire.ErrNotPrimary) {
 		t.Fatalf("SubscribeLog on follower = %v, want ErrNotPrimary", err)
 	}
 

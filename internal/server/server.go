@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,25 +22,6 @@ import (
 	"repro/internal/item"
 	"repro/internal/wire"
 	"repro/seed"
-)
-
-// Server errors (returned to clients with a wire error code, so clients can
-// match them with errors.Is and retry lock conflicts).
-var (
-	ErrLocked    = errors.New("server: object is checked out by another client")
-	ErrNotLocked = errors.New("server: object is not checked out by this client")
-	ErrConflict  = errors.New("server: check-in conflicted with a concurrent check-in")
-	// ErrOverloaded is returned when admission control sheds a request:
-	// the global in-flight limit was reached and the bounded wait queue
-	// was full. Retryable with backoff (client.Retry does).
-	ErrOverloaded = errors.New("server: overloaded, request shed by admission control")
-	// ErrShuttingDown is returned to new mutations while the server drains
-	// for a graceful shutdown. Retryable against the server's replacement.
-	ErrShuttingDown = errors.New("server: shutting down, new mutations refused")
-	// ErrNotPrimary is returned to mutations addressed to a read-only
-	// follower. Retryable against the primary: the request was fine, it
-	// reached the wrong process.
-	ErrNotPrimary = errors.New("server: read-only follower, mutations go to the primary")
 )
 
 // Server serves one SEED database to many clients over wire protocol v2:
@@ -96,8 +76,8 @@ type Server struct {
 	replicaStatus func() (appliedGen, headGen, applied uint64)
 
 	// Lifecycle. draining flips when Shutdown begins: new mutations are
-	// refused with ErrShuttingDown while in-flight check-ins finish; ready
-	// mirrors it for the /readyz probe. stop is closed (once) when the
+	// refused with wire.ErrShuttingDown while in-flight check-ins finish;
+	// ready mirrors it for the /readyz probe. stop is closed (once) when the
 	// server force-closes connections, unblocking admission waiters.
 	draining atomic.Bool
 	ready    atomic.Bool
@@ -141,7 +121,7 @@ func New(db *seed.Database) *Server {
 // SetAdmission configures overload protection: at most maxInflight
 // requests execute at once across all connections, up to queueDepth more
 // wait in FIFO order for a slot, and everything beyond that is shed
-// immediately with the retryable wire.CodeOverloaded. perConn bounds one
+// immediately with the retryable overloaded code. perConn bounds one
 // connection's concurrently dispatched requests (0 keeps the default);
 // unlike the global limit it never sheds — the connection's reader simply
 // stops pulling frames, which backpressures the client through the TCP
@@ -208,7 +188,7 @@ func (s *Server) Close() error {
 
 // Shutdown drains the server gracefully: the listener closes (no new
 // connections), the readiness probe flips to not-ready, new mutations are
-// refused with the retryable wire.CodeShuttingDown while in-flight
+// refused with the retryable shutting-down code while in-flight
 // mutating requests — crucially, staged check-ins — run to group-commit
 // durability, the write-ahead log's tail segment is sealed, and only then
 // are the remaining connections closed. The drain wait is bounded by ctx:
@@ -422,14 +402,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	// Retrieval dispatch: on a multi-processor runtime, pipelined reads
-	// fan out onto goroutines and execute in parallel against their pinned
-	// snapshots. On a single-processor runtime that parallelism cannot
-	// exist — the handlers are CPU-bound on in-memory snapshots — so the
-	// reader runs them inline and saves the scheduling hops; mutations
-	// keep their own FIFO lane and the serialized writer its coalescing
-	// either way, so ordering and framing are identical in both regimes.
-	dispatch := runtime.GOMAXPROCS(0) > 1
+	// Retrieval dispatch: pipelined reads fan out onto goroutines, at most
+	// perConn at once, and execute in parallel against their pinned
+	// snapshots; mutations keep their own FIFO lane.
 	sem := make(chan struct{}, s.perConn)
 	rd := wire.NewReader(bufio.NewReader(conn))
 	rejected := false
@@ -460,13 +435,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.Op != wire.OpHello {
 			rel, ok, shed := s.adm.acquire(s.stop)
 			if shed {
-				s.met.countCode(wire.CodeOverloaded)
 				running, queued := s.adm.gauges()
-				writeCh <- &wire.Response{
-					Seq:  req.Seq,
-					Err:  fmt.Sprintf("%v (%d in flight, %d queued)", ErrOverloaded, running, queued),
-					Code: wire.CodeOverloaded,
-				}
+				resp := fail(fmt.Errorf("%w (%d in flight, %d queued)", wire.ErrOverloaded, running, queued))
+				resp.Seq = req.Seq
+				s.met.countCode(resp.Code)
+				writeCh <- resp
 				continue
 			}
 			if !ok {
@@ -489,20 +462,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		switch {
-		case mutates(req.Op):
+		if mutates(req.Op) {
 			mutCh <- admitted{req: req, release: release}
-		case !dispatch:
-			s.run(clientID, req, release, writeCh)
-		default:
-			sem <- struct{}{}
-			handlers.Add(1)
-			go func(req *wire.Request, release func()) {
-				defer handlers.Done()
-				defer func() { <-sem }()
-				s.run(clientID, req, release, writeCh)
-			}(req, release)
+			continue
 		}
+		sem <- struct{}{}
+		handlers.Add(1)
+		go func(req *wire.Request, release func()) {
+			defer handlers.Done()
+			defer func() { <-sem }()
+			s.run(clientID, req, release, writeCh)
+		}(req, release)
 	}
 	// The connection is done (disconnect, protocol error, or idle
 	// timeout). Close it before draining: with no write deadline armed, a
@@ -663,10 +633,10 @@ func (s *Server) releaseAll(clientID string) {
 
 func (s *Server) handle(clientID string, req *wire.Request) *wire.Response {
 	if s.draining.Load() && refusedWhileDraining(req.Op) {
-		return fail(ErrShuttingDown)
+		return fail(wire.ErrShuttingDown)
 	}
 	if s.follower && refusedOnFollower(req.Op) {
-		return fail(ErrNotPrimary)
+		return fail(wire.ErrNotPrimary)
 	}
 	switch req.Op {
 	case wire.OpHello:
@@ -776,21 +746,17 @@ func fail(err error) *wire.Response {
 	return &wire.Response{Err: err.Error(), Code: codeOf(err)}
 }
 
-// codeOf maps server errors onto wire error codes.
+// codeOf maps an error onto its wire code: the error table's row, or the
+// row of the seed sentinel it stands for (wire cannot import seed).
 func codeOf(err error) string {
 	switch {
-	case errors.Is(err, ErrLocked):
-		return wire.CodeLocked
-	case errors.Is(err, ErrNotLocked):
-		return wire.CodeNotLocked
-	case errors.Is(err, ErrConflict), errors.Is(err, seed.ErrTxConflict):
-		return wire.CodeConflict
-	case errors.Is(err, ErrOverloaded):
-		return wire.CodeOverloaded
-	case errors.Is(err, ErrShuttingDown):
-		return wire.CodeShuttingDown
-	case errors.Is(err, ErrNotPrimary), errors.Is(err, seed.ErrNotPrimary):
-		return wire.CodeNotPrimary
+	case errors.Is(err, seed.ErrTxConflict):
+		err = wire.ErrConflict
+	case errors.Is(err, seed.ErrNotPrimary):
+		err = wire.ErrNotPrimary
+	}
+	if r := wire.RefusalOf(err); r != nil {
+		return r.Code
 	}
 	return ""
 }
@@ -931,7 +897,7 @@ func (s *Server) handleCheckout(clientID string, req *wire.Request) *wire.Respon
 	for _, name := range req.Names {
 		if owner, locked := s.locks[name]; locked && owner != clientID {
 			s.mu.Unlock()
-			return fail(fmt.Errorf("%w: %q held by %s", ErrLocked, name, owner))
+			return fail(fmt.Errorf("%w: %q held by %s", wire.ErrLocked, name, owner))
 		}
 	}
 	var acquired []string
@@ -1007,7 +973,7 @@ func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Respons
 	for _, root := range roots {
 		if owner, locked := s.locks[root]; !locked || owner != clientID {
 			s.mu.Unlock()
-			return fail(fmt.Errorf("%w: %q", ErrNotLocked, root))
+			return fail(fmt.Errorf("%w: %q", wire.ErrNotLocked, root))
 		}
 	}
 	var reserved []string
@@ -1015,12 +981,12 @@ func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Respons
 		if owner, locked := s.locks[name]; locked && owner != clientID {
 			s.mu.Unlock()
 			s.unreserve(reserved)
-			return fail(fmt.Errorf("%w: cannot create %q", ErrLocked, name))
+			return fail(fmt.Errorf("%w: cannot create %q", wire.ErrLocked, name))
 		}
 		if other, busy := s.creating[name]; busy && other != clientID {
 			s.mu.Unlock()
 			s.unreserve(reserved)
-			return fail(fmt.Errorf("%w: %q is being created by %s", ErrConflict, name, other))
+			return fail(fmt.Errorf("%w: %q is being created by %s", wire.ErrConflict, name, other))
 		}
 		s.creating[name] = clientID
 		reserved = append(reserved, name)

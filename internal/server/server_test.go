@@ -184,18 +184,7 @@ func TestDisconnectReleasesLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Close()
-	// Lock release happens when the connection handler exits; retry
-	// briefly.
-	c2 := dial(t, addr)
-	ok := false
-	for i := 0; i < 100 && !ok; i++ {
-		if _, err := c2.Checkout("Orphan"); err == nil {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Error("lock not released on disconnect")
-	}
+	awaitLockReleased(t, addr, "Orphan", "lock not released on disconnect")
 }
 
 func TestRetrievalAndVersionOps(t *testing.T) {

@@ -52,10 +52,10 @@ func (s *Server) startPublisher(req *wire.Request, writeCh chan<- *wire.Response
 		return resp
 	}
 	if s.draining.Load() {
-		return refuse(ErrShuttingDown)
+		return refuse(wire.ErrShuttingDown)
 	}
 	if s.follower {
-		return refuse(ErrNotPrimary)
+		return refuse(wire.ErrNotPrimary)
 	}
 	sub, cutGen, err := s.db.SubscribeLog()
 	if err != nil {

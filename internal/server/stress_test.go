@@ -15,7 +15,7 @@ import (
 )
 
 // checkoutRetry checks out names, retrying while another client holds a
-// lock — the errors.Is match on client.ErrLocked is exactly the retry
+// lock — the errors.Is match on wire.ErrLocked is exactly the retry
 // loop the wire error code exists for.
 func checkoutRetry(t *testing.T, c *client.Client, names ...string) *client.Workspace {
 	t.Helper()
@@ -24,7 +24,7 @@ func checkoutRetry(t *testing.T, c *client.Client, names ...string) *client.Work
 		if err == nil {
 			return ws
 		}
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, wire.ErrLocked) {
 			t.Fatalf("checkout %v: %v", names, err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestLockErrorIdentity(t *testing.T) {
 	}
 
 	_, err := c2.Checkout("Shared")
-	if !errors.Is(err, client.ErrLocked) {
+	if !errors.Is(err, wire.ErrLocked) {
 		t.Errorf("conflicting checkout: got %v, want ErrLocked", err)
 	}
 	if !errors.Is(err, client.ErrRemote) {
@@ -241,7 +241,7 @@ func TestLockErrorIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws.SetValue("Shared.Description", uint8(seed.KindString), "sneaky")
-	if err := ws.Commit(); !errors.Is(err, client.ErrNotLocked) {
+	if err := ws.Commit(); !errors.Is(err, wire.ErrNotLocked) {
 		t.Errorf("checkin against foreign lock: got %v, want ErrNotLocked", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestCheckoutFailureKeepsPriorLocks(t *testing.T) {
 	}
 	// ...but Held stays locked for c1: another client still conflicts.
 	c2 := dial(t, addr)
-	if _, err := c2.Checkout("Held"); !errors.Is(err, client.ErrLocked) {
+	if _, err := c2.Checkout("Held"); !errors.Is(err, wire.ErrLocked) {
 		t.Errorf("after failed re-checkout, Held lock lost: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			{Kind: UpdateCreateRel, Assoc: "Read", Ends: map[string]string{"from": "Doc", "by": "H"}},
 		},
 	}))
-	f.Add(frameBytes(seedT, &Response{Err: "boom", Code: CodeConflict}))
+	f.Add(frameBytes(seedT, &Response{Err: "boom", Code: "conflict"}))
 	// v2 correlated frames: hello negotiation, pipelined Seq ids, the query
 	// wire form with every clause populated, and structured stats.
 	f.Add(frameBytes(seedT, &Request{Op: OpHello, Proto: ProtoV2}))

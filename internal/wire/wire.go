@@ -189,7 +189,7 @@ type Stats struct {
 	Locks       int    `json:"locks"`       // check-out locks held across all clients
 	InFlight    int    `json:"in_flight"`   // requests executing right now (admission tokens held)
 	Queued      int    `json:"queued"`      // requests waiting in the bounded admission queue
-	Rejected    uint64 `json:"rejected"`    // requests shed with CodeOverloaded since start
+	Rejected    uint64 `json:"rejected"`    // requests shed as overloaded since start
 	Draining    bool   `json:"draining,omitempty"`
 
 	// Replication gauges (PR 9), present on a follower: FollowerGen is the
@@ -244,42 +244,94 @@ type Finding struct {
 	Detail string `json:"detail"`
 }
 
-// Error codes carried in Response.Code. A plain error string loses its
-// identity across the wire; the code preserves it, so clients can rebuild
-// a matchable sentinel (errors.Is) and, for lock conflicts, retry.
+// FailureClass is the retry decision a refusal maps onto. The zero value
+// is no decision: every row of Refusals names one of the three below.
+type FailureClass int
+
 const (
-	// CodeLocked: a checkout or check-in lost against another client's
+	// ClassPermanent: retrying cannot help — a validation failure, an
+	// unknown name, a protocol error. Surface it.
+	ClassPermanent FailureClass = iota + 1
+	// ClassRetry: transient pushback from this server — a held lock, a
+	// check-in conflict, an admission-control rejection. Retry the same
+	// connection with backoff.
+	ClassRetry
+	// ClassRedial: this server will never stop refusing — it is draining
+	// for shutdown, or it is a read-only follower. Retry only against a
+	// different endpoint: the drained server's replacement, the primary.
+	ClassRedial
+)
+
+// The refusal sentinels. A plain error string loses its identity across
+// the wire; the server wraps one of these and sends its row's code, and the
+// client rebuilds the same value from the code, so errors.Is matches it on
+// either side.
+var (
+	// ErrLocked: a checkout or check-in lost against another client's
 	// write lock. Retryable once that client checks in or releases.
-	CodeLocked = "locked"
-	// CodeNotLocked: a check-in touched an object the client never
-	// checked out. Not retryable — the client must check the object out.
-	CodeNotLocked = "not-locked"
-	// CodeConflict: two concurrently staged check-ins overlapped (for
+	ErrLocked = errors.New("object is checked out by another client")
+	// ErrNotLocked: a check-in touched an object the client never checked
+	// out. Not retryable — the client must check the object out.
+	ErrNotLocked = errors.New("object is not checked out by this client")
+	// ErrConflict: two concurrently staged check-ins overlapped (for
 	// example both creating the same object name, or a batch reaching
 	// outside its lock set into another batch's write set). Retryable:
 	// re-read and re-stage the batch.
-	CodeConflict = "conflict"
-	// CodeOverloaded: the server's admission control shed the request —
-	// the global in-flight limit was reached and the bounded wait queue
-	// was full. Retryable with backoff: nothing about the request was
-	// wrong, the server just had no capacity for it right now.
-	CodeOverloaded = "overloaded"
-	// CodeShuttingDown: the server is draining (graceful shutdown) and
+	ErrConflict = errors.New("check-in conflicted with a concurrent check-in")
+	// ErrOverloaded: the server's admission control shed the request — the
+	// global in-flight limit was reached and the bounded wait queue was
+	// full. Retryable with backoff: nothing about the request was wrong,
+	// the server just had no capacity for it right now.
+	ErrOverloaded = errors.New("overloaded, request shed by admission control")
+	// ErrShuttingDown: the server is draining (graceful shutdown) and
 	// refuses new mutations while in-flight check-ins finish. Retryable
 	// against the server's replacement once it is back.
-	CodeShuttingDown = "shutting-down"
-	// CodeNotPrimary: the server is a read-only follower and refuses
+	ErrShuttingDown = errors.New("shutting down, new mutations refused")
+	// ErrNotPrimary: the server is a read-only follower and refuses
 	// mutations (and lock traffic) outright. Retryable against the primary:
 	// the request was well-formed, it just reached the wrong process.
-	CodeNotPrimary = "not-primary"
+	ErrNotPrimary = errors.New("read-only follower, mutations go to the primary")
 )
 
-// Codes lists every error code above, in declaration order. The server's
-// error-to-code mapping, the client's code-to-sentinel and retry-class
-// mappings and the metrics labels are all checked (or derived) against it.
-var Codes = []string{
-	CodeLocked, CodeNotLocked, CodeConflict,
-	CodeOverloaded, CodeShuttingDown, CodeNotPrimary,
+// Refusal is one row of the error table: the code carried in
+// Response.Code, the sentinel it stands for, and its retry class.
+type Refusal struct {
+	Code  string
+	Err   error
+	Class FailureClass
+}
+
+// Refusals is the error table and the only place a wire code is spelled.
+// The server's error-to-code mapping, the client's code-to-sentinel and
+// retry-class lookups and the server's metrics labels all read it; adding
+// a code is one sentinel above and one row here.
+var Refusals = []Refusal{
+	{"locked", ErrLocked, ClassRetry},
+	{"not-locked", ErrNotLocked, ClassPermanent},
+	{"conflict", ErrConflict, ClassRetry},
+	{"overloaded", ErrOverloaded, ClassRetry},
+	{"shutting-down", ErrShuttingDown, ClassRedial},
+	{"not-primary", ErrNotPrimary, ClassRedial},
+}
+
+// RefusalOf returns the row whose sentinel err wraps, or nil.
+func RefusalOf(err error) *Refusal {
+	for i := range Refusals {
+		if errors.Is(err, Refusals[i].Err) {
+			return &Refusals[i]
+		}
+	}
+	return nil
+}
+
+// RefusalByCode returns the row carrying code, or nil.
+func RefusalByCode(code string) *Refusal {
+	for i := range Refusals {
+		if Refusals[i].Code == code {
+			return &Refusals[i]
+		}
+	}
+	return nil
 }
 
 // Request is one client request frame. Seq correlates the request with its
@@ -303,7 +355,7 @@ type Response struct {
 	Seq       uint64        `json:"seq,omitempty"`
 	Proto     int           `json:"proto,omitempty"` // hello only
 	Err       string        `json:"err,omitempty"`
-	Code      string        `json:"code,omitempty"` // error code (CodeLocked, ...)
+	Code      string        `json:"code,omitempty"` // a Refusals row's Code
 	ClientID  string        `json:"client,omitempty"`
 	Names     []string      `json:"names,omitempty"`
 	Snapshots []Snapshot    `json:"snapshots,omitempty"`
