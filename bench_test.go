@@ -477,11 +477,15 @@ func BenchmarkAblation_Pattern_CachedView(b *testing.B) {
 
 // BenchmarkTx_Checkin times one check-in of three resolve-and-stage steps
 // (SetValue Description, SetValue Revised, a new Keywords entry) and its
-// commit, plus the freeze the next reader forces with db.View(). ns/op
-// should not grow with rels; run it with -cpuprofile to see where a
-// check-in's time goes.
+// commit, plus the freeze the next reader forces with db.View(). The
+// database holds about objs objects, in roots of six plus 50 Actions, and
+// rels relationships; ns/op and B/op should grow with neither. Edits cycle
+// over a few hot roots, and every 50th edit of a root drops its Body and
+// creates a fresh one instead of adding a keyword, as seedmark's edit unit
+// does, so the object count stays level however large b.N grows. Run it
+// with -cpuprofile to see where a check-in's time goes.
 func BenchmarkTx_Checkin(b *testing.B) {
-	const roots, actions = 1000, 50
+	const actions, hot, keywordsPerDrop = 50, 16, 50
 	must := func(id seed.ID, err error) seed.ID {
 		b.Helper()
 		if err != nil {
@@ -490,62 +494,74 @@ func BenchmarkTx_Checkin(b *testing.B) {
 		return id
 	}
 	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, rels := range []int{0, 5000} {
-		b.Run(fmt.Sprintf("rels=%d", rels), func(b *testing.B) {
-			db := mustMem(b, seed.Figure3Schema())
-			defer db.Close()
-			if err := db.CreateAttrIndex("Data", "Description", seed.AttrHash); err != nil {
-				b.Fatal(err)
-			}
-			if err := db.CreateAttrIndex("Data", "Revised", seed.AttrOrdered); err != nil {
-				b.Fatal(err)
-			}
-			ids := make([]seed.ID, roots)
-			for i := range ids {
-				ids[i] = must(db.CreateObject("Data", fmt.Sprintf("Obj%d", i)))
-				must(db.CreateValueObject(ids[i], "Description", seed.NewString("d")))
-				must(db.CreateValueObject(ids[i], "Revised", seed.NewDate(day)))
-				text := must(db.CreateSubObject(ids[i], "Text"))
-				must(db.CreateSubObject(text, "Body"))
-				must(db.CreateValueObject(text, "Selector", seed.NewString("sel")))
-			}
-			acts := make([]seed.ID, actions)
-			for i := range acts {
-				acts[i] = must(db.CreateObject("Action", fmt.Sprintf("A%d", i)))
-			}
-			for i := 0; i < rels; i++ { // distinct (from, by) pairs up to 50 per root
-				by := acts[(i%roots+i/roots)%actions]
-				must(db.CreateRelationship("Access", map[string]seed.ID{"from": ids[i%roots], "by": by}))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, err := db.BeginTx()
-				if err != nil {
+	for _, objs := range []int{1_000, 10_000, 100_000} {
+		for _, rels := range []int{0, 5000} {
+			b.Run(fmt.Sprintf("objs=%dk/rels=%d", objs/1000, rels), func(b *testing.B) {
+				roots := objs / 6
+				db := mustMem(b, seed.Figure3Schema())
+				defer db.Close()
+				if err := db.CreateAttrIndex("Data", "Description", seed.AttrHash); err != nil {
 					b.Fatal(err)
 				}
-				stage := func(path string, op func(seed.ID) error) {
-					id, err := tx.ResolvePath(path)
-					if err == nil {
-						err = op(id)
-					}
+				if err := db.CreateAttrIndex("Data", "Revised", seed.AttrOrdered); err != nil {
+					b.Fatal(err)
+				}
+				ids := make([]seed.ID, roots)
+				for i := range ids {
+					ids[i] = must(db.CreateObject("Data", fmt.Sprintf("Obj%d", i)))
+					must(db.CreateValueObject(ids[i], "Description", seed.NewString(fmt.Sprintf("d%d", i))))
+					must(db.CreateValueObject(ids[i], "Revised", seed.NewDate(day.AddDate(0, 0, i%3650))))
+					text := must(db.CreateSubObject(ids[i], "Text"))
+					must(db.CreateSubObject(text, "Body"))
+					must(db.CreateValueObject(text, "Selector", seed.NewString("sel")))
+				}
+				acts := make([]seed.ID, actions)
+				for i := range acts {
+					acts[i] = must(db.CreateObject("Action", fmt.Sprintf("A%d", i)))
+				}
+				for i := 0; i < rels; i++ { // distinct (from, by) pairs up to 50 per root
+					by := acts[(i%roots+i/roots)%actions]
+					must(db.CreateRelationship("Access", map[string]seed.ID{"from": ids[i%roots], "by": by}))
+				}
+				db.View()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tx, err := db.BeginTx()
 					if err != nil {
 						b.Fatal(err)
 					}
+					stage := func(path string, op func(seed.ID) error) {
+						id, err := tx.ResolvePath(path)
+						if err == nil {
+							err = op(id)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					name := fmt.Sprintf("Obj%d", i%hot)
+					stage(name+".Description", func(id seed.ID) error { return tx.SetValue(id, seed.NewString(fmt.Sprintf("v%d", i))) })
+					stage(name+".Revised", func(id seed.ID) error { return tx.SetValue(id, seed.NewDate(day.AddDate(0, 0, i%3650))) })
+					if (i/hot)%keywordsPerDrop != keywordsPerDrop-1 {
+						stage(name+".Text[0].Body", func(id seed.ID) error {
+							_, err := tx.CreateValueObject(id, "Keywords", seed.NewString("kw"))
+							return err
+						})
+					} else {
+						stage(name+".Text[0].Body", tx.Delete)
+						stage(name+".Text[0]", func(id seed.ID) error {
+							_, err := tx.CreateSubObject(id, "Body")
+							return err
+						})
+					}
+					if err := tx.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					db.View()
 				}
-				name := fmt.Sprintf("Obj%d", i%roots)
-				stage(name+".Description", func(id seed.ID) error { return tx.SetValue(id, seed.NewString(fmt.Sprintf("v%d", i))) })
-				stage(name+".Revised", func(id seed.ID) error { return tx.SetValue(id, seed.NewDate(day.AddDate(0, 0, i%3650))) })
-				stage(name+".Text[0].Body", func(id seed.ID) error {
-					_, err := tx.CreateValueObject(id, "Keywords", seed.NewString("kw"))
-					return err
-				})
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-				db.View()
-			}
-		})
+			})
+		}
 	}
 }
 

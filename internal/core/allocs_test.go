@@ -10,19 +10,24 @@ import (
 
 // Allocation regression guards for the frozen read path: the accessors a
 // query touches per item — Object, Children, RelationshipsOf, ObjectByName,
-// and the by-class index — hand out decoded values and shared immutable
+// the ID lists, and the by-class index and its count — hand out decoded values and shared immutable
 // slices without allocating. A regression here (a defensive copy creeping
 // into an accessor, a decode round-tripping through the heap) multiplies
 // across every item a reader visits; this pins it at zero per call. The
-// subtest is named for the store it runs on.
+// lists span several run chunks and the view is a patched generation, so
+// the ID lists flatten lazily: once, on the warm-up call. The subtest is
+// named for the store it runs on.
 func TestFrozenAccessorAllocs(t *testing.T) {
 	t.Run("columnar", func(t *testing.T) {
 		en := newFig3(t)
 		var parent item.ID
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 600; i++ {
 			id := mustCreate(t, en, "Data", fmt.Sprintf("Obj%03d", i))
 			if i == 0 {
 				parent = id
+			}
+			if i == 300 {
+				en.FrozenView() // the base the final generation is patched from
 			}
 		}
 		if _, err := en.CreateValueObject(parent, "Description", value.NewString("short")); err != nil {
@@ -65,8 +70,23 @@ func TestFrozenAccessorAllocs(t *testing.T) {
 		})
 		check("ObjectsOfClass", func() {
 			ids, _ := iv.ObjectsOfClass("Data")
-			if len(ids) != 200 {
+			if len(ids) != 600 {
 				t.Fatal("class index lost")
+			}
+		})
+		check("CountOfClass", func() {
+			if n, _ := v.(item.ClassCounter).CountOfClass("Data"); n != 600 {
+				t.Fatal("class count lost")
+			}
+		})
+		check("Objects", func() {
+			if len(v.Objects()) != 602 {
+				t.Fatal("objects lost")
+			}
+		})
+		check("Relationships", func() {
+			if len(v.Relationships()) != 0 {
+				t.Fatal("relationships appeared")
 			}
 		})
 	})

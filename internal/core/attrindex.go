@@ -117,8 +117,9 @@ func buildOneAttr(spec item.AttrSpec, f *colFrozen) *item.AttrIdx {
 // reclassified or deleted root shows up through whichever chain still
 // resolves it), then each touched index removes those roots' old postings
 // and inserts their fresh ones. Untouched specs share the previous index
-// pointer; the cost of a touched one is proportional to the indexed class
-// population, like a class index patch — never to the database.
+// pointer; a touched one rebuilds only the run chunks those postings land
+// in, so its cost is the affected roots' postings times log n plus the
+// run's chunk table — never the class population or the database.
 func patchAttrs(specs []item.AttrSpec, f, prev *colFrozen, dirty map[item.ID]bool) map[item.AttrKey]*item.AttrIdx {
 	if len(specs) == 0 {
 		return nil

@@ -39,10 +39,12 @@ type colFrozen struct {
 	relsOfF  verArr[[]item.ID] // by object ordinal; nil = no live relationships
 	nameToID verArr[item.ID]   // by name symbol; NoID = name unbound
 
-	byClass  [][]item.ID // by class symbol: live objects, ascending
-	objIDs   []item.ID   // live objects, ascending
-	relIDs   []item.ID   // live relationships, ascending
-	inherits []item.ID   // live inherits-relationships, ascending
+	// ID lists and class extents, as chunked sorted runs (item.Run) that
+	// share every untouched chunk with the previous generation.
+	byClass  []*item.Run[item.ID] // by class symbol: live objects
+	objIDs   *item.Run[item.ID]   // live objects
+	relIDs   *item.Run[item.ID]   // live relationships
+	inherits *item.Run[item.ID]   // live inherits-relationships
 
 	// Name indexes, maintained per generation like the class index.
 	// nameStrs is a snapshot of the symbol table's published string array
@@ -145,33 +147,39 @@ func (cs *colStore) sealFreeze(sch *schema.Schema, prev *colFrozen, dirty map[it
 
 // scanIndexes builds the dense indexes of f by scanning its row arrays.
 func (cs *colStore) scanIndexes(f *colFrozen) {
-	f.byClass = make([][]item.ID, cs.schemaSyms.Len())
+	var objIDs, relIDs, inherits []item.ID
+	byClass := make([][]item.ID, cs.schemaSyms.Len())
 	for ord := 0; ord < cs.objLen; ord++ {
 		row := f.objRows.at(ord)
 		if row.id == item.NoID || row.flags&rowDeleted != 0 {
 			continue
 		}
-		f.objIDs = append(f.objIDs, row.id)
-		f.byClass[row.classSym] = append(f.byClass[row.classSym], row.id)
+		objIDs = append(objIDs, row.id)
+		byClass[row.classSym] = append(byClass[row.classSym], row.id)
 	}
 	for ord := 0; ord < cs.relLen; ord++ {
 		row := f.relRows.at(ord)
 		if row.id == item.NoID || row.flags&rowDeleted != 0 {
 			continue
 		}
-		f.relIDs = append(f.relIDs, row.id)
+		relIDs = append(relIDs, row.id)
 		if row.flags&rowInherits != 0 {
-			f.inherits = append(f.inherits, row.id)
+			inherits = append(inherits, row.id)
 		}
 	}
-	sortIDs(f.objIDs)
-	sortIDs(f.relIDs)
-	sortIDs(f.inherits)
-	for _, ids := range f.byClass {
-		sortIDs(ids)
+	f.objIDs, f.relIDs, f.inherits = idRun(objIDs), idRun(relIDs), idRun(inherits)
+	f.byClass = make([]*item.Run[item.ID], len(byClass))
+	for sym, ids := range byClass {
+		f.byClass[sym] = idRun(ids)
 	}
 	cs.scanNameIndex(f)
 	f.attrs = buildAttrs(cs.attrSpecs, f)
+}
+
+// idRun sorts ids and wraps them in a run.
+func idRun(ids []item.ID) *item.Run[item.ID] {
+	sortIDs(ids)
+	return item.NewRun(ids)
 }
 
 // scanNameIndex builds the name indexes from the full symbol table.
@@ -270,19 +278,14 @@ func (f *colFrozen) attrPostings(root item.ID, roles []string) []item.AttrPostin
 
 // patchIndexes derives f's dense indexes from prev's by classifying each
 // dirty item: f's row arrays already hold the new truth (sealed or patched),
-// so current state is read from f and previous state from prev.
+// so current state is read from f and previous state from prev. Each run
+// then takes its additions and removals in one Patch, which rebuilds only
+// the chunks they land in.
 func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 	var objAdd, objDel, relAdd, relDel, inhAdd, inhDel []item.ID
 	classAdd := make(map[item.Sym][]item.ID)
-	classDel := make(map[item.Sym]map[item.ID]bool)
-	delClass := func(sym item.Sym, id item.ID) {
-		set := classDel[sym]
-		if set == nil {
-			set = make(map[item.ID]bool)
-			classDel[sym] = set
-		}
-		set[id] = true
-	}
+	classDel := make(map[item.Sym][]item.ID)
+	delClass := func(sym item.Sym, id item.ID) { classDel[sym] = append(classDel[sym], id) }
 
 	for id := range dirty {
 		tag := f.ords.at(int(id))
@@ -331,30 +334,24 @@ func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 		}
 	}
 
-	f.objIDs = patchMembers(prev.objIDs, objAdd, objDel)
-	f.relIDs = patchMembers(prev.relIDs, relAdd, relDel)
-	f.inherits = patchMembers(prev.inherits, inhAdd, inhDel)
+	f.objIDs = prev.objIDs.Patch(objAdd, objDel)
+	f.relIDs = prev.relIDs.Patch(relAdd, relDel)
+	f.inherits = prev.inherits.Patch(inhAdd, inhDel)
 
-	// Class index: per-generation header copy, patched per touched class.
+	// Class index: per-generation header copy (one pointer per class),
+	// patched per touched class; an untouched class keeps its run.
 	n := len(prev.byClass)
 	if l := len(f.dec.classBySym); l > n {
 		n = l
 	}
-	f.byClass = make([][]item.ID, n)
+	f.byClass = make([]*item.Run[item.ID], n)
 	copy(f.byClass, prev.byClass)
-	prevOf := func(sym item.Sym) []item.ID {
-		if int(sym) < len(prev.byClass) {
-			return prev.byClass[sym]
-		}
-		return nil
-	}
 	for sym, ids := range classAdd {
-		sortIDs(ids)
-		f.byClass[sym] = patchSorted(prevOf(sym), ids, classDel[sym])
+		f.byClass[sym] = f.byClass[sym].Patch(ids, classDel[sym])
 		delete(classDel, sym)
 	}
-	for sym, del := range classDel {
-		f.byClass[sym] = patchSorted(prevOf(sym), nil, del)
+	for sym, ids := range classDel {
+		f.byClass[sym] = f.byClass[sym].Patch(nil, ids)
 	}
 
 	cs.patchNameIndex(f, prev)
@@ -678,9 +675,12 @@ func (f *colFrozen) RelationshipsOf(obj item.ID) []item.ID {
 	return f.relsOfF.at(int(tag.Ord()))
 }
 
-func (f *colFrozen) Objects() []item.ID { return f.objIDs }
+// Objects returns the live objects, ascending, as a shared immutable slice
+// flattened once per generation that changed them.
+func (f *colFrozen) Objects() []item.ID { return f.objIDs.Slice() }
 
-func (f *colFrozen) Relationships() []item.ID { return f.relIDs }
+// Relationships returns the live relationships like Objects.
+func (f *colFrozen) Relationships() []item.ID { return f.relIDs.Slice() }
 
 // ---- item.IndexedView / item.InheritsLister ----
 
@@ -688,11 +688,23 @@ func (f *colFrozen) Relationships() []item.ID { return f.relIDs }
 // objects whose exact class has the given qualified name, ascending, as a
 // shared immutable slice.
 func (f *colFrozen) ObjectsOfClass(qualified string) ([]item.ID, bool) {
+	return f.classRun(qualified).Slice(), true
+}
+
+// CountOfClass implements item.ClassCounter off the class run's length,
+// without flattening it.
+func (f *colFrozen) CountOfClass(qualified string) (int, bool) {
+	return f.classRun(qualified).Len(), true
+}
+
+// classRun returns the extent of a class; nil, the empty run, when the
+// class has no live objects.
+func (f *colFrozen) classRun(qualified string) *item.Run[item.ID] {
 	sym, ok := f.dec.schemaSyms.Lookup(qualified)
 	if !ok || int(sym) >= len(f.byClass) {
-		return nil, true
+		return nil
 	}
-	return f.byClass[sym], true
+	return f.byClass[sym]
 }
 
 // AttrIndex implements item.AttrIndexedView over the per-generation
@@ -736,4 +748,4 @@ func (f *colFrozen) namePrefixRange(prefix string) (int, int) {
 
 // InheritsRelationships implements item.InheritsLister: the live
 // inherits-relationships, ascending, as a shared immutable slice.
-func (f *colFrozen) InheritsRelationships() []item.ID { return f.inherits }
+func (f *colFrozen) InheritsRelationships() []item.ID { return f.inherits.Slice() }

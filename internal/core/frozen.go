@@ -16,11 +16,14 @@ import (
 //
 // Snapshots are generational and copy-on-write: the engine tracks the items
 // dirtied since the last freeze (every mutation funnels through markDirty)
-// and hands the set to the store, whose chunked arrays (colfrozen.go,
-// verarr.go) share every untouched chunk with the previous generation, so a
-// small commit freezes in O(delta), not O(n). The dirty set drives the dense
-// indexes (ID lists, class, name, attribute) and, while transactions are
-// staged, the choice of which items to patch.
+// and hands the set to the store. Its rows live in chunked versioned arrays
+// (verarr.go) and its dense indexes — the ID lists, the class extents and
+// both attribute index kinds — in chunked sorted runs (item.Run); both
+// share every untouched chunk with the previous generation, so a small
+// commit freezes in O(delta × log n + chunk table), not O(n). The dirty set
+// drives the index patches and, while transactions are staged, the choice
+// of which items to patch. The name index is the one exception: a freeze
+// that interns a new root name extends it in O(names) (patchNameIndex).
 //
 // Accessors return shared, immutable slices and relationship values whose
 // Ends are shared — callers must not modify results (the item.View
@@ -50,46 +53,6 @@ func (en *Engine) FrozenViewRebuild() item.View { return en.st.fullFreeze(en.sch
 func (en *Engine) invalidateFrozen() {
 	en.st.lastFrozen = nil
 	en.snapDirty = make(map[item.ID]bool)
-}
-
-// patchMembers shares base when nothing changed, and otherwise merges the
-// sorted additions in and filters the removals out in one pass.
-func patchMembers(base, add, del []item.ID) []item.ID {
-	if len(add) == 0 && len(del) == 0 {
-		return base
-	}
-	sortIDs(add)
-	delSet := make(map[item.ID]bool, len(del))
-	for _, id := range del {
-		delSet[id] = true
-	}
-	return patchSorted(base, add, delSet)
-}
-
-// patchSorted returns base minus del plus add (both ascending), ascending.
-func patchSorted(base, add []item.ID, del map[item.ID]bool) []item.ID {
-	out := make([]item.ID, 0, len(base)+len(add))
-	ai := 0
-	for _, id := range base {
-		for ai < len(add) && add[ai] < id {
-			out = append(out, add[ai])
-			ai++
-		}
-		if del[id] {
-			continue
-		}
-		if ai < len(add) && add[ai] == id {
-			ai++ // already present; keep one copy
-		}
-		out = append(out, id)
-	}
-	for ; ai < len(add); ai++ {
-		out = append(out, add[ai])
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 func sortIDs(ids []item.ID) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/item"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -247,7 +248,7 @@ func TestMultiTxNameConflicts(t *testing.T) {
 // rebuild. The subtest keeps the name it had beside the retired map store.
 func TestMultiTxFrozenChainBoundedWhileStaged(t *testing.T) {
 	t.Run("columnar=true", func(t *testing.T) {
-		en := newFig3(t)
+		en := newTortureEngine(schema.Figure3())
 		var descs []item.ID // one committed value object per generation to come
 		for i := 0; i < 3*vpatchMax; i++ {
 			d, err := en.CreateValueObject(mustCreate(t, en, "Data", fmt.Sprintf("Hot%d", i)),

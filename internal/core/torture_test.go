@@ -31,6 +31,10 @@ import (
 // into a frozen one. The final state must also pass a whole-database
 // consistency validation.
 //
+// Every engine maintains a hash and an ordered attribute index
+// (tortureAttrSpecs); the comparison covers their lookups too, against the
+// postings the model's state yields.
+//
 // A failure prints the seed and the shortest failing op prefix, found by
 // bisecting on prefix length, with the ops of that prefix: rerunning the
 // generator from the seed for that many ops replays the failure exactly.
@@ -124,6 +128,10 @@ var (
 	tortureAssocs  = []string{"Access", "Read", "Write", "Contained"}
 	tortureRoles   = []string{"Description", "Revised", "Text", "Body", "Selector", "Keywords",
 		"NumberOfWrites", "ErrorHandling"}
+	tortureAttrSpecs = []item.AttrSpec{
+		{Key: item.AttrKey{Class: "Data", Path: "Description"}, Kind: item.AttrHash},
+		{Key: item.AttrKey{Class: "Data", Path: "Revised"}, Kind: item.AttrOrdered},
+	}
 )
 
 // torturer is one run of the generator.
@@ -166,13 +174,13 @@ type stagedTx struct {
 // difference (or panic) it finds.
 func runTorture(cfg tortureConfig, seed int64, steps int) (g *torturer, err error) {
 	sch := schema.Figure3()
-	en, _ := NewEngine(sch) // fails only on an unfrozen schema
+	en := newTortureEngine(sch)
 	g = &torturer{cfg: cfg, rng: rand.New(rand.NewSource(seed)), en: en, m: model.New(sch),
 		classes: append(sch.ClassNames(), "NoSuchClass"),
 		views:   make(chan item.View, 2), // one pending generation per reader; check drops the rest
 		kinds:   make(map[string]int), pools: make(map[string][]item.ID)}
 	if cfg.replay {
-		g.replica, _ = NewEngine(sch)
+		g.replica = newTortureEngine(sch)
 		g.replica.BeginReplay()
 		en.SetJournal(func(rec []byte) error { g.journal = append(g.journal, rec); return nil })
 	}
@@ -202,6 +210,15 @@ func runTorture(cfg tortureConfig, seed int64, steps int) (g *torturer, err erro
 		}
 	}
 	return g, g.finish()
+}
+
+// newTortureEngine returns an engine maintaining tortureAttrSpecs.
+func newTortureEngine(sch *schema.Schema) *Engine {
+	en, _ := NewEngine(sch) // fails only on an unfrozen schema
+	for _, spec := range tortureAttrSpecs {
+		_ = en.CreateAttrIndex(spec) // the specs name Figure 3 classes and roles
+	}
+	return en
 }
 
 // walkView reads every item of a published generation, as a reader would.
@@ -651,7 +668,128 @@ func viewsDiff(got, want frozenIndexes, classNames []string) error {
 	if id, ok := got.ObjectByName("no-such-object"); diff == nil && ok {
 		diff = fmt.Errorf("ObjectByName resolves a name that never existed to %d", id)
 	}
+	if diff == nil {
+		diff = attrsDiff(got, want)
+	}
 	return diff
+}
+
+// attrsDiff checks got's attribute indexes against the postings want's
+// state yields (item.AttrPostingsOf over want's class extent), and want's
+// own indexes, when it keeps them, against the same postings.
+func attrsDiff(got, want frozenIndexes) error {
+	for _, spec := range tortureAttrSpecs {
+		roles, _ := item.SplitAttrPath(spec.Key.Path)
+		roots, _ := want.ObjectsOfClass(spec.Key.Class)
+		var posts []item.AttrPosting
+		for _, root := range roots {
+			posts = append(posts, item.AttrPostingsOf(want, root, roles)...)
+		}
+		for side, v := range map[string]frozenIndexes{"got": got, "want": want} {
+			av, ok := v.(item.AttrIndexedView)
+			if !ok && side == "want" {
+				continue // the model keeps no indexes
+			}
+			var x *item.AttrIdx
+			if ok {
+				x, ok = av.AttrIndex(spec.Key)
+			}
+			if !ok || x == nil || x.Kind() != spec.Kind {
+				return fmt.Errorf("%s view lost the %s index on %s", side, spec.Kind, spec.Key)
+			}
+			if err := attrIdxDiff(x, posts); err != nil {
+				return fmt.Errorf("%s AttrIndex(%s): %w", side, spec.Key, err)
+			}
+		}
+	}
+	return nil
+}
+
+// attrIdxDiff compares an index with the postings it should hold: Len, Eq
+// and EstEq for every value present and one absent, and, on an ordered
+// index, Range and EstRange over bounds drawn from the values present.
+func attrIdxDiff(x *item.AttrIdx, posts []item.AttrPosting) error {
+	type entry struct {
+		val string
+		id  item.ID
+	}
+	seen := make(map[entry]bool)
+	var vals []value.Value
+	var uniq []item.AttrPosting
+	for _, p := range posts {
+		e := entry{p.Val.Kind().String() + ":" + p.Val.String(), p.ID}
+		if seen[e] {
+			continue
+		}
+		seen[e] = true
+		uniq = append(uniq, p)
+		if !slices.ContainsFunc(vals, p.Val.Equal) {
+			vals = append(vals, p.Val)
+		}
+	}
+	if x.Len() != len(uniq) {
+		return fmt.Errorf("Len() = %d, want %d", x.Len(), len(uniq))
+	}
+	// match lists the distinct roots of the postings in, ascending, and
+	// counts those postings.
+	match := func(in func(value.Value) bool) ([]item.ID, int) {
+		var ids []item.ID
+		n := 0
+		for _, p := range uniq {
+			if in(p.Val) {
+				ids = append(ids, p.ID)
+				n++
+			}
+		}
+		slices.Sort(ids)
+		return slices.Compact(ids), n
+	}
+	for _, v := range append(vals, value.NewString("absent")) {
+		want, n := match(v.Matches)
+		if got := x.Eq(v); !slices.Equal(got, want) {
+			return fmt.Errorf("Eq(%v) = %v, want %v", v, got, want)
+		}
+		if got := x.EstEq(v); got != n {
+			return fmt.Errorf("EstEq(%v) = %d, want %d", v, got, n)
+		}
+	}
+	bounds := []value.Value{value.Undefined}
+	for i := 0; i < len(vals) && i < 4; i++ {
+		bounds = append(bounds, vals[i])
+	}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			for _, incl := range []bool{false, true} {
+				got, ok := x.Range(lo, hi, incl, !incl)
+				est, estOK := x.EstRange(lo, hi, incl, !incl)
+				if wantOK := x.Kind() == item.AttrOrdered && (lo.IsDefined() || hi.IsDefined()); ok != wantOK || estOK != wantOK {
+					return fmt.Errorf("Range(%v, %v) answered %v, EstRange %v, want %v", lo, hi, ok, estOK, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				want, n := match(func(v value.Value) bool {
+					return inBound(v, lo, incl, 1) && inBound(v, hi, !incl, -1)
+				})
+				if !slices.Equal(got, want) || est != n {
+					return fmt.Errorf("Range(%v, %v, %v, %v) = %v (est %d), want %v (est %d)", lo, hi, incl, !incl, got, est, want, n)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// inBound reports whether v lies on the inner side of bound: at or above a
+// lower bound (side 1), at or below an upper one (side -1), the bound itself
+// only when incl. An undefined bound is open; values the bound cannot be
+// compared with (another kind, booleans) lie outside.
+func inBound(v, bound value.Value, incl bool, side int) bool {
+	if !bound.IsDefined() {
+		return true
+	}
+	c, err := v.Compare(bound)
+	return err == nil && (c*side > 0 || c == 0 && incl)
 }
 
 // goneDiff probes what want no longer has: every ID and name the workload

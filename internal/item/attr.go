@@ -3,7 +3,7 @@ package item
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -24,7 +24,8 @@ import (
 // err on the side of extra candidates (stale pattern roots hidden by a
 // spliced view, mixed-kind near-misses) but never misses a true match.
 
-// AttrKind selects the index representation.
+// AttrKind selects which lookups an index answers. Both kinds keep the same
+// representation.
 type AttrKind uint8
 
 // The attribute index kinds.
@@ -190,75 +191,51 @@ func (k attrValKey) cmp(o attrValKey) int {
 	return 0
 }
 
-// attrEntry is one posting with its key precomputed.
+// attrEntry is one posting with its key precomputed. Entries order by
+// (key, root ID).
 type attrEntry struct {
 	key attrValKey
 	id  ID
 }
 
-// AttrIdx is one immutable attribute index generation. A hash index keeps
-// per-value buckets; an ordered index keeps one posting array sorted by
-// (value, ID). All lookups are safe for concurrent readers; results follow
-// the View mutability contract (shared, immutable slices).
+func (e attrEntry) runCmp(o attrEntry) int {
+	if c := e.key.cmp(o.key); c != 0 {
+		return c
+	}
+	return e.id.runCmp(o.id)
+}
+
+// attrEntries converts postings to entries, skipping undefined values.
+func attrEntries(posts []AttrPosting) []attrEntry {
+	entries := make([]attrEntry, 0, len(posts))
+	for _, p := range posts {
+		if p.Val.IsDefined() {
+			entries = append(entries, attrEntry{key: attrKeyOf(p.Val), id: p.ID})
+		}
+	}
+	return entries
+}
+
+// AttrIdx is one immutable attribute index generation: one run of postings
+// sorted by (value, root ID), shared chunk-wise with the generations before
+// and after it. Both kinds keep the same run; only an ordered index answers
+// ranges. All lookups are safe for concurrent readers.
 type AttrIdx struct {
-	kind     AttrKind
-	n        int
-	postings []attrEntry        // AttrOrdered: sorted by (key, id), deduped
-	buckets  map[attrValKey][]ID // AttrHash: ascending deduped IDs per value
+	kind AttrKind
+	run  *Run[attrEntry]
 }
 
 // NewAttrIdx builds an index from unordered postings (undefined values are
 // skipped, exact duplicates collapse).
 func NewAttrIdx(kind AttrKind, posts []AttrPosting) *AttrIdx {
-	x := &AttrIdx{kind: kind}
-	entries := make([]attrEntry, 0, len(posts))
-	for _, p := range posts {
-		if !p.Val.IsDefined() {
-			continue
-		}
-		entries = append(entries, attrEntry{key: attrKeyOf(p.Val), id: p.ID})
-	}
-	sortAttrEntries(entries)
-	entries = dedupAttrEntries(entries)
-	if kind == AttrHash {
-		x.buckets = make(map[attrValKey][]ID)
-		for _, e := range entries {
-			x.buckets[e.key] = append(x.buckets[e.key], e.id)
-		}
-		x.n = len(entries)
-		return x
-	}
-	x.postings = entries
-	x.n = len(entries)
-	return x
+	return &AttrIdx{kind: kind, run: (*Run[attrEntry])(nil).Patch(attrEntries(posts), nil)}
 }
 
-func sortAttrEntries(entries []attrEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		c := entries[i].key.cmp(entries[j].key)
-		if c != 0 {
-			return c < 0
-		}
-		return entries[i].id < entries[j].id
-	})
-}
-
-func dedupAttrEntries(entries []attrEntry) []attrEntry {
-	out := entries[:0]
-	for i, e := range entries {
-		if i > 0 && e.key.cmp(entries[i-1].key) == 0 && e.id == entries[i-1].id {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// Kind returns the index representation.
+// Kind returns the index kind.
 func (x *AttrIdx) Kind() AttrKind { return x.kind }
 
 // Len returns the number of postings (one per root-leaf pair).
-func (x *AttrIdx) Len() int { return x.n }
+func (x *AttrIdx) Len() int { return x.run.Len() }
 
 // EstEq returns the posting count for an exact value — the planner's
 // cardinality estimate, computed without materializing candidates.
@@ -266,52 +243,45 @@ func (x *AttrIdx) EstEq(v value.Value) int {
 	if !v.IsDefined() {
 		return 0
 	}
-	key := attrKeyOf(v)
-	if x.kind == AttrHash {
-		return len(x.buckets[key])
-	}
-	lo, hi := x.eqBounds(key)
-	return hi - lo
+	lo, hi := x.eqBounds(attrKeyOf(v))
+	return x.run.count(lo, hi)
 }
 
 // Eq returns the roots holding exactly v on the indexed path, ascending, as
-// a shared immutable slice.
-//
-//seedlint:frozen
+// a fresh slice.
 func (x *AttrIdx) Eq(v value.Value) []ID {
 	if !v.IsDefined() {
 		return nil
 	}
-	key := attrKeyOf(v)
-	if x.kind == AttrHash {
-		return x.buckets[key]
-	}
-	lo, hi := x.eqBounds(key)
-	if lo == hi {
+	lo, hi := x.eqBounds(attrKeyOf(v))
+	return x.ids(lo, hi) // ascending and unique within one key
+}
+
+// ids collects the root IDs of the postings between lo and hi.
+func (x *AttrIdx) ids(lo, hi runPos) []ID {
+	n := x.run.count(lo, hi)
+	if n == 0 {
 		return nil
 	}
-	out := make([]ID, 0, hi-lo)
-	for _, e := range x.postings[lo:hi] {
-		out = append(out, e.id) // ascending and unique within one key
-	}
+	out := make([]ID, 0, n)
+	x.run.each(lo, hi, func(e attrEntry) { out = append(out, e.id) })
 	return out
 }
 
-// eqBounds returns the half-open posting range holding exactly key.
-func (x *AttrIdx) eqBounds(key attrValKey) (int, int) {
-	lo := sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.cmp(key) >= 0 })
-	hi := sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.cmp(key) > 0 })
-	return lo, hi
+// eqBounds returns the postings holding exactly key.
+func (x *AttrIdx) eqBounds(key attrValKey) (runPos, runPos) {
+	return x.run.seek(func(e attrEntry) bool { return e.key.cmp(key) >= 0 }),
+		x.run.seek(func(e attrEntry) bool { return e.key.cmp(key) > 0 })
 }
 
-// rangeBounds returns the half-open posting range for values of the bounds'
-// kind between lo and hi (either may be Undefined for an open end). ok is
-// false when the index is not ordered; mismatched or unordered bounds
-// produce an empty range, matching the scan path where value.Compare
-// refuses them and the predicate matches nothing.
-func (x *AttrIdx) rangeBounds(lo, hi value.Value, loIncl, hiIncl bool) (int, int, bool) {
+// rangeBounds returns the postings with values of the bounds' kind between
+// lo and hi (either may be Undefined for an open end). ok is false when the
+// index is not ordered; mismatched or unordered bounds produce an empty
+// range, matching the scan path where value.Compare refuses them and the
+// predicate matches nothing.
+func (x *AttrIdx) rangeBounds(lo, hi value.Value, loIncl, hiIncl bool) (runPos, runPos, bool) {
 	if x.kind != AttrOrdered {
-		return 0, 0, false
+		return runPos{}, runPos{}, false
 	}
 	var kind uint8
 	switch {
@@ -320,31 +290,31 @@ func (x *AttrIdx) rangeBounds(lo, hi value.Value, loIncl, hiIncl bool) (int, int
 	case hi.IsDefined():
 		kind = uint8(hi.Kind())
 	default:
-		return 0, 0, false
+		return runPos{}, runPos{}, false
 	}
 	if kind == uint8(value.KindBoolean) || kind == uint8(value.KindNone) ||
 		(lo.IsDefined() && hi.IsDefined() && lo.Kind() != hi.Kind()) {
-		return 0, 0, true // unordered or mismatched bounds: matches nothing
+		return runPos{}, runPos{}, true // unordered or mismatched bounds: matches nothing
 	}
-	start := sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.kind >= kind })
+	start := x.run.seek(func(e attrEntry) bool { return e.key.kind >= kind })
 	if lo.IsDefined() {
 		key := attrKeyOf(lo)
 		want := 0
 		if !loIncl {
 			want = 1
 		}
-		start = sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.cmp(key) >= want })
+		start = x.run.seek(func(e attrEntry) bool { return e.key.cmp(key) >= want })
 	}
-	end := sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.kind > kind })
+	end := x.run.seek(func(e attrEntry) bool { return e.key.kind > kind })
 	if hi.IsDefined() {
 		key := attrKeyOf(hi)
 		want := 1
 		if !hiIncl {
 			want = 0
 		}
-		end = sort.Search(len(x.postings), func(i int) bool { return x.postings[i].key.cmp(key) >= want })
+		end = x.run.seek(func(e attrEntry) bool { return e.key.cmp(key) >= want })
 	}
-	if end < start {
+	if end.before(start) {
 		end = start
 	}
 	return start, end, true
@@ -354,7 +324,7 @@ func (x *AttrIdx) rangeBounds(lo, hi value.Value, loIncl, hiIncl bool) (int, int
 // materializing it. ok is false when the index cannot answer ranges.
 func (x *AttrIdx) EstRange(lo, hi value.Value, loIncl, hiIncl bool) (int, bool) {
 	start, end, ok := x.rangeBounds(lo, hi, loIncl, hiIncl)
-	return end - start, ok
+	return x.run.count(start, end), ok
 }
 
 // Range returns the roots with some leaf value between lo and hi (either
@@ -365,120 +335,20 @@ func (x *AttrIdx) Range(lo, hi value.Value, loIncl, hiIncl bool) ([]ID, bool) {
 	if !ok {
 		return nil, false
 	}
-	if start == end {
-		return nil, true
-	}
-	out := make([]ID, 0, end-start)
-	for _, e := range x.postings[start:end] {
-		out = append(out, e.id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	uniq := out[:0]
-	for i, id := range out {
-		if i > 0 && id == out[i-1] {
-			continue
-		}
-		uniq = append(uniq, id)
-	}
-	return uniq, true
+	out := x.ids(start, end)
+	slices.Sort(out)
+	return slices.Compact(out), true
 }
 
 // Patch derives the next generation: remove holds the previous postings of
-// every affected root (all of them — removal filters by root ID), add holds
-// those roots' fresh postings. Untouched state is shared: the ordered array
-// is merged in one pass, a hash patch clones the bucket map header and
-// rebuilds only the touched buckets.
+// every affected root, exactly as the previous generation indexed them, and
+// add holds those roots' fresh postings. A posting in both stays. Only the
+// run chunks the postings land in are rebuilt; the rest are shared.
 func (x *AttrIdx) Patch(remove, add []AttrPosting) *AttrIdx {
 	if len(remove) == 0 && len(add) == 0 {
 		return x
 	}
-	rm := make(map[ID]bool, len(remove))
-	for _, p := range remove {
-		rm[p.ID] = true
-	}
-	addEntries := make([]attrEntry, 0, len(add))
-	for _, p := range add {
-		if !p.Val.IsDefined() {
-			continue
-		}
-		addEntries = append(addEntries, attrEntry{key: attrKeyOf(p.Val), id: p.ID})
-	}
-	sortAttrEntries(addEntries)
-	addEntries = dedupAttrEntries(addEntries)
-
-	if x.kind == AttrHash {
-		return x.patchHash(remove, rm, addEntries)
-	}
-
-	out := make([]attrEntry, 0, len(x.postings)+len(addEntries))
-	ai := 0
-	for _, e := range x.postings {
-		if rm[e.id] {
-			continue
-		}
-		for ai < len(addEntries) {
-			c := addEntries[ai].key.cmp(e.key)
-			if c > 0 || (c == 0 && addEntries[ai].id >= e.id) {
-				break
-			}
-			out = append(out, addEntries[ai])
-			ai++
-		}
-		if ai < len(addEntries) && addEntries[ai].key.cmp(e.key) == 0 && addEntries[ai].id == e.id {
-			ai++ // identical entry re-added; keep one copy
-		}
-		out = append(out, e)
-	}
-	out = append(out, addEntries[ai:]...)
-	return &AttrIdx{kind: AttrOrdered, n: len(out), postings: out}
-}
-
-func (x *AttrIdx) patchHash(remove []AttrPosting, rm map[ID]bool, addEntries []attrEntry) *AttrIdx {
-	touched := make(map[attrValKey][]ID)
-	for _, p := range remove {
-		key := attrKeyOf(p.Val)
-		if _, ok := touched[key]; !ok {
-			touched[key] = nil
-		}
-	}
-	for _, e := range addEntries {
-		touched[e.key] = append(touched[e.key], e.id) // ascending, deduped
-	}
-	buckets := make(map[attrValKey][]ID, len(x.buckets))
-	n := x.n
-	for key, ids := range x.buckets {
-		buckets[key] = ids
-	}
-	for key, addIDs := range touched {
-		old := buckets[key]
-		ids := make([]ID, 0, len(old)+len(addIDs))
-		ai := 0
-		for _, id := range old {
-			if rm[id] {
-				n--
-				continue
-			}
-			for ai < len(addIDs) && addIDs[ai] < id {
-				ids = append(ids, addIDs[ai])
-				ai++
-				n++
-			}
-			if ai < len(addIDs) && addIDs[ai] == id {
-				ai++
-			}
-			ids = append(ids, id)
-		}
-		for ; ai < len(addIDs); ai++ {
-			ids = append(ids, addIDs[ai])
-			n++
-		}
-		if len(ids) == 0 {
-			delete(buckets, key)
-		} else {
-			buckets[key] = ids
-		}
-	}
-	return &AttrIdx{kind: AttrHash, n: n, buckets: buckets}
+	return &AttrIdx{kind: x.kind, run: x.run.Patch(attrEntries(add), attrEntries(remove))}
 }
 
 // AttrIndexedView is an optional View extension implemented by views that

@@ -3,6 +3,7 @@ package item
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,33 +124,86 @@ func TestAttrIdxRangeRefusals(t *testing.T) {
 
 func TestAttrIdxPatch(t *testing.T) {
 	for _, kind := range []AttrKind{AttrHash, AttrOrdered} {
-		base := NewAttrIdx(kind, []AttrPosting{
-			posting(value.NewString("a"), 1),
-			posting(value.NewString("a"), 2),
-			posting(value.NewString("b"), 3),
-		})
-		// Root 2 changes value a->b; root 4 appears with value a.
-		next := base.Patch(
-			[]AttrPosting{posting(value.NewString("a"), 2)},
-			[]AttrPosting{posting(value.NewString("b"), 2), posting(value.NewString("a"), 4)},
-		)
-		if got := next.Eq(value.NewString("a")); !reflect.DeepEqual(got, ids(1, 4)) {
-			t.Errorf("%s patched Eq(a) = %v, want [1 4]", kind, got)
-		}
-		if got := next.Eq(value.NewString("b")); !reflect.DeepEqual(got, ids(2, 3)) {
-			t.Errorf("%s patched Eq(b) = %v, want [2 3]", kind, got)
-		}
-		if got := next.Len(); got != 4 {
-			t.Errorf("%s patched Len = %d, want 4", kind, got)
-		}
-		// The base is immutable: the patch must not have changed it.
-		if got := base.Eq(value.NewString("a")); !reflect.DeepEqual(got, ids(1, 2)) {
-			t.Errorf("%s base mutated: Eq(a) = %v, want [1 2]", kind, got)
-		}
-		// Removing the last posting of a value empties it out.
-		gone := next.Patch([]AttrPosting{posting(value.NewString("b"), 2), posting(value.NewString("b"), 3)}, nil)
-		if got := gone.Eq(value.NewString("b")); len(got) != 0 {
-			t.Errorf("%s emptied Eq(b) = %v, want empty", kind, got)
+		testAttrIdxPatchSmall(t, kind)
+		testAttrIdxPatchChunked(t, kind)
+	}
+}
+
+func testAttrIdxPatchSmall(t *testing.T, kind AttrKind) {
+	base := NewAttrIdx(kind, []AttrPosting{
+		posting(value.NewString("a"), 1),
+		posting(value.NewString("a"), 2),
+		posting(value.NewString("b"), 3),
+	})
+	// Root 2 changes value a->b; root 4 appears with value a.
+	next := base.Patch(
+		[]AttrPosting{posting(value.NewString("a"), 2)},
+		[]AttrPosting{posting(value.NewString("b"), 2), posting(value.NewString("a"), 4)},
+	)
+	if got := next.Eq(value.NewString("a")); !reflect.DeepEqual(got, ids(1, 4)) {
+		t.Errorf("%s patched Eq(a) = %v, want [1 4]", kind, got)
+	}
+	if got := next.Eq(value.NewString("b")); !reflect.DeepEqual(got, ids(2, 3)) {
+		t.Errorf("%s patched Eq(b) = %v, want [2 3]", kind, got)
+	}
+	if got := next.Len(); got != 4 {
+		t.Errorf("%s patched Len = %d, want 4", kind, got)
+	}
+	// The base is immutable: the patch must not have changed it.
+	if got := base.Eq(value.NewString("a")); !reflect.DeepEqual(got, ids(1, 2)) {
+		t.Errorf("%s base mutated: Eq(a) = %v, want [1 2]", kind, got)
+	}
+	// Removing the last posting of a value empties it out.
+	gone := next.Patch([]AttrPosting{posting(value.NewString("b"), 2), posting(value.NewString("b"), 3)}, nil)
+	if got := gone.Eq(value.NewString("b")); len(got) != 0 {
+		t.Errorf("%s emptied Eq(b) = %v, want empty", kind, got)
+	}
+}
+
+// testAttrIdxPatchChunked patches an index whose postings span many run
+// chunks: a value's whole group moves to another value, one root takes its
+// place, and the old generation keeps answering as before.
+func testAttrIdxPatchChunked(t *testing.T, kind AttrKind) {
+	const roots, groups = 2000, 20
+	val := func(g int) value.Value { return value.NewInteger(int64(g)) }
+	var posts []AttrPosting
+	for id := 1; id <= roots; id++ {
+		posts = append(posts, posting(val(id%groups), uint64(id)))
+	}
+	base := NewAttrIdx(kind, posts)
+	if _, most := chunkBounds[attrEntry](); len(base.run.chunks) < roots/most {
+		t.Fatalf("%s: %d postings in %d chunks, want several", kind, roots, len(base.run.chunks))
+	}
+	// Every root of group 3 moves to group 7; root 1 moves to group 3.
+	var remove, add []AttrPosting
+	for id := 3; id <= roots; id += groups {
+		remove = append(remove, posting(val(3), uint64(id)))
+		add = append(add, posting(val(7), uint64(id)))
+	}
+	remove = append(remove, posting(val(1), 1))
+	add = append(add, posting(val(3), 1))
+	next := base.Patch(remove, add)
+
+	if got := next.Len(); got != roots {
+		t.Errorf("%s patched Len = %d, want %d", kind, got, roots)
+	}
+	if got := next.Eq(val(3)); !reflect.DeepEqual(got, ids(1)) {
+		t.Errorf("%s patched Eq(3) = %v, want [1]", kind, got)
+	}
+	if got, want := next.EstEq(val(7)), 2*roots/groups; got != want {
+		t.Errorf("%s patched EstEq(7) = %d, want %d", kind, got, want)
+	}
+	eq7 := next.Eq(val(7))
+	if len(eq7) != 2*roots/groups || !slices.IsSorted(eq7) || eq7[0] != 3 || eq7[1] != 7 {
+		t.Errorf("%s patched Eq(7) = %v..., want both groups merged ascending", kind, eq7[:min(4, len(eq7))])
+	}
+	if got, want := base.EstEq(val(3)), roots/groups; got != want {
+		t.Errorf("%s base changed: EstEq(3) = %d, want %d", kind, got, want)
+	}
+	if kind == AttrOrdered {
+		got, _ := next.Range(val(3), val(7), true, false)
+		if want := 1 + 3*roots/groups; len(got) != want || !slices.IsSorted(got) {
+			t.Errorf("ordered patched Range[3,7) = %d ids, want %d ascending", len(got), want)
 		}
 	}
 }

@@ -336,12 +336,12 @@ func (fm *frozenMut) kindOf(e ast.Expr) frozenKind {
 func (fm *frozenMut) callResult(call *ast.CallExpr) frozenKind {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if obj := fm.pass.TypesInfo.Uses[fun]; obj != nil && fm.frozenFuncs[obj] {
+		if obj := fm.pass.TypesInfo.Uses[fun]; obj != nil && fm.frozenFuncs[origin(obj)] {
 			return frozenData
 		}
 	case *ast.SelectorExpr:
 		// A method (or interface method) marked //seedlint:frozen.
-		if obj := fm.pass.TypesInfo.Uses[fun.Sel]; obj != nil && fm.frozenFuncs[obj] {
+		if obj := fm.pass.TypesInfo.Uses[fun.Sel]; obj != nil && fm.frozenFuncs[origin(obj)] {
 			return frozenData
 		}
 		sel := fm.pass.TypesInfo.Selections[fun]
@@ -361,6 +361,15 @@ func (fm *frozenMut) callResult(call *ast.CallExpr) frozenKind {
 		}
 	}
 	return notFrozen
+}
+
+// origin maps a use of an instantiated generic function or method (item.Run's
+// Slice, say) to the declaration that carries the directive.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
 }
 
 func (fm *frozenMut) report(pos token.Pos, format string, args ...any) {

@@ -168,3 +168,19 @@ func methodAccessorsClean(t *colTable, ti table) {
 	more = make([]int, 1)
 	more[0] = 4
 }
+
+// run stands in for item.Run: the directive sits on a method of a generic
+// type and covers the calls on every instantiation.
+type run[T any] struct{ flat []T }
+
+// slice returns the shared flat slice; callers must clone before mutating.
+//
+//seedlint:frozen
+func (r *run[T]) slice() []T { return r.flat }
+
+func genericAccessor(r *run[int]) {
+	ids := r.slice()
+	ids[0] = 1 // want `write into the shared slice`
+	own := append([]int(nil), r.slice()...)
+	own[0] = 1
+}

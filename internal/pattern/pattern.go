@@ -387,19 +387,28 @@ func (s *Spliced) ObjectsWithNamePrefix(prefix string) ([]item.ID, bool) {
 
 // CountOfClass implements item.ClassCounter: the base extent size plus the
 // virtual objects of the class, without the per-object filter walk that
-// materializing through ObjectsOfClass pays. Pattern roots the list would
-// hide stay counted — the planner wants a cheap upper bound, and whichever
-// access path executes re-checks every candidate against the view.
+// materializing through ObjectsOfClass pays. The base extent is counted by
+// the base's own ClassCounter when it has one, so a frozen base need not
+// flatten its class list either. Pattern roots the list would hide stay
+// counted — the planner wants a cheap upper bound, and whichever access
+// path executes re-checks every candidate against the view.
 func (s *Spliced) CountOfClass(qualified string) (int, bool) {
 	iv, ok := s.base.(item.IndexedView)
 	if !ok {
 		return 0, false
 	}
-	baseIDs, ok := iv.ObjectsOfClass(qualified)
+	var n int
+	if cc, isCounter := iv.(item.ClassCounter); isCounter {
+		n, ok = cc.CountOfClass(qualified)
+	} else {
+		var baseIDs []item.ID
+		baseIDs, ok = iv.ObjectsOfClass(qualified)
+		n = len(baseIDs)
+	}
 	if !ok {
 		return 0, false
 	}
-	return len(baseIDs) + len(s.vByClass[qualified]), true
+	return n + len(s.vByClass[qualified]), true
 }
 
 // AttrIndex implements item.AttrIndexedView by delegating to the base view's

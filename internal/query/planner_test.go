@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/item"
+	"repro/internal/pattern"
 	"repro/internal/query"
 	"repro/seed"
 )
@@ -368,6 +369,14 @@ func TestPlannerChoosesIndexedPath(t *testing.T) {
 		if cv.lists != 0 || cv.counts == 0 {
 			t.Errorf("%s: class extent listed %d times, counted %d; want 0 lists", tc.name, cv.lists, cv.counts)
 		}
+	}
+
+	// A spliced view sizes its base extent through the base's ClassCounter
+	// too, never by listing it.
+	cv := &classCounting{View: v}
+	if n, ok := pattern.NewSpliced(cv).CountOfClass("Data"); !ok || n == 0 || cv.lists != 0 || cv.counts != 1 {
+		t.Errorf("spliced CountOfClass = %d, %v: class extent listed %d times, counted %d; want 0 lists, 1 count",
+			n, ok, cv.lists, cv.counts)
 	}
 
 	// Forcing the name path on a prefix glob runs the same ordered-index
