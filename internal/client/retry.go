@@ -23,27 +23,16 @@ type RetryPolicy struct {
 // 500ms cap — about two seconds of total patience.
 var DefaultRetry = RetryPolicy{Base: 5 * time.Millisecond, Cap: 500 * time.Millisecond, Attempts: 8}
 
-// FailureClass is the retry decision an error maps onto: the class column
-// of the wire.Refusals table. Retryable collapses it to a boolean; callers
-// that manage their own connections branch on the class directly.
-type FailureClass = wire.FailureClass
-
-// The retry classes, documented at their wire declarations.
-const (
-	ClassPermanent = wire.ClassPermanent
-	ClassRetry     = wire.ClassRetry
-	ClassRedial    = wire.ClassRedial
-)
-
 // Classify maps an error onto the class of the wire.Refusals row whose
 // sentinel it wraps. Every other error (transport failures included)
 // classifies as permanent: a retry loop must not spin on an error it cannot
-// reason about.
-func Classify(err error) FailureClass {
+// reason about. Retryable collapses the class to a boolean; callers that
+// manage their own connections branch on the class directly.
+func Classify(err error) wire.FailureClass {
 	if r := wire.RefusalOf(err); r != nil {
 		return r.Class
 	}
-	return ClassPermanent
+	return wire.ClassPermanent
 }
 
 // Retryable reports whether an error is transient server pushback worth
@@ -53,7 +42,7 @@ func Classify(err error) FailureClass {
 // stop returning — is permanent for the purposes of a retry loop against
 // one connection.
 func Retryable(err error) bool {
-	return Classify(err) == ClassRetry
+	return Classify(err) == wire.ClassRetry
 }
 
 // Retry runs op, retrying with DefaultRetry's jittered exponential backoff

@@ -88,7 +88,7 @@ func TestRetryHonorsContext(t *testing.T) {
 // place: it will not stop refusing.
 func TestRetryableClassification(t *testing.T) {
 	for _, r := range wire.Refusals {
-		if got := client.Retryable(fmt.Errorf("w: %w", r.Err)); got != (r.Class == client.ClassRetry) {
+		if got := client.Retryable(fmt.Errorf("w: %w", r.Err)); got != (r.Class == wire.ClassRetry) {
 			t.Errorf("Retryable(%v) = %v, row class %v", r.Err, got, r.Class)
 		}
 	}
@@ -111,7 +111,7 @@ func TestClassifyTable(t *testing.T) {
 		}
 	}
 	for _, err := range []error{client.ErrRemote, errors.New("transport: broken pipe"), nil} {
-		if got := client.Classify(err); got != client.ClassPermanent {
+		if got := client.Classify(err); got != wire.ClassPermanent {
 			t.Errorf("Classify(%v) = %v, want permanent", err, got)
 		}
 	}

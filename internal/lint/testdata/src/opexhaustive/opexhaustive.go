@@ -53,6 +53,17 @@ func handledDefault(op Op) int {
 	}
 }
 
+// A map literal keyed by Op is a table: it must have a row per op.
+var fullTable = map[Op]int{OpGet: 1, OpPut: 2, OpDel: 3}
+
+var missingTable = map[Op]int{ // want `map literal keyed by wire.Op does not cover OpPut`
+	OpGet: 1,
+	OpDel: 3,
+}
+
+// An empty literal is an empty container, not a table.
+var emptyTable = map[Op]int{}
+
 // A switch over a different string type is out of scope.
 type mode string
 

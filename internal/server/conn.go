@@ -1,0 +1,353 @@
+package server
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// lane is where a routed request executes.
+type lane uint8
+
+const (
+	// laneRead: a goroutine of its own, at most perConn per connection,
+	// against a pinned immutable snapshot; answers may overtake each other.
+	laneRead lane = iota
+	// laneFIFO: the connection's one mutation worker, which keeps the
+	// client's order — a check-in pipelined behind its checkout finds the
+	// locks in place — and counts toward Shutdown's drain wait.
+	laneFIFO
+	// laneStream: inline in readLoop, after returning the admission token —
+	// the publisher the handler starts is paced by the subscriber's reads,
+	// not by the execution budget.
+	laneStream
+)
+
+// route is one row of the op table.
+type route struct {
+	lane     lane
+	ungated  bool // skips admission, so a saturated server still answers handshakes
+	drain    bool // a draining server refuses it with wire.ErrShuttingDown
+	follower bool // a follower refuses it with wire.ErrNotPrimary
+	handle   func(s *Server, c *conn, req *wire.Request) *wire.Response
+}
+
+// routes is the op table, the one place an op's policy is spelled;
+// opexhaustive holds it to a row per declared op. A draining server refuses
+// what would start new work — check-outs, check-ins, version freezes, and a
+// log subscription to a log with no future — while release and retrieval
+// keep answering so clients can wind down. A follower refuses everything
+// that mutates (the primary owns the commit order) and subscribe-log
+// (followers do not chain); its retrieval answers from the replica.
+var routes = map[wire.Op]route{
+	// lane, ungated, drain, follower, handler
+	wire.OpHello:        {laneRead, true, false, false, (*Server).handleHello},
+	wire.OpGet:          {laneRead, false, false, false, (*Server).handleGet},
+	wire.OpList:         {laneRead, false, false, false, (*Server).handleList},
+	wire.OpQuery:        {laneRead, false, false, false, (*Server).handleQuery},
+	wire.OpVersions:     {laneRead, false, false, false, (*Server).handleVersions},
+	wire.OpCompleteness: {laneRead, false, false, false, (*Server).handleCompleteness},
+	wire.OpStats:        {laneRead, false, false, false, (*Server).handleStats},
+	wire.OpCheckout:     {laneFIFO, false, true, true, (*Server).handleCheckout},
+	wire.OpCheckin:      {laneFIFO, false, true, true, (*Server).handleCheckin},
+	wire.OpRelease:      {laneFIFO, false, false, true, (*Server).handleRelease},
+	wire.OpSaveVersion:  {laneFIFO, false, true, true, (*Server).handleSaveVersion},
+	wire.OpSubscribeLog: {laneStream, false, true, true, (*Server).handleSubscribeLog},
+}
+
+// unknownOp routes an op the table has no row for: admitted, answered with
+// an uncoded error on the FIFO lane, and the connection stays open.
+var unknownOp = route{lane: laneFIFO, handle: func(_ *Server, _ *conn, req *wire.Request) *wire.Response {
+	return fail(fmt.Errorf("server: unknown op %q", req.Op))
+}}
+
+// maxPipelinedReads is the default perConn: how many retrieval requests
+// one connection may have executing at once.
+const maxPipelinedReads = 32
+
+// rejectFlushTimeout bounds the write of a protocol rejection on a server
+// with no write deadline configured.
+const rejectFlushTimeout = 5 * time.Second
+
+// conn is one client connection: readLoop admits frames and dispatches
+// each on its route's lane; every response funnels through writeLoop, which
+// owns the write side, so concurrent handlers never interleave frames.
+type conn struct {
+	s  *Server
+	id string // client ID: owner of the connection's locks
+	nc net.Conn
+	// writeBound is the deadline of one response write. When only the idle
+	// timeout is armed, responses inherit it: a client that fills the
+	// pipeline and stops reading would otherwise park the writer in a
+	// deadline-less Write, wedge every handler behind the full write
+	// channel, and keep the reader from ever reaching its read deadline.
+	writeBound time.Duration
+	writeCh    chan *wire.Response // two pipelines deep, so handlers rarely wait on the writer
+	// done closes when readLoop exits. writeCh closes only after handlers
+	// drain, so a publisher (counted in handlers) must give up on done
+	// rather than block on a dead connection's writeCh forever.
+	done     chan struct{}
+	handlers sync.WaitGroup
+	fifo     chan admitted // the mutation lane, in the client's order
+	sem      chan struct{} // bounds the read lane at perConn in flight
+}
+
+// admitted is one request on the mutation lane, with its route and its
+// admission-token release.
+type admitted struct {
+	rt      route
+	req     *wire.Request
+	release func()
+}
+
+func (s *Server) serveConn(nc net.Conn) {
+	defer nc.Close()
+	s.mu.Lock()
+	if s.closed {
+		// Accepted in the race window while Close tore the listener down;
+		// registering now would leak past closeConns' snapshot.
+		s.mu.Unlock()
+		return
+	}
+	s.conns[nc] = struct{}{}
+	s.nextCli++
+	c := &conn{s: s, id: "client-" + strconv.Itoa(s.nextCli), nc: nc, writeBound: s.writeTimeout,
+		writeCh: make(chan *wire.Response, s.perConn*2), done: make(chan struct{}),
+		fifo: make(chan admitted, s.perConn), sem: make(chan struct{}, s.perConn)}
+	s.mu.Unlock()
+	if c.writeBound == 0 {
+		c.writeBound = s.idleTimeout
+	}
+	s.met.connsTotal.Add(1)
+	s.event(c.id, "accept", "remote", nc.RemoteAddr().String())
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+		s.releaseAll(c.id)
+		s.event(c.id, "disconnect")
+	}()
+
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		c.writeLoop()
+	}()
+	c.handlers.Add(1)
+	go func() {
+		defer c.handlers.Done()
+		for a := range c.fifo {
+			c.run(a.rt, a.req, a.release)
+		}
+	}()
+
+	// Teardown, whatever ended the reader: close the socket before draining,
+	// or a stalled client could block the writer, wedge the handlers behind
+	// the full write channel, and keep releaseAll from ever running. After a
+	// protocol rejection the writer must get that one answer out first, so
+	// the socket stays open through the drain (the deferred Close ends it)
+	// under a write deadline that bounds the same stall.
+	if rejected := c.readLoop(); !rejected {
+		nc.Close()
+	} else if c.writeBound == 0 {
+		_ = nc.SetWriteDeadline(time.Now().Add(rejectFlushTimeout))
+	}
+	close(c.done)
+	close(c.fifo)
+	c.handlers.Wait()
+	close(c.writeCh)
+	<-writerDone
+}
+
+// readLoop pulls frames until the client goes away, admits each and hands
+// it to dispatch. A frame of a retired protocol — a hello announcing less
+// than v2, any other request without a Seq — is answered once with an
+// error naming it and ends the loop with rejected set.
+func (c *conn) readLoop() (rejected bool) {
+	s := c.s
+	rd := wire.NewReader(bufio.NewReader(c.nc))
+	for {
+		if s.idleTimeout > 0 {
+			_ = c.nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
+		}
+		req := &wire.Request{}
+		if err := rd.Read(req); err != nil {
+			return false // disconnect, protocol error, or idle timeout
+		}
+		if reason := unsupportedProto(req); reason != "" {
+			s.met.countCode("error")
+			s.event(c.id, "protocol-reject", "reason", reason)
+			c.writeCh <- &wire.Response{Seq: req.Seq, Err: reason}
+			return true
+		}
+		rt, ok := routes[req.Op]
+		if !ok {
+			rt = unknownOp
+		}
+		// Admission: a gated request takes a global execution token before
+		// dispatch. One that cannot get it — limit reached, wait queue full
+		// — is shed right here with the retryable overloaded code; while
+		// this reader waits in the bounded queue it pulls no further frames,
+		// which is the per-connection backpressure.
+		var release func()
+		if !rt.ungated {
+			rel, ok, shed := s.adm.acquire(s.stop)
+			if shed {
+				running, queued := s.adm.gauges()
+				resp := fail(fmt.Errorf("%w (%d in flight, %d queued)", wire.ErrOverloaded, running, queued))
+				resp.Seq = req.Seq
+				s.met.countCode(resp.Code)
+				c.writeCh <- resp
+				continue
+			}
+			if !ok {
+				return false // server teardown while waiting for admission
+			}
+			release = rel
+		}
+		c.dispatch(rt, req, release)
+	}
+}
+
+// unsupportedProto names what makes a frame one of a retired protocol — a
+// hello announcing less than v2, or any other request without the
+// correlation id v2 requires (the v1 lockstep form); "" for a servable frame.
+func unsupportedProto(req *wire.Request) string {
+	switch {
+	case req.Op == wire.OpHello && req.Proto < wire.ProtoV2:
+		return fmt.Sprintf("server: unsupported protocol %d: hello must announce proto >= %d", req.Proto, wire.ProtoV2)
+	case req.Op != wire.OpHello && req.Seq == 0:
+		return fmt.Sprintf("server: unsupported protocol: %s request without a seq; protocol %d correlates every request", req.Op, wire.ProtoV2)
+	}
+	return ""
+}
+
+// dispatch runs one admitted request on its route's lane.
+func (c *conn) dispatch(rt route, req *wire.Request, release func()) {
+	switch rt.lane {
+	case laneFIFO:
+		c.fifo <- admitted{rt, req, release}
+	case laneStream:
+		if release != nil {
+			release()
+		}
+		c.run(rt, req, nil)
+	case laneRead:
+		c.sem <- struct{}{}
+		c.handlers.Add(1)
+		go func() {
+			defer c.handlers.Done()
+			defer func() { <-c.sem }()
+			c.run(rt, req, release)
+		}()
+	}
+}
+
+// run executes one admitted request: it applies the route's refusals — the
+// one place a draining or follower server refuses an op — or else runs the
+// handler, records latency and outcome, returns the admission token, and
+// queues the response. The token is released before the response enters the
+// write channel — a slow-reading client holds only its own connection's
+// buffers, never the global execution budget — while the mutActive drain
+// gauge stays up through the enqueue, so Shutdown's wait covers the response
+// reaching the writer. A nil response means the handler's stream owns the
+// request's Seq.
+func (c *conn) run(rt route, req *wire.Request, release func()) {
+	s := c.s
+	if rt.lane == laneFIFO {
+		s.mu.Lock()
+		s.mutActive++
+		s.mu.Unlock()
+		defer func() {
+			s.mu.Lock()
+			s.mutActive--
+			s.mu.Unlock()
+		}()
+	}
+	start := time.Now()
+	var resp *wire.Response
+	switch {
+	case rt.drain && s.draining.Load():
+		resp = fail(wire.ErrShuttingDown)
+	case rt.follower && s.follower:
+		resp = fail(wire.ErrNotPrimary)
+	default:
+		resp = rt.handle(s, c, req)
+	}
+	code := ""
+	if resp != nil {
+		resp.Seq = req.Seq
+		code = outcomeCode(resp)
+	}
+	s.met.observe(req.Op, code, time.Since(start))
+	if release != nil {
+		release()
+	}
+	if resp != nil {
+		c.writeCh <- resp
+	}
+}
+
+// send queues a response unless the reader has exited or the server stops
+// first, and reports whether it did; publishers send through it.
+func (c *conn) send(resp *wire.Response) bool {
+	select {
+	case c.writeCh <- resp:
+		return true
+	case <-c.done:
+		return false
+	case <-c.s.stop:
+		return false
+	}
+}
+
+// writeLoop owns the write side until writeCh closes. It coalesces: every
+// response already queued joins one buffered burst and one flush, so k
+// requests in flight cost one write syscall, not k. After a write error it
+// keeps draining so blocked handlers can finish.
+func (c *conn) writeLoop() {
+	// The deadline is re-armed per response, not once per burst: it must
+	// bound a stalled write, never the total transfer time of a large
+	// coalesced burst to a healthy slow reader.
+	arm := func() {
+		if c.writeBound > 0 {
+			_ = c.nc.SetWriteDeadline(time.Now().Add(c.writeBound))
+		}
+	}
+	bw := bufio.NewWriterSize(c.nc, 32<<10)
+	w := wire.NewWriter(bw)
+	broken := false
+	for resp := range c.writeCh {
+		if broken {
+			continue
+		}
+		arm()
+		err := w.Write(resp)
+	burst:
+		for err == nil {
+			select {
+			case more, ok := <-c.writeCh:
+				if !ok {
+					break burst // closed mid-burst: flush, then the range ends
+				}
+				arm()
+				err = w.Write(more)
+			default:
+				break burst
+			}
+		}
+		if err == nil {
+			arm()
+			err = bw.Flush()
+		}
+		if err != nil {
+			broken = true
+			c.nc.Close() // unblock readLoop too
+		}
+	}
+}

@@ -25,10 +25,7 @@ import (
 // companion of TestStalledClientReleasesLocks, which covers the idle-
 // timeout-only configuration.
 func TestWriteTimeoutReleasesLocks(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, db := startServer(t, func(s *server.Server) { s.SetTimeouts(0, 100*time.Millisecond) }) // write deadline only
 	root, err := db.CreateObject("Data", "Root")
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +34,6 @@ func TestWriteTimeoutReleasesLocks(t *testing.T) {
 	if _, err := db.CreateValueObject(root, "Description", seed.NewString(strings.Repeat("x", 1<<20))); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db)
-	srv.SetTimeouts(0, 100*time.Millisecond) // write deadline only
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	r := dialRaw(t, addr)
 	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
@@ -63,20 +53,10 @@ func TestWriteTimeoutReleasesLocks(t *testing.T) {
 // zero-depth queue, concurrent hammering clients must see typed, retryable
 // overload rejections — and the counters must account for them.
 func TestAdmissionShedsOverload(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, db := startServer(t, func(s *server.Server) { s.SetAdmission(1, 0, 0) })
 	if _, err := db.CreateObject("Data", "Doc"); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db)
-	srv.SetAdmission(1, 0, 0)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	var shed, okCount, other atomic.Uint64
 	var wg sync.WaitGroup
@@ -143,20 +123,10 @@ func TestAdmissionShedsOverload(t *testing.T) {
 // without a single rejection — queue-or-reject, with waiting preferred
 // while there is room.
 func TestAdmissionQueueAbsorbsBurst(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, db := startServer(t, func(s *server.Server) { s.SetAdmission(1, 64, 0) }) // deeper than the 8 connections' readers
 	if _, err := db.CreateObject("Data", "Doc"); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db)
-	srv.SetAdmission(1, 64, 0) // deeper than the 8 connections' readers
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

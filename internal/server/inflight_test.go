@@ -81,19 +81,10 @@ func TestReleaseAllAbortsInflightTx(t *testing.T) {
 // TestDisconnectReleasesLocksOnWire: end-to-end, a client that vanishes
 // while holding locks frees them for the next client.
 func TestDisconnectReleasesLocksOnWire(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, _, addr := startPrimary(t, seed.Options{})
 	if _, err := db.CreateObject("Data", "Root"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 
 	c1, err := client.Dial(addr)
 	if err != nil {

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,45 +15,68 @@ import (
 	"repro/seed"
 )
 
-// TestDrainRefusalMatrix pins exactly which operations a draining server
-// refuses: the ones that start new work (checkout, checkin, save-version),
-// with the retryable shutting-down code — while retrieval and lock release
-// keep working so clients can finish and wind down.
+// TestDrainRefusalMatrix walks the op table on a draining server: exactly
+// the rows that start new work are refused with the retryable shutting-down
+// code, while retrieval and lock release keep working so clients can finish
+// and wind down.
 func TestDrainRefusalMatrix(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db, s, addr := startPrimary(t, seed.Options{})
 	if _, err := db.CreateObject("Data", "Root"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	s.draining.Store(true)
+	walkRoutes(t, c, "Root", func(rt route) bool { return rt.drain }, wire.ErrShuttingDown,
+		wire.OpCheckin, wire.OpCheckout, wire.OpSaveVersion, wire.OpSubscribeLog)
+}
 
-	for _, req := range []*wire.Request{
-		{Op: wire.OpCheckout, Names: []string{"Root"}},
-		{Op: wire.OpCheckin, Names: []string{"Root"}},
-		{Op: wire.OpSaveVersion, Note: "nope"},
-	} {
-		resp := s.handle("client-1", req)
-		if resp.Code != "shutting-down" {
-			t.Errorf("%s during drain: code %q, want %q (err %q)", req.Op, resp.Code, "shutting-down", resp.Err)
+// walkRoutes sends one request per op-table row over c and holds the row's
+// flag both to the policy pinned here and to what the server answers: a
+// flagged row is refused with want (a redial-class refusal), any other row
+// succeeds.
+func walkRoutes(t *testing.T, c *client.Client, name string, flag func(route) bool, want error, pinned ...wire.Op) {
+	t.Helper()
+	for op, rt := range routes {
+		err := callRoute(c, op, name)
+		switch refused := slices.Contains(pinned, op); {
+		case flag(rt) != refused:
+			t.Errorf("%s: table flag %v, want %v", op, flag(rt), refused)
+		case refused && (!errors.Is(err, want) || client.Classify(err) != wire.ClassRedial):
+			t.Errorf("%s: answered %v, want a redial-class %v", op, err, want)
+		case !refused && err != nil:
+			t.Errorf("%s: %v", op, err)
 		}
 	}
-	for _, req := range []*wire.Request{
-		{Op: wire.OpGet, Names: []string{"Root"}},
-		{Op: wire.OpList},
-		{Op: wire.OpRelease, Names: []string{"Root"}},
-		{Op: wire.OpVersions},
-		{Op: wire.OpCompleteness},
-		{Op: wire.OpStats},
-	} {
-		resp := s.handle("client-1", req)
-		if resp.Err != "" {
-			t.Errorf("%s during drain failed: %s (code %q)", req.Op, resp.Err, resp.Code)
+}
+
+// callRoute issues op the way a client program does: through the client's
+// own call where one exists, so a refusal travels that call's path — the
+// log stream's through LogStream.Next — and as a raw request otherwise,
+// addressing name and carrying the fields any op needs.
+func callRoute(c *client.Client, op wire.Op, name string) (err error) {
+	switch op {
+	case wire.OpCheckout:
+		_, err = c.Checkout(name)
+	case wire.OpRelease:
+		err = c.Release(name)
+	case wire.OpSaveVersion:
+		_, err = c.SaveVersion("walk")
+	case wire.OpSubscribeLog:
+		var ls *client.LogStream
+		if ls, err = c.SubscribeLog(); err == nil {
+			_, err = ls.Next()
+		}
+	default:
+		var p *client.Pending
+		if p, err = c.Send(&wire.Request{Op: op, Proto: wire.ProtoV2, Names: []string{name}, Query: &wire.Query{Class: "Data"}}); err == nil {
+			_, err = p.Await()
 		}
 	}
+	return err
 }
 
 // TestShutdownUnderLoad drives mutating traffic from several clients, calls

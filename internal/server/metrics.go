@@ -62,7 +62,7 @@ var respCodes = func() []string {
 type metrics struct {
 	start      time.Time
 	connsTotal atomic.Uint64
-	ops        map[wire.Op]*opHist // fixed key set, built by newMetrics
+	ops        map[wire.Op]*opHist // one per routes row, built by newMetrics
 	codes      map[string]*atomic.Uint64
 }
 
@@ -72,11 +72,7 @@ func newMetrics() *metrics {
 		ops:   make(map[wire.Op]*opHist),
 		codes: make(map[string]*atomic.Uint64),
 	}
-	for _, op := range []wire.Op{
-		wire.OpHello, wire.OpGet, wire.OpList, wire.OpQuery, wire.OpCheckout,
-		wire.OpCheckin, wire.OpRelease, wire.OpSaveVersion, wire.OpVersions,
-		wire.OpCompleteness, wire.OpStats,
-	} {
+	for op := range routes {
 		m.ops[op] = &opHist{}
 	}
 	for _, c := range respCodes {
@@ -125,6 +121,7 @@ func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 // admission gate, the connection and lock tables, and the database.
 func (s *Server) WriteMetrics(w io.Writer) {
 	m := s.met
+	st := s.stats()
 	fmt.Fprintf(w, "# HELP seed_up Whether the server process is serving.\n# TYPE seed_up gauge\nseed_up 1\n")
 	fmt.Fprintf(w, "# HELP seed_uptime_seconds Seconds since the server was created.\n# TYPE seed_uptime_seconds gauge\nseed_uptime_seconds %s\n",
 		fmtFloat(time.Since(m.start).Seconds()))
@@ -156,37 +153,30 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "seed_responses_total{code=%q} %d\n", c, m.codes[c].Load())
 	}
 	fmt.Fprintf(w, "# HELP seed_rejected_total Requests shed by admission control with the overloaded code.\n# TYPE seed_rejected_total counter\nseed_rejected_total %d\n",
-		s.adm.rejected.Load())
+		st.Rejected)
 	fmt.Fprintf(w, "# HELP seed_connections_total Connections accepted since start.\n# TYPE seed_connections_total counter\nseed_connections_total %d\n",
 		m.connsTotal.Load())
 
-	// Gauges sampled at scrape time.
-	running, queued := s.adm.gauges()
-	s.mu.Lock()
-	conns := len(s.conns)
-	locks := len(s.locks)
-	openTxs := len(s.inflight)
-	s.mu.Unlock()
+	// Gauges, from the sample taken at the top of the scrape.
 	draining := 0
-	if s.draining.Load() {
+	if st.Draining {
 		draining = 1
 	}
-	st := s.db.Stats()
 	for _, g := range []struct {
 		name, help string
 		value      string
 	}{
-		{"seed_inflight_requests", "Requests executing right now (admission tokens held).", strconv.Itoa(running)},
-		{"seed_queued_requests", "Requests waiting in the bounded admission queue.", strconv.Itoa(queued)},
-		{"seed_connections_open", "Open client connections.", strconv.Itoa(conns)},
-		{"seed_locks_held", "Check-out write locks currently held.", strconv.Itoa(locks)},
-		{"seed_open_txs", "Check-in transactions staged right now.", strconv.Itoa(openTxs)},
+		{"seed_inflight_requests", "Requests executing right now (admission tokens held).", strconv.Itoa(st.InFlight)},
+		{"seed_queued_requests", "Requests waiting in the bounded admission queue.", strconv.Itoa(st.Queued)},
+		{"seed_connections_open", "Open client connections.", strconv.Itoa(st.Connections)},
+		{"seed_locks_held", "Check-out write locks currently held.", strconv.Itoa(st.Locks)},
+		{"seed_open_txs", "Check-in transactions staged right now.", strconv.Itoa(st.OpenTxs)},
 		{"seed_draining", "Whether the server is draining for shutdown.", strconv.Itoa(draining)},
-		{"seed_db_objects", "Objects in the database.", strconv.Itoa(st.Core.Objects)},
-		{"seed_db_relationships", "Relationships in the database.", strconv.Itoa(st.Core.Relationships)},
+		{"seed_db_objects", "Objects in the database.", strconv.Itoa(st.Objects)},
+		{"seed_db_relationships", "Relationships in the database.", strconv.Itoa(st.Relationships)},
 		{"seed_db_generation", "Mutation generation of the database.", strconv.FormatUint(st.Generation, 10)},
-		{"seed_wal_segments", "Live write-ahead-log segment files.", strconv.Itoa(st.LogSegments)},
-		{"seed_wal_bytes", "Write-ahead-log size in bytes.", strconv.FormatInt(st.LogBytes, 10)},
+		{"seed_wal_segments", "Live write-ahead-log segment files.", strconv.Itoa(st.WALSegments)},
+		{"seed_wal_bytes", "Write-ahead-log size in bytes.", strconv.FormatInt(st.WALBytes, 10)},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", g.name, g.help, g.name, g.name, g.value)
 	}

@@ -22,6 +22,8 @@ import (
 type rawConn struct {
 	t    *testing.T
 	conn net.Conn
+	rd   *wire.Reader
+	wr   *wire.Writer
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -31,12 +33,12 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawConn{t: t, conn: conn}
+	return &rawConn{t: t, conn: conn, rd: wire.NewReader(conn), wr: wire.NewWriter(conn)}
 }
 
 func (r *rawConn) send(req *wire.Request) {
 	r.t.Helper()
-	if err := wire.WriteFrame(r.conn, req); err != nil {
+	if err := r.wr.Write(req); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -45,7 +47,7 @@ func (r *rawConn) roundTrip(req *wire.Request) *wire.Response {
 	r.t.Helper()
 	r.send(req)
 	var resp wire.Response
-	if err := wire.ReadFrame(r.conn, &resp); err != nil {
+	if err := r.rd.Read(&resp); err != nil {
 		r.t.Fatal(err)
 	}
 	return &resp
@@ -75,9 +77,11 @@ func awaitLockReleased(t *testing.T, addr, name, why string) {
 }
 
 // TestRawFrames: a client that hand-writes v2 frames — hello announcing the
-// version, a Seq on every request — is served like the library client.
+// version, a Seq on every request — is served like the library client. An
+// op the table has no row for gets exactly one uncoded error naming it,
+// counted as "error", and the connection keeps serving.
 func TestRawFrames(t *testing.T) {
-	_, addr, db := startServer(t)
+	srv, addr, db := startServer(t)
 	if _, err := db.CreateObject("Data", "Alarms"); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +93,17 @@ func TestRawFrames(t *testing.T) {
 	if resp := r.roundTrip(&wire.Request{Op: wire.OpGet, Seq: 7, Names: []string{"Alarms"}}); resp.Err != "" || resp.Seq != 7 {
 		t.Errorf("get = %+v", resp)
 	}
+	if resp := r.roundTrip(&wire.Request{Op: "watch", Seq: 9}); resp.Seq != 9 || resp.Code != "" || resp.Err != `server: unknown op "watch"` {
+		t.Errorf("unknown op = %+v", resp)
+	}
+	// The next frame answers the stats request, not the unknown op again.
 	if resp := r.roundTrip(&wire.Request{Op: wire.OpStats, Seq: 8}); resp.Stats == "" || resp.Seq != 8 {
 		t.Errorf("stats = %+v", resp)
+	}
+	var scrape strings.Builder
+	srv.WriteMetrics(&scrape)
+	if line := `seed_responses_total{code="error"} 1`; !strings.Contains(scrape.String(), line+"\n") {
+		t.Errorf("/metrics after one unknown op lacks %q", line)
 	}
 }
 
@@ -111,7 +124,7 @@ func TestRetiredProtocolRejected(t *testing.T) {
 		}
 		_ = r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var next wire.Response
-		if err := wire.ReadFrame(r.conn, &next); !errors.Is(err, io.EOF) {
+		if err := r.rd.Read(&next); !errors.Is(err, io.EOF) {
 			t.Errorf("after the rejection: %+v, %v; want the connection closed", &next, err)
 		}
 	}
@@ -302,20 +315,10 @@ func TestPipelinedMutationFIFO(t *testing.T) {
 // read timeout is disconnected, and the disconnect cleanup frees its locks
 // and aborts its in-flight transaction — the next client gets through.
 func TestIdleTimeoutReleasesLocks(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, db := startServer(t, func(s *server.Server) { s.SetTimeouts(100*time.Millisecond, time.Second) })
 	if _, err := db.CreateObject("Data", "Root"); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db)
-	srv.SetTimeouts(100*time.Millisecond, time.Second)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	stalled, err := client.Dial(addr)
 	if err != nil {
@@ -382,10 +385,7 @@ func TestStatsStructured(t *testing.T) {
 // draining, so a writer blocked on the stalled client's full TCP window
 // cannot wedge the handlers and keep releaseAll from running.
 func TestStalledClientReleasesLocks(t *testing.T) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, addr, db := startServer(t, func(s *server.Server) { s.SetTimeouts(100*time.Millisecond, 0) }) // no write deadline
 	root, err := db.CreateObject("Data", "Root")
 	if err != nil {
 		t.Fatal(err)
@@ -395,13 +395,6 @@ func TestStalledClientReleasesLocks(t *testing.T) {
 	if _, err := db.CreateValueObject(root, "Description", seed.NewString(strings.Repeat("x", 1<<20))); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db)
-	srv.SetTimeouts(100*time.Millisecond, 0) // no write deadline
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	r := dialRaw(t, addr)
 	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})

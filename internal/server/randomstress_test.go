@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/item"
-	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/seed"
 )
@@ -48,16 +47,7 @@ func TestRandomizedConcurrentCheckins(t *testing.T) {
 		clients   = 6
 		iters     = 40
 	)
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(db)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	_, addr, db := startServer(t)
 
 	rootNames := make([]string, rootCount)
 	for i := range rootNames {

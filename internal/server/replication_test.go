@@ -17,7 +17,7 @@ import (
 )
 
 // startPrimary opens a file-backed primary and serves it.
-func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, string) {
+func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, *Server, string) {
 	t.Helper()
 	if opts.Schema == nil {
 		opts.Schema = seed.Figure3Schema()
@@ -33,7 +33,7 @@ func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return db, addr
+	return db, srv, addr
 }
 
 // startReplica runs a Follower against a primary address and waits for its
@@ -82,7 +82,7 @@ func awaitConvergence(t *testing.T, primary, replica *seed.Database, when string
 // surface from replica state, reports its position in stats, and refuses
 // every mutating op with the retryable not-primary code.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{})
+	primary, psrv, primaryAddr := startPrimary(t, seed.Options{})
 	alarms, err := primary.CreateObject("Data", "Alarms")
 	if err != nil {
 		t.Fatal(err)
@@ -134,38 +134,35 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 		t.Fatalf("stats missing follower position: %+v", st)
 	}
 
-	// Mutations are refused with the redial class.
-	if _, err := cli.Checkout("Alarms"); !errors.Is(err, wire.ErrNotPrimary) {
-		t.Fatalf("Checkout on follower = %v, want ErrNotPrimary", err)
-	}
-	if _, err := cli.SaveVersion("nope"); !errors.Is(err, wire.ErrNotPrimary) {
-		t.Fatalf("SaveVersion on follower = %v, want ErrNotPrimary", err)
-	}
-	err = cli.Release("Alarms")
-	if !errors.Is(err, wire.ErrNotPrimary) {
-		t.Fatalf("Release on follower = %v, want ErrNotPrimary", err)
-	}
-	if client.Classify(err) != client.ClassRedial {
-		t.Fatalf("not-primary must classify as redial, got %v", client.Classify(err))
-	}
-	// The refusals are counted under their own code, not as uncoded errors.
+	// Every op-table row answers as its follower flag says: mutations, lock
+	// traffic and subscribe-log (followers do not chain) are refused with the
+	// redial class, the retrieval surface is served.
+	refused := []wire.Op{wire.OpCheckin, wire.OpCheckout, wire.OpRelease, wire.OpSaveVersion, wire.OpSubscribeLog}
+	walkRoutes(t, cli, "Alarms", func(rt route) bool { return rt.follower }, wire.ErrNotPrimary, refused...)
+	// The refusals are counted under their own code, not as uncoded errors,
+	// and the refused subscription is timed like every other op.
 	var scrape strings.Builder
 	fsrv.WriteMetrics(&scrape)
 	for _, line := range []string{
-		`seed_responses_total{code="not-primary"} 3`,
+		fmt.Sprintf(`seed_responses_total{code="not-primary"} %d`, len(refused)),
 		`seed_responses_total{code="error"} 0`,
+		`seed_op_duration_seconds_count{op="subscribe-log"} 1`,
 	} {
 		if !strings.Contains(scrape.String(), line+"\n") {
-			t.Errorf("/metrics after three follower refusals lacks %q", line)
+			t.Errorf("/metrics after the follower refusals lacks %q", line)
 		}
 	}
-	// Followers do not chain: subscribe-log is refused too.
-	ls, err := cli.SubscribeLog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Next(); !errors.Is(err, wire.ErrNotPrimary) {
-		t.Fatalf("SubscribeLog on follower = %v, want ErrNotPrimary", err)
+	// The primary times the follower's one successful subscription (after
+	// the publisher starts, so it may trail the stream).
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		scrape.Reset()
+		psrv.WriteMetrics(&scrape)
+		if strings.Contains(scrape.String(), `seed_op_duration_seconds_count{op="subscribe-log"} 1`+"\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("primary /metrics never timed the subscription:\n%s", scrape.String())
+		}
 	}
 
 	// Writes after bootstrap flow through the live tap.
@@ -186,7 +183,7 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 // the live-tap path and the reconnect-and-resync path.
 func TestReplicaDifferentialRandomized(t *testing.T) {
 	// Tiny segments so bootstrap and resync cross many segment boundaries.
-	primary, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 512})
+	primary, _, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 512})
 	rep, fol := startReplica(t, primaryAddr)
 
 	rng := rand.New(rand.NewPCG(1986, 2))
@@ -253,7 +250,7 @@ func TestReplicaDifferentialRandomized(t *testing.T) {
 // time. Convergence with digest equality proves every cut point resyncs
 // cleanly: nothing lost, nothing applied twice.
 func TestFollowerCrashTruncationMatrix(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 256})
+	primary, _, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 256})
 	// Enough pre-existing state for a multi-segment, multi-chunk bootstrap.
 	for i := 0; i < 12; i++ {
 		if _, err := primary.CreateObject("Data", fmt.Sprintf("Seed%02d", i)); err != nil {
@@ -317,7 +314,7 @@ func TestFollowerCrashTruncationMatrix(t *testing.T) {
 // observed lag is eventually reported and then returns to zero once the
 // burst stops.
 func TestFollowerLagReportsAndRecovers(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{})
+	primary, _, primaryAddr := startPrimary(t, seed.Options{})
 	rep, fol := startReplica(t, primaryAddr)
 
 	for i := 0; i < 50; i++ {

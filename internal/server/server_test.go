@@ -11,14 +11,18 @@ import (
 	"repro/seed"
 )
 
-// startServer spins up a server over a fresh in-memory figure 3 database.
-func startServer(t *testing.T) (*server.Server, string, *seed.Database) {
+// startServer spins up a server over a fresh in-memory figure 3 database;
+// configure runs before Listen (timeouts, admission).
+func startServer(t *testing.T, configure ...func(*server.Server)) (*server.Server, string, *seed.Database) {
 	t.Helper()
 	db, err := seed.NewMemory(seed.Figure3Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(db)
+	for _, f := range configure {
+		f(srv)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

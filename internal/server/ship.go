@@ -2,8 +2,6 @@ package server
 
 import (
 	"errors"
-	"sync"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -39,69 +37,41 @@ func (s *Server) SetReplicaStatus(fn func() (appliedGen, headGen, applied uint64
 	s.replicaStatus = fn
 }
 
-// startPublisher admits one subscribe-log request: it opens the database's
-// log subscription under the commit lock (the consistent cut) and hands the
-// stream to a publisher goroutine registered in the connection's handler
-// group. A non-nil response is a refusal for the caller to send; nil means
-// the stream owns the Seq from here on.
-func (s *Server) startPublisher(req *wire.Request, writeCh chan<- *wire.Response, connDone <-chan struct{}, handlers *sync.WaitGroup) *wire.Response {
-	start := time.Now()
-	refuse := func(err error) *wire.Response {
-		resp := fail(err)
-		s.met.observe(wire.OpSubscribeLog, outcomeCode(resp), time.Since(start))
-		return resp
-	}
-	if s.draining.Load() {
-		return refuse(wire.ErrShuttingDown)
-	}
-	if s.follower {
-		return refuse(wire.ErrNotPrimary)
-	}
+// handleSubscribeLog opens the database's log subscription under the commit
+// lock (the consistent cut) and hands the stream to a publisher goroutine
+// registered in the connection's handler group. It answers only a failure:
+// on success the stream owns the request's Seq from here on.
+func (s *Server) handleSubscribeLog(c *conn, req *wire.Request) *wire.Response {
 	sub, cutGen, err := s.db.SubscribeLog()
 	if err != nil {
-		return refuse(err)
+		return fail(err)
 	}
-	s.met.observe(wire.OpSubscribeLog, "", time.Since(start))
-	handlers.Add(1)
+	c.handlers.Add(1)
 	go func() {
-		defer handlers.Done()
+		defer c.handlers.Done()
 		defer sub.Close()
-		s.publish(req.Seq, sub, cutGen, writeCh, connDone)
+		s.publish(c, req.Seq, sub, cutGen)
 	}()
 	return nil
 }
 
 // publish streams one subscription to one connection. Every send gives up
-// when the connection's reader has exited (connDone) or the server stops —
+// when the connection's reader has exited or the server stops (conn.send) —
 // the write channel closes after the handler group drains, so blocking on
 // it unconditionally would deadlock teardown. Terminal subscription errors
 // (lagged, closed) are reported as a final error response: the follower
 // resubscribes and bootstraps again.
-func (s *Server) publish(seq uint64, sub *storage.Subscription, cutGen uint64, writeCh chan<- *wire.Response, connDone <-chan struct{}) {
-	send := func(chunk *wire.LogChunk) bool {
-		select {
-		case writeCh <- &wire.Response{Seq: seq, Log: chunk}:
-			return true
-		case <-connDone:
-			return false
-		case <-s.stop:
-			return false
-		}
-	}
+func (s *Server) publish(c *conn, seq uint64, sub *storage.Subscription, cutGen uint64) {
 	sendErr := func(err error) {
 		resp := fail(err)
 		resp.Seq = seq
-		select {
-		case writeCh <- resp:
-		case <-connDone:
-		case <-s.stop:
-		}
+		c.send(resp)
 	}
 
 	// Bootstrap: the snapshot establishes the base state (nil means the
 	// primary never compacted — the record stream rebuilds from genesis).
 	snap, _ := sub.Snapshot()
-	if !send(&wire.LogChunk{Kind: wire.LogSnapshot, Snapshot: snap, Gen: cutGen}) {
+	if !c.send(&wire.Response{Seq: seq, Log: &wire.LogChunk{Kind: wire.LogSnapshot, Snapshot: snap, Gen: cutGen}}) {
 		return
 	}
 	// Sealed segments in replay order, records batched into bounded chunks.
@@ -113,7 +83,7 @@ func (s *Server) publish(seq uint64, sub *storage.Subscription, cutGen uint64, w
 			if len(recs) == 0 {
 				return true
 			}
-			ok := send(&wire.LogChunk{Kind: wire.LogRecords, Records: recs, Seg: seg, Gen: cutGen})
+			ok := c.send(&wire.Response{Seq: seq, Log: &wire.LogChunk{Kind: wire.LogRecords, Records: recs, Seg: seg, Gen: cutGen}})
 			recs, size = nil, 0
 			return ok
 		}
@@ -140,7 +110,7 @@ func (s *Server) publish(seq uint64, sub *storage.Subscription, cutGen uint64, w
 	// Bootstrap shipped: drop the segment pin so compaction may reclaim,
 	// and tell the follower it is current as of the cut.
 	sub.EndBootstrap()
-	if !send(&wire.LogChunk{Kind: wire.LogCaughtUp, Gen: cutGen}) {
+	if !c.send(&wire.Response{Seq: seq, Log: &wire.LogChunk{Kind: wire.LogCaughtUp, Gen: cutGen}}) {
 		return
 	}
 	// Live tap: each Next returns one run of committed records in append
@@ -148,12 +118,12 @@ func (s *Server) publish(seq uint64, sub *storage.Subscription, cutGen uint64, w
 	// head coordinate the follower uses to report lag, deliberately read
 	// after the records it annotates so lag is never understated.
 	for {
-		recs, err := sub.Next(connDone)
+		recs, err := sub.Next(c.done)
 		if err != nil {
 			sendErr(err)
 			return
 		}
-		if !send(&wire.LogChunk{Kind: wire.LogRecords, Records: recs, Gen: s.db.Generation()}) {
+		if !c.send(&wire.Response{Seq: seq, Log: &wire.LogChunk{Kind: wire.LogRecords, Records: recs, Gen: s.db.Generation()}}) {
 			return
 		}
 	}

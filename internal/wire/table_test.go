@@ -42,8 +42,8 @@ func TestErrorTable(t *testing.T) {
 				return
 			}
 			var hello wire.Request
-			if wire.ReadFrame(conn, &hello) == nil {
-				_ = wire.WriteFrame(conn, &wire.Response{Err: "refused", Code: code})
+			if wire.NewReader(conn).Read(&hello) == nil {
+				_ = wire.NewWriter(conn).Write(&wire.Response{Err: "refused", Code: code})
 			}
 			conn.Close()
 		}

@@ -370,44 +370,6 @@ type Response struct {
 	Log       *LogChunk     `json:"log,omitempty"`     // replication stream chunk (OpSubscribeLog)
 }
 
-// WriteFrame writes one length-prefixed JSON frame.
-func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var header [4]byte
-	binary.LittleEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed JSON frame into v.
-func ReadFrame(r io.Reader, v any) error {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return err
-	}
-	n := binary.LittleEndian.Uint32(header[:])
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	return nil
-}
-
 // Reader decodes frames from one connection, reusing a growable payload
 // buffer across frames instead of allocating one per frame. Decoded values
 // never alias the buffer (encoding/json copies what it keeps), so a frame's
@@ -478,8 +440,8 @@ func (wr *Writer) Write(v any) error {
 		return err
 	}
 	frame := wr.buf.Bytes()
-	// Encode appends a newline; drop it so frames are byte-identical to
-	// WriteFrame's.
+	// Encode appends a newline; drop it so the payload is exactly the
+	// JSON value.
 	if frame[len(frame)-1] == '\n' {
 		frame = frame[:len(frame)-1]
 	}

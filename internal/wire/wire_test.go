@@ -8,8 +8,21 @@ import (
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+// roundTrip writes req as one frame and reads it back.
+func roundTrip(t *testing.T, req *Request) Request {
+	t.Helper()
 	var buf bytes.Buffer
+	if err := NewWriter(&buf).Write(req); err != nil {
+		t.Fatal(err)
+	}
+	var got Request
+	if err := NewReader(&buf).Read(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func TestFrameRoundTrip(t *testing.T) {
 	req := Request{
 		Op:    OpCheckin,
 		Names: []string{"Alarms"},
@@ -18,13 +31,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			{Kind: UpdateCreateRel, Assoc: "Access", Ends: map[string]string{"from": "Alarms", "by": "S"}},
 		},
 	}
-	if err := WriteFrame(&buf, &req); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := ReadFrame(&buf, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, &req)
 	if got.Op != req.Op || len(got.Updates) != 2 || got.Updates[1].Ends["by"] != "S" {
 		t.Errorf("round trip changed: %+v", got)
 	}
@@ -32,14 +39,16 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
+	w := NewWriter(&buf)
 	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&buf, &Response{ClientID: strings.Repeat("x", i+1)}); err != nil {
+		if err := w.Write(&Response{ClientID: strings.Repeat("x", i+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	rd := NewReader(&buf)
 	for i := 0; i < 3; i++ {
 		var r Response
-		if err := ReadFrame(&buf, &r); err != nil {
+		if err := rd.Read(&r); err != nil {
 			t.Fatal(err)
 		}
 		if len(r.ClientID) != i+1 {
@@ -47,14 +56,14 @@ func TestMultipleFramesSequential(t *testing.T) {
 		}
 	}
 	var r Response
-	if err := ReadFrame(&buf, &r); err != io.EOF {
+	if err := rd.Read(&r); err != io.EOF {
 		t.Errorf("read past end: %v", err)
 	}
 }
 
 // TestReaderWriterReuse drives the buffer-reusing Reader and Writer across
 // frames of shrinking and growing sizes: every frame must round-trip
-// exactly, interoperate with the package-level functions, and — the
+// exactly, interoperate with the reference encoder, and — the
 // property the reuse depends on — a decoded value must stay intact after
 // the next frame overwrites the shared buffer.
 func TestReaderWriterReuse(t *testing.T) {
@@ -66,7 +75,7 @@ func TestReaderWriterReuse(t *testing.T) {
 			if err := w.Write(&Response{Stats: strings.Repeat("s", n)}); err != nil {
 				t.Fatal(err)
 			}
-		} else if err := WriteFrame(&buf, &Response{Stats: strings.Repeat("s", n)}); err != nil {
+		} else if err := writeFrame(&buf, &Response{Stats: strings.Repeat("s", n)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,20 +102,13 @@ func TestReaderWriterReuse(t *testing.T) {
 
 // TestQueryFrame round-trips the v2 query request and its response.
 func TestQueryFrame(t *testing.T) {
-	var buf bytes.Buffer
 	req := Request{Op: OpQuery, Seq: 5, Query: &Query{
 		Class: "Data", Specs: true, NameGlob: "A*",
 		Where:  []Where{{Path: "Text.Selector", Op: CmpContains, ValueKind: 2, Value: "x"}},
 		Follow: []FollowStep{{Assoc: "Access", From: "from", To: "by"}},
 		Limit:  3, Offset: 6,
 	}}
-	if err := WriteFrame(&buf, &req); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := ReadFrame(&buf, &got); err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, &req)
 	if got.Seq != 5 || got.Query == nil || got.Query.Where[0].Op != CmpContains ||
 		got.Query.Follow[0].Assoc != "Access" || got.Query.Offset != 6 {
 		t.Errorf("round trip changed: %+v", got)
@@ -116,14 +118,14 @@ func TestQueryFrame(t *testing.T) {
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	big := Response{Stats: strings.Repeat("a", MaxFrame)}
-	if err := WriteFrame(&buf, &big); !errors.Is(err, ErrFrameTooLarge) {
+	if err := NewWriter(&buf).Write(&big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize write: %v", err)
 	}
 	// Oversize length header on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	var r Response
-	if err := ReadFrame(&buf, &r); !errors.Is(err, ErrFrameTooLarge) {
+	if err := NewReader(&buf).Read(&r); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize read: %v", err)
 	}
 }
@@ -133,7 +135,7 @@ func TestBadJSON(t *testing.T) {
 	buf.Write([]byte{3, 0, 0, 0})
 	buf.WriteString("{{{")
 	var r Response
-	if err := ReadFrame(&buf, &r); !errors.Is(err, ErrBadFrame) {
+	if err := NewReader(&buf).Read(&r); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad json: %v", err)
 	}
 }
@@ -143,7 +145,7 @@ func TestTruncatedFrame(t *testing.T) {
 	buf.Write([]byte{10, 0, 0, 0})
 	buf.WriteString("abc") // claims 10 bytes, has 3
 	var r Response
-	if err := ReadFrame(&buf, &r); err == nil {
+	if err := NewReader(&buf).Read(&r); err == nil {
 		t.Error("truncated frame decoded")
 	}
 }
