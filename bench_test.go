@@ -1,14 +1,13 @@
 package repro
 
 // One benchmark group per evaluation artifact of the paper (experiments
-// E1-E5 of DESIGN.md), the ablation groups A1-A2, a fresh-vs-cached pattern
+// E1-E5 of DESIGN.md), the ablation group A2, a fresh-vs-cached pattern
 // splice group and one staged check-in. The paper reports no absolute
 // numbers — its host is a 1986 workstation — so these benches document the
 // cost shape of each mechanism: what the eager consistency checking costs
-// per update, how delta versions scale against full copies, what pattern
-// splicing costs per inheritor, what a check-in costs against the
-// relationship count, and how the SEED-backed specification tool compares
-// against the plain-struct baseline.
+// per update, what pattern splicing costs per inheritor, what a check-in
+// costs against the relationship count, and how the SEED-backed
+// specification tool compares against the plain-struct baseline.
 
 import (
 	"fmt"
@@ -348,40 +347,6 @@ func BenchmarkE5_SPADES_on_Baseline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- A1 ablation: delta versions (the paper's design) vs. full copies ----
-
-func benchSnapshotMode(b *testing.B, mode seed.SnapshotMode) {
-	db, err := seed.NewMemory(seed.Figure3Schema())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	db.SetSnapshotMode(mode)
-	populate(b, db, 1000)
-	if _, err := db.SaveVersion("base"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, _ := db.ResolvePath(fmt.Sprintf("Obj%d.Description", i%1000))
-		_ = db.SetValue(d, seed.NewString(fmt.Sprintf("v%d", i)))
-		b.StartTimer()
-		if _, err := db.SaveVersion("bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_SnapshotMode_Delta(b *testing.B) {
-	benchSnapshotMode(b, seed.DeltaSnapshots)
-}
-
-func BenchmarkAblation_SnapshotMode_Full(b *testing.B) {
-	benchSnapshotMode(b, seed.FullSnapshots)
 }
 
 // ---- A2 ablation: eager per-update checking vs. deferred full recheck ----

@@ -102,15 +102,14 @@ type Engine struct {
 	inheritsLive map[item.ID]bool // live inherits-relationships (rawView lists them)
 
 	procs   map[string]Procedure
-	journal func(payload []byte) error // persistence sink; nil while replaying or in-memory
+	journal func(records [][]byte) error // persistence sink; nil while replaying or in-memory
 
 	replaying bool
 
-	undo []func() // auto-commit undo scope (per-transaction undo lives on Tx)
-
-	open      map[*Tx]bool       // transactions currently open
+	open      map[*Tx]bool       // transactions currently open (BeginTx until CommitTx/RollbackTx)
+	one       Tx                 // the one-operation transaction of a mutator called outside a Tx
 	curTx     *Tx                // transaction the current operation belongs to
-	commitGen uint64             // bumped per committed transaction or auto-commit write
+	commitGen uint64             // bumped per commit published while transactions are open
 	modGen    map[item.ID]uint64 // last commit generation that changed each item
 	nameGen   map[string]uint64  // last commit generation that changed each root name
 }
@@ -128,6 +127,7 @@ func NewEngine(sch *schema.Schema) (*Engine, error) {
 		inheritsLive: make(map[item.ID]bool),
 		procs:        make(map[string]Procedure),
 		open:         make(map[*Tx]bool),
+		one:          Tx{touched: make(map[item.ID]bool), names: make(map[string]bool)},
 		modGen:       make(map[item.ID]uint64),
 		nameGen:      make(map[string]uint64),
 	}
@@ -185,9 +185,10 @@ func (en *Engine) RegisterProcedure(name string, p Procedure) {
 	en.procs[name] = p
 }
 
-// SetJournal installs the persistence sink receiving one encoded record per
-// committed mutation.
-func (en *Engine) SetJournal(fn func(payload []byte) error) { en.journal = fn }
+// SetJournal installs the persistence sink receiving the encoded records of
+// each committed one-operation transaction as one batch. The sink must not
+// retain the slice; a sink error rolls the operation back.
+func (en *Engine) SetJournal(fn func(records [][]byte) error) { en.journal = fn }
 
 // NextID returns the next item ID the engine would allocate (used by
 // snapshots to preserve monotonic allocation).

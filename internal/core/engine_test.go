@@ -625,10 +625,4 @@ func TestDirtyTracking(t *testing.T) {
 	if len(ids) != 2 {
 		t.Errorf("dirty ids = %v", ids)
 	}
-	// MarkAllDirty covers everything.
-	en.ClearDirty()
-	en.MarkAllDirty()
-	if en.DirtyCount() != 3 {
-		t.Errorf("MarkAllDirty = %d", en.DirtyCount())
-	}
 }

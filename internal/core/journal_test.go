@@ -17,8 +17,8 @@ func TestReplayDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	en := newFig3(t)
 	var journal [][]byte
-	en.SetJournal(func(p []byte) error {
-		journal = append(journal, append([]byte(nil), p...))
+	en.SetJournal(func(records [][]byte) error {
+		journal = append(journal, records...)
 		return nil
 	})
 
@@ -135,8 +135,8 @@ func TestApplyRecordErrors(t *testing.T) {
 func TestJournalBufferedInTx(t *testing.T) {
 	en := newFig3(t)
 	var journal [][]byte
-	en.SetJournal(func(p []byte) error {
-		journal = append(journal, append([]byte(nil), p...))
+	en.SetJournal(func(records [][]byte) error {
+		journal = append(journal, records...)
 		return nil
 	})
 	tx := en.BeginTx()
@@ -157,7 +157,7 @@ func TestJournalBufferedInTx(t *testing.T) {
 		t.Fatalf("rolled-back record reached journal")
 	}
 	if _, err := en.CreateObject("Data", "C"); err != nil || len(journal) != 1 {
-		t.Fatalf("auto-commit after the transactions: %d journaled, err %v", len(journal), err)
+		t.Fatalf("one-operation write after the transactions: %d journaled, err %v", len(journal), err)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestJournalBufferedInTx(t *testing.T) {
 func TestJournalErrorUndoesOp(t *testing.T) {
 	en := newFig3(t)
 	fail := false
-	en.SetJournal(func(p []byte) error {
+	en.SetJournal(func([][]byte) error {
 		if fail {
 			return fmt.Errorf("disk full")
 		}

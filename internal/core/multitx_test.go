@@ -25,7 +25,7 @@ func stage(en *Engine, tx *Tx, op func() error) error {
 
 func TestMultiTxDisjointCommit(t *testing.T) {
 	en := newFig3(t)
-	en.SetJournal(func([]byte) error { return nil }) // records are encoded only with a sink
+	en.SetJournal(func([][]byte) error { return nil }) // records are encoded only with a sink
 	a := mustCreate(t, en, "Data", "A")
 	b := mustCreate(t, en, "Data", "B")
 
@@ -98,10 +98,10 @@ func TestMultiTxOverlapConflicts(t *testing.T) {
 		// a is not claimed by tx1 (only d is), so this is allowed
 		t.Log("CreateSubObject under unclaimed parent allowed (expected)")
 	}
-	// An auto-commit write to the claimed item must conflict too: it would
+	// A one-operation write to the claimed item must conflict too: it would
 	// commit on the spot underneath tx1's staged batch.
 	if err := en.SetValue(d, value.NewString("auto")); !errors.Is(err, ErrTxConflict) {
-		t.Fatalf("auto-commit on claimed item: got %v, want ErrTxConflict", err)
+		t.Fatalf("one-operation write on claimed item: got %v, want ErrTxConflict", err)
 	}
 	if _, err := en.CommitTx(tx1); err != nil {
 		t.Fatal(err)
@@ -334,6 +334,35 @@ func TestMultiTxDeleteCascadeClaimsRelEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := en.CommitTx(tx2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultiTxRejectedAutoOpLeavesNoStamp: a refused one-operation write
+// publishes nothing, so it stamps neither the item nor the name it touched
+// and an open transaction can still claim both.
+func TestMultiTxRejectedAutoOpLeavesNoStamp(t *testing.T) {
+	en := newFig3(t)
+	b := mustCreate(t, en, "Data", "B")
+	d, err := en.CreateValueObject(b, "Description", value.NewString("base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustCreate(t, en, "Data", "A")
+	tx := en.BeginTx()
+	if err := en.SetValue(d, value.NewInteger(1)); err == nil {
+		t.Fatal("kind mismatch accepted")
+	}
+	if _, err := en.CreateObject("Data", "A"); !errors.Is(err, ErrDuplicateName) {
+		t.Fatalf("duplicate create: got %v, want ErrDuplicateName", err)
+	}
+	if err := stage(en, tx, func() error { return en.SetValue(d, value.NewString("tx")) }); err != nil {
+		t.Errorf("tx SetValue after a refused write: %v", err)
+	}
+	if err := stage(en, tx, func() error { return en.Delete(a) }); err != nil {
+		t.Errorf("tx Delete after a refused create: %v", err)
+	}
+	if _, err := en.CommitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,7 +16,9 @@ import (
 // re-classification, deletion, and pattern management. Every operation
 // applies its change, re-checks all consistency rules that apply to the
 // data being updated, and undoes the change if any rule or attached
-// procedure vetoes it — so the database is permanently consistent.
+// procedure vetoes it — so the database is permanently consistent. Each
+// public operation runs in the active transaction or, outside one, in a
+// one-operation transaction (beginOp and endOp in tx.go).
 
 // CreateObject creates an independent object of a top-level class.
 func (en *Engine) CreateObject(className, name string) (item.ID, error) {
@@ -30,7 +32,8 @@ func (en *Engine) CreatePatternObject(className, name string) (item.ID, error) {
 	return en.createObject(className, name, true)
 }
 
-func (en *Engine) createObject(className, name string, asPattern bool) (item.ID, error) {
+func (en *Engine) createObject(className, name string, asPattern bool) (id item.ID, err error) {
+	defer en.endOp(en.beginOp(), &id, &err)
 	cls, err := en.sch.Class(className)
 	if err != nil {
 		return item.NoID, err
@@ -70,7 +73,8 @@ func (en *Engine) createObject(className, name string, asPattern bool) (item.ID,
 // the parent's class or association, following generalization ancestors.
 // The composed name of the new object is parent-name '.' role (with an
 // index when several same-role siblings are allowed).
-func (en *Engine) CreateSubObject(parent item.ID, role string) (item.ID, error) {
+func (en *Engine) CreateSubObject(parent item.ID, role string) (id item.ID, err error) {
+	defer en.endOp(en.beginOp(), &id, &err)
 	cls, parentPattern, err := en.resolveSubObjectClass(parent, role)
 	if err != nil {
 		return item.NoID, err
@@ -96,16 +100,18 @@ func (en *Engine) CreateSubObject(parent item.ID, role string) (item.ID, error) 
 
 // CreateValueObject is CreateSubObject followed by SetValue in one
 // operation, for leaf sub-objects such as 'Alarms.Text.Selector'.
-func (en *Engine) CreateValueObject(parent item.ID, role string, v value.Value) (item.ID, error) {
-	id, err := en.CreateSubObject(parent, role)
-	if err != nil {
-		return item.NoID, err
+func (en *Engine) CreateValueObject(parent item.ID, role string, v value.Value) (id item.ID, err error) {
+	defer en.endOp(en.beginOp(), &id, &err)
+	tx := en.curTx
+	mark, staged := en.mark(), len(tx.pending)
+	if id, err = en.CreateSubObject(parent, role); err == nil {
+		err = en.SetValue(id, v)
 	}
-	if err := en.SetValue(id, v); err != nil {
-		// Roll the creation back too: the operation is atomic.
-		if derr := en.Delete(id); derr != nil {
-			return item.NoID, fmt.Errorf("%v (cleanup failed: %w)", err, derr)
-		}
+	if err != nil {
+		// The operation is atomic: a refused value takes the creation, its
+		// sibling index and its staged record with it.
+		en.rollbackTo(mark)
+		tx.pending = tx.pending[:staged]
 		return item.NoID, err
 	}
 	return id, nil
@@ -155,7 +161,8 @@ func (en *Engine) assignIndex(parent item.ID, role string, cls *schema.Class) in
 
 // SetValue sets (or with value.Undefined clears) the value of a value-class
 // object.
-func (en *Engine) SetValue(id item.ID, v value.Value) error {
+func (en *Engine) SetValue(id item.ID, v value.Value) (err error) {
+	defer en.endOp(en.beginOp(), nil, &err)
 	o, err := en.liveObject(id)
 	if err != nil {
 		return err
@@ -178,7 +185,8 @@ func (en *Engine) SetValue(id item.ID, v value.Value) error {
 // the given ends. If any end is a pattern object, the relationship is
 // created as a pattern relationship (figure 5's PR1/PR2); otherwise pattern
 // ends are a consistency violation.
-func (en *Engine) CreateRelationship(assocName string, ends map[string]item.ID) (item.ID, error) {
+func (en *Engine) CreateRelationship(assocName string, ends map[string]item.ID) (id item.ID, err error) {
+	defer en.endOp(en.beginOp(), &id, &err)
 	assoc, err := en.sch.Association(assocName)
 	if err != nil {
 		return item.NoID, err
@@ -218,7 +226,8 @@ func (en *Engine) CreateRelationship(assocName string, ends map[string]item.ID) 
 // and a normal data item. All retrieval operations thereafter view the
 // pattern's sub-objects and relationships as if they were inserted in the
 // context of the inheritor.
-func (en *Engine) Inherit(patternID, inheritorID item.ID) (item.ID, error) {
+func (en *Engine) Inherit(patternID, inheritorID item.ID) (id item.ID, err error) {
+	defer en.endOp(en.beginOp(), &id, &err)
 	// Reject duplicates up front for a clear error.
 	for _, rid := range en.st.relsOf(inheritorID) {
 		r, _ := en.st.rel(rid)
@@ -256,7 +265,8 @@ func (en *Engine) MarkPattern(id item.ID) error { return en.setPattern(id, true)
 // fails while inheritors exist.
 func (en *Engine) ClearPattern(id item.ID) error { return en.setPattern(id, false) }
 
-func (en *Engine) setPattern(id item.ID, pat bool) error {
+func (en *Engine) setPattern(id item.ID, pat bool) (err error) {
+	defer en.endOp(en.beginOp(), nil, &err)
 	// The pattern flag flips on the item and its whole live subtree.
 	if err := en.claimItems(append([]item.ID{id}, en.subtreeObjects(id)...)...); err != nil {
 		return err
@@ -340,7 +350,8 @@ func (en *Engine) setPatternSubtree(root item.ID, pat bool) {
 // object (with that relationship's attribute sub-objects). Items are marked,
 // not physically removed, which is what makes delta-based version creation
 // cheap. Deleting a pattern that still has inheritors is rejected.
-func (en *Engine) Delete(id item.ID) error {
+func (en *Engine) Delete(id item.ID) (err error) {
+	defer en.endOp(en.beginOp(), nil, &err)
 	if !en.Contains(id) {
 		return fmt.Errorf("%w: item %d", ErrUnknownItem, id)
 	}
@@ -405,7 +416,8 @@ func (en *Engine) Delete(id item.ID) error {
 		en.rollbackTo(mark)
 		return err
 	}
-	return en.commitRecord(en.encDelete(id))
+	en.commitRecord(en.encDelete(id))
+	return nil
 }
 
 // deletionSet computes the cascade: the item, its live subtree, every live
@@ -489,7 +501,8 @@ func (en *Engine) subtreeRels(root item.ID) []item.ID {
 // 'Access' -> 'Write'), or up to weaken it again. The new classification
 // must belong to the same generalization family, and every consistency rule
 // is re-checked for the item, its sub-objects, and its relationships.
-func (en *Engine) Reclassify(id item.ID, newName string) error {
+func (en *Engine) Reclassify(id item.ID, newName string) (err error) {
+	defer en.endOp(en.beginOp(), nil, &err)
 	if o, err := en.liveObject(id); err == nil {
 		return en.reclassifyObject(o, newName)
 	} else if k, known := en.st.kindOf(id); known && k == item.KindObject {
@@ -514,8 +527,8 @@ func (en *Engine) reclassifyObject(o item.Object, newName string) error {
 		return fmt.Errorf("%w: %q and %q are not in one generalization hierarchy",
 			ErrBadReclassify, o.Class.QualifiedName(), newName)
 	}
-	// Claim before the no-op check: an auto-commit reclassification must not
-	// succeed on another transaction's uncommitted item.
+	// Claim before the no-op check: a reclassification must not succeed on
+	// another transaction's uncommitted item.
 	if err := en.claimItems(o.ID); err != nil {
 		return err
 	}
@@ -591,8 +604,8 @@ func (en *Engine) reclassifyRel(r item.Relationship, newName string) error {
 
 // finishMutation runs the post-state validation pipeline shared by all
 // mutations: consistency rules for the touched item, pattern context
-// re-validation, attached procedures, then journaling. On any failure the
-// mutation is undone.
+// re-validation, attached procedures, then staging the journal record. On
+// any failure the mutation is undone.
 func (en *Engine) finishMutation(id item.ID, kind item.Kind, op Op, mark int, record []byte) error {
 	var err error
 	if kind == item.KindObject {
@@ -607,5 +620,6 @@ func (en *Engine) finishMutation(id item.ID, kind item.Kind, op Op, mark int, re
 		en.rollbackTo(mark)
 		return err
 	}
-	return en.commitRecord(record)
+	en.commitRecord(record)
+	return nil
 }

@@ -5,66 +5,45 @@ import (
 )
 
 // Raw state primitives: each applies one physical change to the store and
-// pushes the inverse onto the undo stack. Public operations compose these,
-// validate the result, and roll back on failure.
+// pushes the inverse onto the active transaction's undo log. Public
+// operations compose these, validate the result, and roll back on failure.
 
-// mark returns the current undo stack depth of the active scope (the active
-// transaction's private stack, or the engine's auto-commit stack).
-func (en *Engine) mark() int {
-	if tx := en.curTx; tx != nil {
-		return len(tx.undo)
-	}
-	return len(en.undo)
-}
+// mark returns the depth of the active transaction's undo log.
+func (en *Engine) mark() int { return len(en.curTx.undo) }
 
-// push records an undo step on the active scope. During replay nothing is
-// recorded: replayed records were validated when first written and are never
-// rolled back.
+// push records an undo step on the active transaction. During replay
+// nothing is recorded: replayed records were validated when first written
+// and are never rolled back.
 func (en *Engine) push(fn func()) {
 	if en.replaying {
 		return
 	}
-	if tx := en.curTx; tx != nil {
-		tx.undo = append(tx.undo, fn)
-		return
-	}
-	en.undo = append(en.undo, fn)
+	en.curTx.undo = append(en.curTx.undo, fn)
 }
 
-// rollbackTo undoes every step of the active scope back to a mark.
+// rollbackTo undoes every step of the active transaction back to a mark.
 func (en *Engine) rollbackTo(mark int) {
-	if tx := en.curTx; tx != nil {
-		for i := len(tx.undo) - 1; i >= mark; i-- {
-			tx.undo[i]()
-		}
-		tx.undo = tx.undo[:mark]
-		return
+	tx := en.curTx
+	for i := len(tx.undo) - 1; i >= mark; i-- {
+		tx.undo[i]()
 	}
-	for i := len(en.undo) - 1; i >= mark; i-- {
-		en.undo[i]()
-	}
-	en.undo = en.undo[:mark]
+	tx.undo = tx.undo[:mark]
 }
 
 // markDirty remembers that an item changed since the last version freeze and
-// since the last frozen snapshot generation. Inside a transaction the
-// snapshot mark goes to the transaction's private write set — uncommitted
-// items must never enter a frozen generation — and is merged into snapDirty
-// at commit (or, conservatively, at rollback: the item is back in its
+// since the last frozen snapshot generation. The snapshot mark goes to the
+// active transaction's write set — uncommitted items must never enter a
+// frozen generation — and reaches snapDirty when the transaction publishes
+// (or, conservatively, when it rolls back: the item is back in its
 // pre-change state, and the next delta freeze re-reads that state from the
-// live store, so a conservative mark only costs one spurious patch). Outside
-// a transaction the mutation is committed on the spot, so the item is also
-// stamped with a fresh commit generation: an open transaction that began
-// earlier can no longer claim it.
+// live store, so a conservative mark only costs one spurious patch).
+// Replayed records were committed when first written and mark snapDirty
+// directly.
 func (en *Engine) markDirty(id item.ID) {
-	if tx := en.curTx; tx != nil {
-		tx.touched[id] = true
-	} else {
+	if en.replaying {
 		en.snapDirty[id] = true
-		if !en.replaying && len(en.open) > 0 {
-			en.commitGen++
-			en.modGen[id] = en.commitGen
-		}
+	} else {
+		en.curTx.touched[id] = true
 	}
 	if !en.dirty.Add(id) {
 		return

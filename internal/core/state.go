@@ -21,18 +21,6 @@ func (en *Engine) DirtyCount() int { return en.dirty.Len() }
 // ClearDirty forgets all change marks (called after a version freeze).
 func (en *Engine) ClearDirty() { en.dirty.Reset() }
 
-// MarkAllDirty marks every known item changed. Used by the full-copy
-// snapshot mode of the ablation study (A1 in DESIGN.md) to emulate systems
-// that save the complete database per version.
-func (en *Engine) MarkAllDirty() {
-	for _, id := range en.st.objectIDs() {
-		en.dirty.Add(id)
-	}
-	for _, id := range en.st.relIDs() {
-		en.dirty.Add(id)
-	}
-}
-
 // CaptureAll returns copies of every item state, including deleted items,
 // in ascending ID order — the full database snapshot. Relationship Ends are
 // cloned: the caller owns the result outright.
@@ -63,7 +51,6 @@ func (en *Engine) Restore(objs []item.Object, rels []item.Relationship) {
 	en.st = newColStore(en.attrSpecs)
 	en.indexCtr = make(map[item.ID]map[string]int)
 	en.dirty.Reset()
-	en.undo = en.undo[:0]
 	en.inheritsLive = make(map[item.ID]bool)
 	en.invalidateFrozen() // wholesale replacement: the COW base is meaningless
 	// Conflict stamps refer to the replaced state; callers guarantee no
@@ -138,7 +125,6 @@ func (en *Engine) PurgeDeleted(keep func(item.ID) bool) (int, error) {
 			purged++
 		}
 	}
-	en.undo = en.undo[:0]
 	return purged, nil
 }
 

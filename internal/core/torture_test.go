@@ -20,7 +20,7 @@ import (
 
 // The torture matrix (TestTorture_<Category>_<Configuration>): one seeded op
 // generator drives the engine through random operations — accepted and
-// rejected, auto-commit and staged in interleaved transactions, purges and
+// rejected, one-operation and staged in interleaved transactions, purges and
 // whole-state restores — and applies every accepted one to the reference
 // model of internal/model, with the IDs the engine allocated. After every op
 // the engine's incremental frozen view must equal the model over the whole
@@ -39,14 +39,14 @@ import (
 // bisecting on prefix length, with the ops of that prefix: rerunning the
 // generator from the seed for that many ops replays the failure exactly.
 
-// TestTorture_Differential_Engine: auto-commit operations only.
+// TestTorture_Differential_Engine: one-operation writes only.
 func TestTorture_Differential_Engine(t *testing.T) {
 	torture(t, tortureConfig{}, 7, 800, "create", "sub", "value-sub", "set", "relate",
 		"inherit", "reclassify", "pattern", "delete", "purge")
 }
 
 // TestTorture_Differential_InterleavedTx: up to three transactions staged at
-// once beside auto-commit operations. Views taken between stagings show the
+// once beside one-operation writes. Views taken between stagings show the
 // model's committed state; a conflict or a rollback leaves the model as it
 // was, a commit applies the batch.
 func TestTorture_Differential_InterleavedTx(t *testing.T) {
@@ -54,10 +54,10 @@ func TestTorture_Differential_InterleavedTx(t *testing.T) {
 		"commit", "rollback", "conflict")
 }
 
-// TestTorture_Lifecycle_Replay: the records the engine emits — journaled
-// auto-commit operations and the batches CommitTx returns — replayed into a
-// fresh engine must rebuild the same state, across whole-state CaptureAll →
-// Restore round trips of the original.
+// TestTorture_Lifecycle_Replay: the records the engine emits — the batches
+// one-operation writes journal and the batches CommitTx returns — replayed
+// into a fresh engine must rebuild the same state, across whole-state
+// CaptureAll → Restore round trips of the original.
 func TestTorture_Lifecycle_Replay(t *testing.T) {
 	torture(t, tortureConfig{txs: 1, replay: true}, 1986, 800, "create", "sub", "relate",
 		"delete", "purge", "commit", "restore")
@@ -73,7 +73,7 @@ func TestRandomColumnarVsMapDifferential(t *testing.T) {
 }
 
 // TestFrozenCOWDifferential: published generations are immutable. A
-// generation is held across later ops — auto-commit and staged alike — and
+// generation is held across later ops — one-operation and staged alike — and
 // must still equal the from-scratch rebuild taken when it was published,
 // without relying on -race to notice a write into shared chunks.
 func TestFrozenCOWDifferential(t *testing.T) {
@@ -90,7 +90,7 @@ func TestRandomizedInvariants(t *testing.T) {
 
 // tortureConfig selects one configuration of the engine.
 type tortureConfig struct {
-	txs      int  // transactions staged at once; 0 runs auto-commit only
+	txs      int  // transactions staged at once; 0 runs one-operation writes only
 	replay   bool // feed the emitted records to a replica; restore the original at random
 	cow      bool // hold a published generation and re-check it against its rebuild later
 	validate bool // validate the whole state after every op, not only at the end
@@ -150,7 +150,7 @@ type torturer struct {
 	names []string             // every root name ever created
 
 	open    []*stagedTx // open transactions, in begin order
-	cur     *stagedTx   // transaction the current op stages into; nil: auto-commit
+	cur     *stagedTx   // transaction the current op stages into; nil: a one-operation write
 	txSeq   int
 	applied bool // the current op reached the model (or a staged batch)
 
@@ -182,7 +182,7 @@ func runTorture(cfg tortureConfig, seed int64, steps int) (g *torturer, err erro
 	if cfg.replay {
 		g.replica = newTortureEngine(sch)
 		g.replica.BeginReplay()
-		en.SetJournal(func(rec []byte) error { g.journal = append(g.journal, rec); return nil })
+		en.SetJournal(func(recs [][]byte) error { g.journal = append(g.journal, recs...); return nil })
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -237,7 +237,7 @@ func walkView(v item.View) {
 }
 
 // step runs one op: transaction control, a restore, or a mutation in
-// auto-commit or in one of the open transactions.
+// a one-operation write or in one of the open transactions.
 func (g *torturer) step(i int) error {
 	g.cur = nil
 	switch {
@@ -341,21 +341,13 @@ func (g *torturer) mutate(i int) {
 			}
 			return
 		}
-		next, v := g.en.NextID(), g.value(kind)
+		v := g.value(kind)
 		id, err := g.en.CreateValueObject(parent, role, v)
 		g.logf("CreateValueObject(%d, %s, %v) = %d, %v", parent, role, v, id, err)
+		// Refused ⇒ model unchanged: no sub-object, not even a tombstone.
 		if g.ok("value-sub", err) {
 			g.apply(func(m *model.Model) { m.CreateSubObject(id, parent, role); m.SetValue(id, v) })
 			g.items = append(g.items, id)
-		} else if o, err := g.en.Object(next); err == nil {
-			// The sub-object was created and its value refused: the cleanup
-			// deleted it again (or failed to), both accepted operations.
-			g.apply(func(m *model.Model) {
-				m.CreateSubObject(next, parent, role)
-				if o.Deleted {
-					m.Delete(next)
-				}
-			})
 		}
 	case op < 11:
 		id := g.pick()

@@ -14,6 +14,12 @@ import (
 // transaction is an undo scope plus deferred journaling, not a deferred
 // validation scope.
 //
+// The transaction is the engine's only undo, claim and journal scope. A
+// mutator called with no transaction active runs in a one-operation
+// transaction the engine owns and reuses: it commits its records to the
+// journal sink as one batch when the operation is accepted, and rolls back
+// when the operation is refused or the sink fails.
+//
 // Several transactions may be open at once (the server stages one per
 // concurrent check-in). Each Tx carries its own undo log, its own pending
 // journal records, and its own write set of touched items and names. The
@@ -56,12 +62,13 @@ func (en *Engine) BeginTx() *Tx {
 	return tx
 }
 
-// SetActiveTx attributes subsequent operations to tx (nil for auto-commit).
-// The caller owns the engine's synchronization and must keep the active
-// transaction set for the duration of each operation.
+// SetActiveTx attributes subsequent operations to tx (nil: each operation
+// runs in its own one-operation transaction). The caller owns the engine's
+// synchronization and must keep the active transaction set for the
+// duration of each operation.
 func (en *Engine) SetActiveTx(tx *Tx) { en.curTx = tx }
 
-// ClearActiveTx restores auto-commit attribution.
+// ClearActiveTx restores one-operation transactions.
 func (en *Engine) ClearActiveTx() { en.curTx = nil }
 
 // InTx reports whether any transaction is open.
@@ -79,17 +86,7 @@ func (en *Engine) CommitTx(tx *Tx) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: no such open transaction", ErrTxState)
 	}
 	en.closeTx(tx)
-	// Publish: the write set becomes part of the next frozen generation's
-	// delta, and every touched item and name is stamped with a fresh commit
-	// generation so transactions that began earlier can no longer claim it.
-	en.commitGen++
-	for id := range tx.touched {
-		en.snapDirty[id] = true
-		en.modGen[id] = en.commitGen
-	}
-	for name := range tx.names {
-		en.nameGen[name] = en.commitGen
-	}
+	en.publish(tx)
 	records := tx.pending
 	tx.pending, tx.undo = nil, nil
 	return records, nil
@@ -101,17 +98,110 @@ func (en *Engine) RollbackTx(tx *Tx) error {
 		return fmt.Errorf("%w: no such open transaction", ErrTxState)
 	}
 	en.closeTx(tx)
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i]()
+	en.abort(tx)
+	tx.pending, tx.undo = nil, nil
+	return nil
+}
+
+// beginOp attributes the public mutation about to run to the active
+// transaction or, when none is active, to the engine's one-operation
+// transaction, and reports whether it opened the latter. Every public
+// mutator starts with
+//
+//	defer en.endOp(en.beginOp(), &id, &err)
+//
+// so the one-operation transaction ends when the mutator returns — or
+// panics — and a mutator composed of others (CreateValueObject) runs them
+// inside its own transaction.
+func (en *Engine) beginOp() bool {
+	if en.curTx != nil {
+		return false
 	}
-	// Conservative snapshot marks: the touched items are back in their
-	// pre-transaction state, and the next delta freeze re-reads that state
-	// from the live maps — a spurious patch, never a wrong one.
+	en.one.baseGen = en.commitGen
+	en.curTx = &en.one
+	return true
+}
+
+// endOp ends a public mutation. When its beginOp opened the one-operation
+// transaction (own), the transaction commits — its records go to the
+// journal sink as one batch and its write set is published — or, when the
+// operation was refused, the sink failed or the operation panicked, rolls
+// back, so an error always means the state is unchanged (and *id, for a
+// mutator that returns one, is NoID). Inside a caller's transaction the
+// operation stays staged.
+func (en *Engine) endOp(own bool, id *item.ID, err *error) {
+	if !own {
+		return
+	}
+	tx := en.curTx
+	en.curTx = nil
+	defer tx.reset()
+	if r := recover(); r != nil {
+		en.abort(tx)
+		panic(r)
+	}
+	if *err == nil && en.journal != nil && len(tx.pending) > 0 {
+		if jerr := en.journal(tx.pending); jerr != nil {
+			*err = fmt.Errorf("core: journaling operation: %w", jerr)
+		}
+	}
+	if *err == nil {
+		en.publish(tx)
+		return
+	}
+	en.abort(tx)
+	if id != nil {
+		*id = item.NoID
+	}
+}
+
+// publish makes a committed write set part of the next frozen generation's
+// delta. While other transactions are open it also stamps every touched
+// item and name with a fresh commit generation, so transactions that began
+// earlier can no longer claim them; with none open a stamp could never
+// conflict, and none is written.
+func (en *Engine) publish(tx *Tx) {
 	for id := range tx.touched {
 		en.snapDirty[id] = true
 	}
-	tx.pending, tx.undo = nil, nil
-	return nil
+	if len(en.open) == 0 {
+		return
+	}
+	en.commitGen++
+	for id := range tx.touched {
+		en.modGen[id] = en.commitGen
+	}
+	for name := range tx.names {
+		en.nameGen[name] = en.commitGen
+	}
+}
+
+// abort undoes every step of tx. The snapshot marks are conservative: the
+// touched items are back in their pre-transaction state, and the next delta
+// freeze re-reads that state from the live maps — a spurious patch, never a
+// wrong one.
+func (en *Engine) abort(tx *Tx) {
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		tx.undo[i]()
+	}
+	for id := range tx.touched {
+		en.snapDirty[id] = true
+	}
+}
+
+// reset empties the one-operation transaction for reuse. A write set that
+// grew large (a deletion cascade) is replaced rather than cleared, so later
+// operations do not pay for clearing its capacity. Names stay few: an
+// operation claims at most one.
+func (tx *Tx) reset() {
+	clear(tx.undo)
+	tx.undo, tx.pending = tx.undo[:0], tx.pending[:0]
+	if len(tx.touched) > 64 {
+		tx.touched = make(map[item.ID]bool)
+	} else {
+		clear(tx.touched)
+	}
+	clear(tx.names)
 }
 
 // closeTx removes tx from the open set and from the attribution field.
@@ -142,19 +232,19 @@ const staleStampCap = 1024
 
 // claimItems records the given items in the active transaction's write set,
 // rejecting the operation when another open transaction already holds one of
-// them or when one changed after the active transaction began. Outside a
-// transaction it only checks that no open transaction holds the items —
-// auto-commit operations must not perturb state a staged batch depends on.
-// Claims survive a failed (rolled-back) operation until the transaction
-// ends: conservative, and exactly the two-phase-locking shape the server's
-// check-out locks already impose.
+// them or when one changed after the active transaction began. With no
+// transaction open the active one is a one-operation transaction that
+// nothing can conflict with, and nothing is recorded. Claims survive a
+// failed (rolled-back) operation until the transaction ends: conservative,
+// and exactly the two-phase-locking shape the server's check-out locks
+// already impose.
 func (en *Engine) claimItems(ids ...item.ID) error {
 	if len(en.open) == 0 {
 		return nil
 	}
 	tx := en.curTx
 	for _, id := range ids {
-		if id == item.NoID || (tx != nil && tx.touched[id]) {
+		if id == item.NoID || tx.touched[id] {
 			continue
 		}
 		for other := range en.open {
@@ -162,12 +252,10 @@ func (en *Engine) claimItems(ids ...item.ID) error {
 				return fmt.Errorf("%w: item %d is claimed by a concurrent transaction", ErrTxConflict, id)
 			}
 		}
-		if tx != nil {
-			if en.modGen[id] > tx.baseGen {
-				return fmt.Errorf("%w: item %d changed since the transaction began", ErrTxConflict, id)
-			}
-			tx.touched[id] = true
+		if en.modGen[id] > tx.baseGen {
+			return fmt.Errorf("%w: item %d changed since the transaction began", ErrTxConflict, id)
 		}
+		tx.touched[id] = true
 	}
 	return nil
 }
@@ -175,18 +263,13 @@ func (en *Engine) claimItems(ids ...item.ID) error {
 // claimName is claimItems for independent-object names: creation and
 // deletion of a named root perturb the name index, and two transactions
 // racing on one name (create/create or delete/create) must conflict instead
-// of corrupting each other's undo. Like item stamps, auto-commit name
-// stamps are applied at claim time, before the operation validates —
-// conservative: an operation that then fails can leave a stamp that makes
-// an already-open transaction's later claim conflict spuriously
-// (retryable, never wrong, and unreachable through the server, which only
-// writes through transactions).
+// of corrupting each other's undo.
 func (en *Engine) claimName(name string) error {
 	if len(en.open) == 0 {
 		return nil
 	}
 	tx := en.curTx
-	if tx != nil && tx.names[name] {
+	if tx.names[name] {
 		return nil
 	}
 	for other := range en.open {
@@ -194,36 +277,17 @@ func (en *Engine) claimName(name string) error {
 			return fmt.Errorf("%w: name %q is claimed by a concurrent transaction", ErrTxConflict, name)
 		}
 	}
-	if tx != nil {
-		if en.nameGen[name] > tx.baseGen {
-			return fmt.Errorf("%w: name %q changed since the transaction began", ErrTxConflict, name)
-		}
-		tx.names[name] = true
-	} else {
-		en.commitGen++
-		en.nameGen[name] = en.commitGen
+	if en.nameGen[name] > tx.baseGen {
+		return fmt.Errorf("%w: name %q changed since the transaction began", ErrTxConflict, name)
 	}
+	tx.names[name] = true
 	return nil
 }
 
-// commitRecord finalizes a validated operation: inside a transaction the
-// record is buffered on that transaction; otherwise it is journaled
-// immediately and the undo stack is cleared (auto-commit).
-func (en *Engine) commitRecord(record []byte) error {
-	if tx := en.curTx; tx != nil {
-		if record != nil {
-			tx.pending = append(tx.pending, record)
-		}
-		return nil
+// commitRecord stages a validated operation's journal record on the active
+// transaction; the record reaches the log when the transaction commits.
+func (en *Engine) commitRecord(record []byte) {
+	if record != nil {
+		en.curTx.pending = append(en.curTx.pending, record)
 	}
-	if en.journal != nil && record != nil {
-		if err := en.journal(record); err != nil {
-			// The operation is already applied; undo it so that memory and
-			// disk stay in agreement.
-			en.rollbackTo(0)
-			return fmt.Errorf("core: journaling operation: %w", err)
-		}
-	}
-	en.undo = en.undo[:0]
-	return nil
 }

@@ -28,9 +28,10 @@ import (
 //   - `// seed:locked-caller` in a function's doc comment declares the
 //     callers hold the lock (the helper-under-lock pattern); the function
 //     body is then exempt.
-//   - `// seed:locks-callback(db.mu)` on a method declares that function
-//     literals passed to it run with `<recv>.db.mu` held (the
-//     lock-wrapper pattern, e.g. Tx.apply): closure arguments at its call
+//   - `// seed:locks-callback(mu)` on a method declares that function
+//     literals passed to it run with `<recv>.mu` held (the lock-wrapper
+//     pattern, e.g. Database.write); the path may go through fields, as
+//     in `seed:locks-callback(db.mu)`. Closure arguments at its call
 //     sites are checked under that lock instead of the caller's state.
 //   - `// seed:guarded-by(external)` on a field documents state guarded
 //     by a lock living outside the struct (core.Engine under db.mu);

@@ -119,9 +119,9 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every committed unit (one auto-commit journal record, or one whole
-	// transaction batch) captures the canonical state it leaves behind; a
-	// recovered database must land exactly on one of these.
+	// Every committed unit (a one-operation write or a transaction: one
+	// journal record, or one framed batch) captures the canonical state it
+	// leaves behind; a recovered database must land exactly on one of these.
 	var states []string
 	capture := func() { states = append(states, dumpState(db)) }
 	capture() // fresh: schema record only
@@ -131,7 +131,8 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	capture()
-	if _, err := db.CreateObject("Action", "O2"); err != nil {
+	o2, err := db.CreateObject("Action", "O2")
+	if err != nil {
 		t.Fatal(err)
 	}
 	capture()
@@ -141,6 +142,12 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	}
 	capture()
 	if err := db.SetValue(d1, NewString("v1")); err != nil {
+		t.Fatal(err)
+	}
+	capture()
+	// A one-operation CreateValueObject is a two-record batch: no
+	// truncation may recover the sub-object without its value.
+	if _, err := db.CreateValueObject(o2, "Description", NewString("o2d")); err != nil {
 		t.Fatal(err)
 	}
 	capture()

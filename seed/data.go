@@ -16,170 +16,131 @@ import (
 // unchanged. Mutations serialize on the write lock; retrieval pins
 // immutable snapshots and runs in parallel (see DESIGN.md section 6).
 
-// guardWrite returns a helpful error for updates addressed to inherited
-// (virtual) items, which are updatable only in the pattern itself.
+// write is the one entry point of every mutation, the Database's and the
+// Tx's: it takes the write lock, refuses writes to a finished transaction,
+// a closed database or a follower, and refuses updates addressed to
+// inherited (virtual) items among guard, which are updatable only in the
+// pattern itself. Then it runs op. With tx nil, op runs as a one-operation
+// transaction the engine journals and publishes before it returns (or
+// rolls back, leaving the state unchanged); otherwise op is staged in tx.
 //
-// seed:locked-caller — every mutation entry point calls it under db.mu.
-func (db *Database) guardWrite(ids ...ID) error {
-	if db.closed {
-		return ErrClosed
+// seed:locks-callback(mu) — op closures run under the write lock taken
+// below, so guardedby treats their field accesses as guarded.
+func (db *Database) write(tx *Tx, guard []ID, op func() (ID, error)) (ID, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	switch {
+	case tx != nil && tx.done:
+		return NoID, ErrTxDone
+	case db.closed:
+		return NoID, ErrClosed
+	case db.replica:
+		return NoID, ErrNotPrimary
 	}
-	if db.replica {
-		return ErrNotPrimary
-	}
-	for _, id := range ids {
+	for _, id := range guard {
 		if pattern.IsVirtualID(id) {
-			return fmt.Errorf("%w (item %d)", ErrInheritedData, id)
+			return NoID, fmt.Errorf("%w (item %d)", ErrInheritedData, id)
 		}
 	}
-	return nil
+	if tx != nil {
+		db.engine.SetActiveTx(tx.core)
+		defer db.engine.ClearActiveTx()
+		return op()
+	}
+	id, err := op()
+	if err != nil {
+		return NoID, err
+	}
+	db.gen++
+	return id, db.maybeCompact()
+}
+
+// endsOf lists a relationship's end objects for the write guard.
+func endsOf(ends map[string]ID) []ID {
+	all := make([]ID, 0, len(ends))
+	for _, o := range ends {
+		all = append(all, o)
+	}
+	return all
 }
 
 // CreateObject creates an independent object of a top-level class.
 func (db *Database) CreateObject(className, name string) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.CreateObject(className, name)
-	return db.finish(id, err)
+	return db.write(nil, nil, func() (ID, error) { return db.engine.CreateObject(className, name) })
 }
 
 // CreatePatternObject creates an independent object marked as a pattern.
 func (db *Database) CreatePatternObject(className, name string) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.CreatePatternObject(className, name)
-	return db.finish(id, err)
+	return db.write(nil, nil, func() (ID, error) { return db.engine.CreatePatternObject(className, name) })
 }
 
 // CreateSubObject creates a dependent object under a parent item in a role.
 func (db *Database) CreateSubObject(parent ID, role string) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(parent); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.CreateSubObject(parent, role)
-	return db.finish(id, err)
+	return db.write(nil, []ID{parent}, func() (ID, error) { return db.engine.CreateSubObject(parent, role) })
 }
 
 // CreateValueObject creates a leaf sub-object carrying a value.
 func (db *Database) CreateValueObject(parent ID, role string, v Value) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(parent); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.CreateValueObject(parent, role, v)
-	return db.finish(id, err)
+	return db.write(nil, []ID{parent}, func() (ID, error) { return db.engine.CreateValueObject(parent, role, v) })
 }
 
 // SetValue sets (or clears, with Undefined) a value object's value.
 func (db *Database) SetValue(id ID, v Value) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(id); err != nil {
-		return err
-	}
-	_, err := db.finish(id, db.engine.SetValue(id, v))
+	_, err := db.write(nil, []ID{id}, func() (ID, error) { return id, db.engine.SetValue(id, v) })
 	return err
 }
 
 // CreateRelationship creates a relationship of the named association.
 func (db *Database) CreateRelationship(assoc string, ends map[string]ID) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	all := make([]ID, 0, len(ends))
-	for _, o := range ends {
-		all = append(all, o)
-	}
-	if err := db.guardWrite(all...); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.CreateRelationship(assoc, ends)
-	return db.finish(id, err)
+	return db.write(nil, endsOf(ends), func() (ID, error) { return db.engine.CreateRelationship(assoc, ends) })
 }
 
 // Delete marks an item and everything depending on it as deleted.
 func (db *Database) Delete(id ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(id); err != nil {
-		return err
-	}
-	_, err := db.finish(id, db.engine.Delete(id))
+	_, err := db.write(nil, []ID{id}, func() (ID, error) { return id, db.engine.Delete(id) })
 	return err
 }
 
 // Reclassify moves a data item within its generalization hierarchy.
 func (db *Database) Reclassify(id ID, newName string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(id); err != nil {
-		return err
-	}
-	_, err := db.finish(id, db.engine.Reclassify(id, newName))
+	_, err := db.write(nil, []ID{id}, func() (ID, error) { return id, db.engine.Reclassify(id, newName) })
 	return err
 }
 
 // MarkPattern turns an independent object or relationship into a pattern.
 func (db *Database) MarkPattern(id ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(id); err != nil {
-		return err
-	}
-	_, err := db.finish(id, db.engine.MarkPattern(id))
+	_, err := db.write(nil, []ID{id}, func() (ID, error) { return id, db.engine.MarkPattern(id) })
 	return err
 }
 
 // ClearPattern turns a pattern back into a normal item (no inheritors).
 func (db *Database) ClearPattern(id ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(id); err != nil {
-		return err
-	}
-	_, err := db.finish(id, db.engine.ClearPattern(id))
+	_, err := db.write(nil, []ID{id}, func() (ID, error) { return id, db.engine.ClearPattern(id) })
 	return err
 }
 
 // Inherit lets a normal item inherit a pattern; returns the ID of the
 // inherits-relationship.
 func (db *Database) Inherit(patternID, inheritorID ID) (ID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(patternID, inheritorID); err != nil {
-		return NoID, err
-	}
-	id, err := db.engine.Inherit(patternID, inheritorID)
-	return db.finish(id, err)
+	return db.write(nil, []ID{patternID, inheritorID}, func() (ID, error) { return db.engine.Inherit(patternID, inheritorID) })
 }
 
 // Disinherit removes the inherits-relationship between a pattern and an
 // inheritor.
 func (db *Database) Disinherit(patternID, inheritorID ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.guardWrite(patternID, inheritorID); err != nil {
-		return err
-	}
-	raw := db.engine.View()
-	for _, rid := range raw.RelationshipsOf(inheritorID) {
-		r, ok := raw.Relationship(rid)
-		if ok && r.Inherits &&
-			r.End(item.InheritsPatternRole) == patternID &&
-			r.End(item.InheritsInheritorRole) == inheritorID {
-			_, err := db.finish(rid, db.engine.Delete(rid))
-			return err
+	_, err := db.write(nil, []ID{patternID, inheritorID}, func() (ID, error) {
+		raw := db.engine.View()
+		for _, rid := range raw.RelationshipsOf(inheritorID) {
+			r, ok := raw.Relationship(rid)
+			if ok && r.Inherits &&
+				r.End(item.InheritsPatternRole) == patternID &&
+				r.End(item.InheritsInheritorRole) == inheritorID {
+				return rid, db.engine.Delete(rid)
+			}
 		}
-	}
-	return fmt.Errorf("seed: item %d does not inherit pattern %d", inheritorID, patternID)
+		return NoID, fmt.Errorf("seed: item %d does not inherit pattern %d", inheritorID, patternID)
+	})
+	return err
 }
 
 // Tx is one staged transaction: a private batch of validated updates that
@@ -208,9 +169,9 @@ func (db *Database) BeginTx() (*Tx, error) {
 		return nil, ErrNotPrimary
 	}
 	tx := &Tx{db: db, core: db.engine.BeginTx()}
-	// Freeze any pending auto-committed changes now: once staging starts,
-	// the live maps may hold uncommitted state for the items this
-	// transaction claims, and a lazy freeze must never read those.
+	// Freeze the last committed state now: once staging starts, the live
+	// maps may hold uncommitted state for the items this transaction
+	// claims, and a lazy freeze must never read those.
 	db.snapshotLocked()
 	return tx, nil
 }
@@ -222,64 +183,41 @@ func (tx *Tx) Done() bool {
 	return tx.done
 }
 
-// apply runs one staged mutation attributed to this transaction.
-//
-// seed:locks-callback(db.mu) — op closures run under the write lock
-// taken below, so guardedby treats their field accesses as guarded.
-func (tx *Tx) apply(guard []ID, op func() (ID, error)) (ID, error) {
-	db := tx.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if tx.done {
-		return NoID, ErrTxDone
-	}
-	if err := db.guardWrite(guard...); err != nil {
-		return NoID, err
-	}
-	db.engine.SetActiveTx(tx.core)
-	defer db.engine.ClearActiveTx()
-	return op()
-}
-
 // CreateObject stages creation of an independent object.
 func (tx *Tx) CreateObject(className, name string) (ID, error) {
-	return tx.apply(nil, func() (ID, error) { return tx.db.engine.CreateObject(className, name) })
+	return tx.db.write(tx, nil, func() (ID, error) { return tx.db.engine.CreateObject(className, name) })
 }
 
 // CreateSubObject stages creation of a dependent object.
 func (tx *Tx) CreateSubObject(parent ID, role string) (ID, error) {
-	return tx.apply([]ID{parent}, func() (ID, error) { return tx.db.engine.CreateSubObject(parent, role) })
+	return tx.db.write(tx, []ID{parent}, func() (ID, error) { return tx.db.engine.CreateSubObject(parent, role) })
 }
 
 // CreateValueObject stages creation of a leaf sub-object carrying a value.
 func (tx *Tx) CreateValueObject(parent ID, role string, v Value) (ID, error) {
-	return tx.apply([]ID{parent}, func() (ID, error) { return tx.db.engine.CreateValueObject(parent, role, v) })
+	return tx.db.write(tx, []ID{parent}, func() (ID, error) { return tx.db.engine.CreateValueObject(parent, role, v) })
 }
 
 // SetValue stages a value update.
 func (tx *Tx) SetValue(id ID, v Value) error {
-	_, err := tx.apply([]ID{id}, func() (ID, error) { return id, tx.db.engine.SetValue(id, v) })
+	_, err := tx.db.write(tx, []ID{id}, func() (ID, error) { return id, tx.db.engine.SetValue(id, v) })
 	return err
 }
 
 // CreateRelationship stages a relationship of the named association.
 func (tx *Tx) CreateRelationship(assoc string, ends map[string]ID) (ID, error) {
-	all := make([]ID, 0, len(ends))
-	for _, o := range ends {
-		all = append(all, o)
-	}
-	return tx.apply(all, func() (ID, error) { return tx.db.engine.CreateRelationship(assoc, ends) })
+	return tx.db.write(tx, endsOf(ends), func() (ID, error) { return tx.db.engine.CreateRelationship(assoc, ends) })
 }
 
 // Delete stages a deletion cascade.
 func (tx *Tx) Delete(id ID) error {
-	_, err := tx.apply([]ID{id}, func() (ID, error) { return id, tx.db.engine.Delete(id) })
+	_, err := tx.db.write(tx, []ID{id}, func() (ID, error) { return id, tx.db.engine.Delete(id) })
 	return err
 }
 
 // Reclassify stages a re-classification.
 func (tx *Tx) Reclassify(id ID, newName string) error {
-	_, err := tx.apply([]ID{id}, func() (ID, error) { return id, tx.db.engine.Reclassify(id, newName) })
+	_, err := tx.db.write(tx, []ID{id}, func() (ID, error) { return id, tx.db.engine.Reclassify(id, newName) })
 	return err
 }
 
@@ -364,18 +302,6 @@ func (tx *Tx) Rollback() error {
 	// state; bumping the generation re-freezes them from the live maps.
 	db.gen++
 	return nil
-}
-
-// finish bumps the mutation generation after a successful auto-committed
-// mutation and runs due auto-compaction.
-//
-// seed:locked-caller — runs at the tail of every mutation, under db.mu.
-func (db *Database) finish(id ID, err error) (ID, error) {
-	if err != nil {
-		return NoID, err
-	}
-	db.gen++
-	return id, db.maybeCompact()
 }
 
 // ---- Retrieval ----

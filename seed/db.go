@@ -40,18 +40,6 @@ var (
 	ErrTxDone = errors.New("seed: transaction already committed or rolled back")
 )
 
-// SnapshotMode selects how versions store item states.
-type SnapshotMode uint8
-
-const (
-	// DeltaSnapshots stores only the items changed since the previous
-	// version (the paper's design).
-	DeltaSnapshots SnapshotMode = iota
-	// FullSnapshots stores every item in every version — the ablation
-	// baseline A1 in DESIGN.md.
-	FullSnapshots
-)
-
 // SyncPolicy selects when journaled operations become durable; see the
 // storage package.
 type SyncPolicy = storage.SyncPolicy
@@ -62,9 +50,10 @@ const (
 	// (the default).
 	SyncOnRequest = storage.SyncOnRequest
 	// SyncGroupCommit makes every journaled operation durable before it
-	// returns. Note that Database mutations serialize on the write lock,
-	// so fsync coalescing across concurrent committers happens at the
-	// storage layer (storage.Store.Commit), not between Database callers.
+	// returns. A Tx commit waits for its fsync after releasing the write
+	// lock, so concurrent commits coalesce into shared fsyncs; a
+	// one-operation write waits under the lock, because a failed append
+	// must roll it back before anyone else observes it.
 	SyncGroupCommit = storage.SyncGroupCommit
 )
 
@@ -72,8 +61,6 @@ const (
 type Options struct {
 	// Schema is required when the directory is fresh (or for NewMemory).
 	Schema *Schema
-	// Mode selects delta (default) or full version snapshots.
-	Mode SnapshotMode
 	// SyncPolicy selects when journal records become durable.
 	SyncPolicy SyncPolicy
 	// SegmentSize caps one write-ahead-log segment file in bytes before the
@@ -94,11 +81,13 @@ type Options struct {
 // Methods are safe for use from multiple goroutines: mutations serialize on
 // a write lock, retrieval runs in parallel on a read lock, and View/RawView
 // return immutable snapshots that stay consistent while mutations proceed.
-// The Database's own mutators always auto-commit, one operation at a time;
-// a batch is always a Tx from BeginTx. Several may be staged concurrently —
-// each Tx carries its own batch, and transactions with disjoint write sets
-// commit independently (overlaps surface as ErrTxConflict); the server maps
-// check-out lock sets onto transactions (DESIGN.md section 8).
+// Each of the Database's own mutators runs as a one-operation transaction:
+// accepted, it is journaled and visible on return; refused, or if its
+// journal append fails, the state is unchanged. A batch is a Tx from
+// BeginTx. Several may be staged concurrently — each Tx carries its own
+// batch, and transactions with disjoint write sets commit independently
+// (overlaps surface as ErrTxConflict); the server maps check-out lock sets
+// onto transactions (DESIGN.md section 8).
 type Database struct {
 	// mu guards the mutable database state below. The seed:guarded-by
 	// annotations are enforced at compile time by the guardedby analyzer
@@ -177,7 +166,7 @@ func Open(dir string, opts Options) (*Database, error) {
 		}
 	}
 	db.engine.EndReplay()
-	db.engine.SetJournal(db.appendRecord)
+	db.engine.SetJournal(db.journalOneOp)
 	return db, nil
 }
 
@@ -195,7 +184,7 @@ func newDatabase(store *storage.Store, opts Options) (*Database, error) {
 	}
 	db.engine.EndReplay()
 	if store != nil {
-		db.engine.SetJournal(db.appendRecord)
+		db.engine.SetJournal(db.journalOneOp)
 	}
 	return db, nil
 }
@@ -298,15 +287,6 @@ func (db *Database) schemaAt(ver int) (*schema.Schema, error) {
 		return nil, fmt.Errorf("seed: unknown schema version %d (have 1..%d)", ver, len(db.schemas))
 	}
 	return db.schemas[ver-1], nil
-}
-
-// SetSnapshotMode switches between delta snapshots (the paper's design)
-// and full-copy snapshots (the A1 ablation baseline) for subsequent
-// SaveVersion calls.
-func (db *Database) SetSnapshotMode(m SnapshotMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.Mode = m
 }
 
 // RegisterProcedure registers an attached procedure implementation under
@@ -437,24 +417,26 @@ func (db *Database) Stats() Stats {
 	return s
 }
 
-// appendRecord is the engine's journal sink for auto-committed operations.
-// Durability is the storage layer's business: under SyncGroupCommit the
-// Append blocks until its batch is fsynced, under SyncOnRequest it only
-// buffers.
-func (db *Database) appendRecord(payload []byte) error {
-	if db.store == nil {
-		return nil
+// journalOneOp is the engine's journal sink for one-operation
+// transactions. It runs under db.mu and, under SyncGroupCommit, waits for
+// durability there: the engine rolls the operation back if this fails.
+func (db *Database) journalOneOp(records [][]byte) error {
+	wait, err := db.journalBatchLocked(records)
+	if err == nil && wait != nil {
+		err = wait()
 	}
-	return db.store.Append(payload)
+	return err
 }
 
-// journalBatchLocked appends a committed transaction's records to the log
-// as one atomic, contiguous batch (framed with recTxBegin/recTxEnd when it
-// holds more than one record — a single record is atomic by construction).
-// The records' position in the log is fixed while db.mu is held, matching
-// commit order; the returned wait function (nil under SyncOnRequest)
-// reports durability and is called after releasing the lock, so concurrent
-// committers coalesce into shared fsyncs instead of serializing on db.mu.
+// journalBatchLocked is the one place engine records reach the log: it
+// appends a committed transaction's records — a Tx batch or a
+// one-operation transaction — as one atomic, contiguous batch (framed with
+// recTxBegin/recTxEnd when it holds more than one record; a single record
+// is atomic by construction). The records' position in the log is fixed
+// while db.mu is held, matching commit order; the returned wait function
+// (nil under SyncOnRequest) reports durability, and Tx.Commit calls it
+// after releasing the lock, so concurrent committers coalesce into shared
+// fsyncs instead of serializing on db.mu.
 func (db *Database) journalBatchLocked(records [][]byte) (func() error, error) {
 	if db.store == nil || len(records) == 0 {
 		return nil, nil

@@ -448,27 +448,6 @@ func itoa(n int) string {
 	return "a" + s
 }
 
-func TestFullSnapshotsMode(t *testing.T) {
-	db, err := NewMemory(Figure2Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.opts.Mode = FullSnapshots
-	create(t, db, "Data", "A")
-	_, _ = db.SaveVersion("one")
-	create(t, db, "Data", "B")
-	v2, _ := db.SaveVersion("two")
-	infos := db.Versions()
-	// Full mode: the second version stores both items again.
-	if infos[1].DeltaSize != 2 {
-		t.Errorf("full snapshot delta = %d, want 2", infos[1].DeltaSize)
-	}
-	view, _ := db.VersionView(v2)
-	if _, ok := view.ObjectByName("A"); !ok {
-		t.Error("full snapshot lost A")
-	}
-}
-
 // TestNoCompactionInsideTransaction: auto-compaction must never run while
 // a transaction is open — a snapshot taken mid-batch would persist
 // uncommitted operations (and truncate the log before their journal
@@ -556,4 +535,65 @@ func TestSnapshotFormat1Rejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot format 1") {
 		t.Fatalf("open over a format-1 snapshot: %v", err)
 	}
+}
+
+// TestCreateValueObjectRefusalLeavesNoTrace: a value the schema refuses
+// takes its freshly created sub-object with it — no tombstone, no log
+// bytes, no version dirt, no used-up sibling index — whether the write is a
+// one-operation transaction or staged in a Tx, before and after a reopen.
+func TestCreateValueObjectRefusalLeavesNoTrace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db := openDB(t, dir, Options{Schema: Figure2Schema(), Clock: fixedClock()})
+	d := create(t, db, "Data", "D")
+	text, err := db.CreateSubObject(d, "Text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := db.CreateSubObject(text, "Body")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := func(db *Database) {
+		t.Helper()
+		before := db.Stats()
+		if _, err := db.CreateValueObject(body, "Keywords", NewInteger(1)); err == nil {
+			t.Fatal("one-operation write: integer keyword accepted")
+		}
+		tx, err := db.BeginTx()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.CreateValueObject(body, "Keywords", NewInteger(1)); err == nil {
+			t.Fatal("Tx write: integer keyword accepted")
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if after := db.Stats(); after.Core != before.Core || after.LogBytes != before.LogBytes {
+			t.Errorf("refusals changed the state: core %+v -> %+v, log %d -> %d bytes",
+				before.Core, after.Core, before.LogBytes, after.LogBytes)
+		}
+	}
+	accept := func(db *Database, want string) {
+		t.Helper()
+		id, err := db.CreateValueObject(body, "Keywords", NewString("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := db.PathOf(id); p.String() != want {
+			t.Errorf("accepted keyword at %q, want %q", p, want)
+		}
+	}
+	refuse(db)
+	accept(db, "D.Text[0].Body.Keywords[0]")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openDB(t, dir, Options{Clock: fixedClock()})
+	defer db.Close()
+	if s := db.Stats().Core; s.DeletedObjects != 0 || s.Objects != 4 {
+		t.Errorf("after reopen: %+v, want 4 objects and no tombstone", s)
+	}
+	refuse(db)
+	accept(db, "D.Text[0].Body.Keywords[1]")
 }

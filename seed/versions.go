@@ -25,7 +25,7 @@ type VersionInfo struct {
 }
 
 // SaveVersion takes an explicit snapshot of the current state: only items
-// changed since the previous version are stored (DeltaSnapshots mode). The
+// changed since the previous version are stored (delta storage). The
 // new version becomes the basis of further work and its number is returned.
 func (db *Database) SaveVersion(note string) (VersionNumber, error) {
 	db.mu.Lock()
@@ -68,9 +68,6 @@ func (db *Database) SaveVersion(note string) (VersionNumber, error) {
 //
 // seed:locked-caller
 func (db *Database) saveVersionLocked(note string, at time.Time) (VersionNumber, error) {
-	if db.opts.Mode == FullSnapshots {
-		db.engine.MarkAllDirty()
-	}
 	dirty := db.engine.DirtyIDs()
 	delta := make([]version.Frozen, 0, len(dirty))
 	for _, id := range dirty {
