@@ -578,6 +578,38 @@ func BenchmarkQuery_ValuePredicate(b *testing.B) {
 	}
 }
 
+// BenchmarkQuery_ClassResidual times seedmark's by-class query shape: a class
+// extent filtered on an unindexed `Revised >=` residual, over objs objects
+// in roots of three (the root, its Description and its Revised). Every
+// odd root passes. ns/op grows with the extent; allocs/op should not.
+func BenchmarkQuery_ClassResidual(b *testing.B) {
+	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, objs := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("objs=%dk", objs/1000), func(b *testing.B) {
+			roots := objs / 3
+			db := mustMem(b, seed.Figure3Schema())
+			defer db.Close()
+			for i, id := range populate(b, db, roots) {
+				if _, err := db.CreateValueObject(id, "Revised", seed.NewDate(day.AddDate(0, 0, i%2*100+i%50))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			v := db.View()
+			q := func() *seed.Query {
+				return seed.NewQuery().Class("Data", false).Where("Revised", seed.Ge, seed.NewDate(day.AddDate(0, 0, 50)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, err := q().Run(v)
+				if err != nil || len(ids) != roots/2 {
+					b.Fatalf("%d ids, %v", len(ids), err)
+				}
+			}
+		})
+	}
+}
+
 var benchSink time.Duration
 
 // BenchmarkE5_SlowdownFactor reports the measured slowdown as a custom

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/item"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // Frozen generations of the columnar store. The store versions its row and
@@ -63,6 +64,11 @@ type colFrozen struct {
 	nameSymLen int        // nameSyms prefix covered by byName/nameHash
 
 	attrs map[item.AttrKey]*item.AttrIdx // registered attribute indexes
+
+	// patterns counts the live pattern objects and pattern relationships,
+	// counted by scanIndexes and adjusted from the dirty rows by
+	// patchIndexes; with inherits it decides PatternFree.
+	patterns int
 }
 
 // nameHashSeed keys the frozen name-lookup tables. One process-wide seed
@@ -149,6 +155,7 @@ func (cs *colStore) sealFreeze(sch *schema.Schema, prev *colFrozen, dirty map[it
 func (cs *colStore) scanIndexes(f *colFrozen) {
 	var objIDs, relIDs, inherits []item.ID
 	byClass := make([][]item.ID, cs.schemaSyms.Len())
+	f.patterns = 0
 	for ord := 0; ord < cs.objLen; ord++ {
 		row := f.objRows.at(ord)
 		if row.id == item.NoID || row.flags&rowDeleted != 0 {
@@ -156,6 +163,7 @@ func (cs *colStore) scanIndexes(f *colFrozen) {
 		}
 		objIDs = append(objIDs, row.id)
 		byClass[row.classSym] = append(byClass[row.classSym], row.id)
+		f.patterns += patternCount(row.flags)
 	}
 	for ord := 0; ord < cs.relLen; ord++ {
 		row := f.relRows.at(ord)
@@ -166,6 +174,7 @@ func (cs *colStore) scanIndexes(f *colFrozen) {
 		if row.flags&rowInherits != 0 {
 			inherits = append(inherits, row.id)
 		}
+		f.patterns += patternCount(row.flags)
 	}
 	f.objIDs, f.relIDs, f.inherits = idRun(objIDs), idRun(relIDs), idRun(inherits)
 	f.byClass = make([]*item.Run[item.ID], len(byClass))
@@ -174,6 +183,25 @@ func (cs *colStore) scanIndexes(f *colFrozen) {
 	}
 	cs.scanNameIndex(f)
 	f.attrs = buildAttrs(cs.attrSpecs, f)
+}
+
+// patternCount is a live row's contribution to colFrozen.patterns.
+func patternCount(flags uint8) int {
+	if flags&rowPattern != 0 {
+		return 1
+	}
+	return 0
+}
+
+// patternsOf is id's contribution to the generation's pattern count.
+func (f *colFrozen) patternsOf(id item.ID) int {
+	if row, ok := f.objRowOf(id); ok {
+		return patternCount(row.flags)
+	}
+	if row, ok := f.relRowOf(id); ok {
+		return patternCount(row.flags)
+	}
+	return 0
 }
 
 // idRun sorts ids and wraps them in a run.
@@ -235,46 +263,78 @@ func (cs *colStore) patchNameIndex(f, prev *colFrozen) {
 	}
 }
 
-// attrPostings derives the postings of one root: role symbols resolve once
-// per path, the frontier runs over the frozen kid lists, and leaf values
-// decode straight off the rows — no item.Object materialization.
+// attrPostings derives the postings of one root off the shared path walk.
 func (f *colFrozen) attrPostings(root item.ID, roles []string) []item.AttrPosting {
-	frontier := []item.ID{root}
-	for _, role := range roles {
-		sym, ok := f.dec.schemaSyms.Lookup(role)
-		if !ok {
-			return nil
-		}
-		var next []item.ID
-		for _, id := range frontier {
-			kl := f.kidsOf(id)
-			if kl == nil {
-				continue
-			}
-			for i := range kl.entries {
-				if kl.entries[i].role == sym {
-					next = append(next, kl.entries[i].ids...)
-					break
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
+	syms, ok := f.roleSyms(roles)
+	if !ok {
+		return nil
 	}
 	var out []item.AttrPosting
-	for _, id := range frontier {
-		row, ok := f.objRowOf(id)
-		if !ok {
-			continue
-		}
-		if v := f.dec.decodeVal(&row); v.IsDefined() {
-			out = append(out, item.AttrPosting{Val: v, ID: root})
-		}
-	}
+	f.walkPath(root, syms, func(v value.Value) bool {
+		out = append(out, item.AttrPosting{Val: v, ID: root})
+		return false
+	})
 	return out
 }
+
+// roleSyms resolves a role path to schema symbols once per path; ok=false
+// when some role was never interned, so no sub-object can play it.
+func (f *colFrozen) roleSyms(roles []string) ([]item.Sym, bool) {
+	syms := make([]item.Sym, len(roles))
+	for i, role := range roles {
+		sym, ok := f.dec.schemaSyms.Lookup(role)
+		if !ok {
+			return nil, false
+		}
+		syms[i] = sym
+	}
+	return syms, true
+}
+
+// walkPath visits, depth first in child order, the defined values of the
+// live sub-objects reached from id along the role symbols, decoding each
+// value straight off its row — no item.Object materialization. It stops and
+// reports true as soon as visit does.
+func (f *colFrozen) walkPath(id item.ID, syms []item.Sym, visit func(value.Value) bool) bool {
+	if len(syms) == 0 {
+		row, ok := f.objRowOf(id)
+		if !ok {
+			return false
+		}
+		v := f.dec.decodeVal(&row)
+		return v.IsDefined() && visit(v)
+	}
+	kl := f.kidsOf(id)
+	if kl == nil {
+		return false
+	}
+	for i := range kl.entries {
+		if kl.entries[i].role == syms[0] {
+			for _, kid := range kl.entries[i].ids {
+				if f.walkPath(kid, syms[1:], visit) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	return false
+}
+
+// MatchPath implements item.PathMatcher over the frozen kid lists: the
+// roles resolve to symbols once, and each test walks the shared path walk.
+func (f *colFrozen) MatchPath(roles []string, match func(value.Value) bool) func(item.ID) bool {
+	syms, ok := f.roleSyms(roles)
+	if !ok {
+		return func(item.ID) bool { return false }
+	}
+	return func(root item.ID) bool { return f.walkPath(root, syms, match) }
+}
+
+// PatternFree reports that the generation holds no live pattern item and no
+// inherits-relationship, so pattern splicing over it is the identity and
+// the generation serves as its own user view.
+func (f *colFrozen) PatternFree() bool { return f.patterns == 0 && f.inherits.Len() == 0 }
 
 // patchIndexes derives f's dense indexes from prev's by classifying each
 // dirty item: f's row arrays already hold the new truth (sealed or patched),
@@ -286,8 +346,10 @@ func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 	classAdd := make(map[item.Sym][]item.ID)
 	classDel := make(map[item.Sym][]item.ID)
 	delClass := func(sym item.Sym, id item.ID) { classDel[sym] = append(classDel[sym], id) }
+	f.patterns = prev.patterns
 
 	for id := range dirty {
+		f.patterns += f.patternsOf(id) - prev.patternsOf(id)
 		tag := f.ords.at(int(id))
 		switch {
 		case tag.Valid() && tag.Kind() == item.KindObject:

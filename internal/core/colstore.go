@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/item"
 	"repro/internal/schema"
@@ -279,7 +278,7 @@ func (d *colDecoder) decodeVal(row *objRow) value.Value {
 	case value.KindBoolean:
 		return value.NewBoolean(row.valBits != 0)
 	case value.KindDate:
-		return value.NewDate(time.Unix(int64(row.valBits), 0).UTC())
+		return value.DateOfUnix(int64(row.valBits))
 	}
 	return value.Undefined
 }

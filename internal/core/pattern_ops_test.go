@@ -107,11 +107,23 @@ func TestPatternRelationship(t *testing.T) {
 	s := mustCreate(t, en, "Action", "S")
 	w, _ := en.CreateRelationship("Write", map[string]item.ID{"from": alarms, "by": s})
 	n, _ := en.CreateValueObject(w, "NumberOfWrites", value.NewInteger(1))
+	// A pattern relationship alone keeps a generation from serving
+	// unspliced, in the patched generation and in a rebuild alike.
+	patternFree := func(step string, want bool) {
+		t.Helper()
+		for name, v := range map[string]item.View{"frozen": en.FrozenView(), "rebuilt": en.FrozenViewRebuild()} {
+			if got := v.(*colFrozen).PatternFree(); got != want {
+				t.Errorf("%s: %s PatternFree() = %v, want %v", step, name, got, want)
+			}
+		}
+	}
+	patternFree("no pattern", true)
 
 	// Mark the relationship itself as a pattern (a template access).
 	if err := en.MarkPattern(w); err != nil {
 		t.Fatal(err)
 	}
+	patternFree("pattern relationship", false)
 	r, _ := en.Relationship(w)
 	no, _ := en.Object(n)
 	if !r.Pattern || !no.Pattern {
@@ -131,6 +143,19 @@ func TestPatternRelationship(t *testing.T) {
 	if r.Pattern {
 		t.Error("relationship clear failed")
 	}
+	patternFree("pattern cleared", true)
+	acc, err := en.CreateRelationship("Access", map[string]item.ID{"from": alarms, "by": mustCreate(t, en, "Action", "S2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := en.MarkPattern(acc); err != nil {
+		t.Fatal(err)
+	}
+	patternFree("pattern relationship without attributes", false)
+	if err := en.ClearPattern(acc); err != nil {
+		t.Fatal(err)
+	}
+	patternFree("cleared again", true)
 	// Inherits-relationships cannot be patterns.
 	pat, _ := en.CreatePatternObject("Action", "PO")
 	inh := mustCreate(t, en, "Action", "I")

@@ -609,6 +609,7 @@ type frozenIndexes interface {
 	item.View
 	ObjectsOfClass(string) ([]item.ID, bool)
 	InheritsRelationships() []item.ID
+	PatternFree() bool
 }
 
 // viewsDiff compares two views over their complete observable surface,
@@ -624,6 +625,9 @@ func viewsDiff(got, want frozenIndexes, classNames []string) error {
 	ids(got.Objects(), want.Objects(), "Objects()")
 	ids(got.Relationships(), want.Relationships(), "Relationships()")
 	ids(got.InheritsRelationships(), want.InheritsRelationships(), "InheritsRelationships()")
+	if g, w := got.PatternFree(), want.PatternFree(); diff == nil && g != w {
+		diff = fmt.Errorf("PatternFree() = %v, want %v", g, w)
+	}
 	for _, name := range classNames {
 		gids, gok := got.ObjectsOfClass(name)
 		wids, _ := want.ObjectsOfClass(name)

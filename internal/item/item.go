@@ -212,7 +212,9 @@ type IndexedView interface {
 	// slice (callers must not modify it). Specializations do not match; the
 	// caller expands the class family itself. ok reports whether the view
 	// actually maintains an index — false means the caller must fall back
-	// to scanning, not that the class is empty.
+	// to scanning, not that the class is empty. The query executor relies
+	// on the list holding only visible objects of that class: it does not
+	// re-check their class or visibility.
 	ObjectsOfClass(qualified string) (ids []ID, ok bool)
 }
 
@@ -253,6 +255,18 @@ type NamePrefixView interface {
 // uses it to avoid scanning every relationship of the view.
 type InheritsLister interface {
 	InheritsRelationships() []ID
+}
+
+// PathMatcher is an optional View extension that compiles a sub-object
+// value test once per query instead of walking Children and decoding whole
+// objects per candidate. The returned test reports whether some sub-object
+// chain below root, following roles, ends in a visible object with a
+// defined value that match accepts. That is the "some path matches"
+// semantics of the generic walk over Children and Object, and a view's
+// tests must agree with that walk over the same view. The test is safe for
+// concurrent use if match is.
+type PathMatcher interface {
+	MatchPath(roles []string, match func(value.Value) bool) func(root ID) bool
 }
 
 // PathOf reconstructs the qualified name of an object by walking parents.

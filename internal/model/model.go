@@ -264,6 +264,14 @@ func (m *Model) InheritsRelationships() []item.ID {
 	return m.relsWhere(func(r *item.Relationship) bool { return r.Inherits })
 }
 
+// PatternFree reports that no live item is a pattern and no live
+// inherits-relationship exists: the state whose pattern-spliced user view
+// is the raw view itself.
+func (m *Model) PatternFree() bool {
+	return m.objectsWhere(func(o *item.Object) bool { return o.Pattern }) == nil &&
+		m.relsWhere(func(r *item.Relationship) bool { return r.Pattern || r.Inherits }) == nil
+}
+
 // objectsWhere scans for the live objects keep accepts, ascending by ID; nil
 // when there are none.
 func (m *Model) objectsWhere(keep func(*item.Object) bool) []item.ID {

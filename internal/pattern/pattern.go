@@ -279,25 +279,36 @@ func (s *Spliced) ObjectByName(name string) (item.ID, bool) {
 	return id, true
 }
 
-// Children merges real and spliced sub-objects; real ones come first.
+// Children merges real and spliced sub-objects; real ones come first. A
+// parent without spliced sub-objects in the role gets the base's shared
+// slice as is, per the item.View immutability contract.
 func (s *Spliced) Children(parent item.ID, role string) []item.ID {
-	var out []item.ID
+	var base []item.ID
 	if !IsVirtualID(parent) {
-		out = append(out, s.base.Children(parent, role)...)
+		base = s.base.Children(parent, role)
 	}
-	if byRole, ok := s.vChildren[parent]; ok {
-		if role != "" {
-			out = append(out, byRole[role]...)
-		} else {
-			roles := make([]string, 0, len(byRole))
-			for r := range byRole {
-				roles = append(roles, r)
-			}
-			sort.Strings(roles)
-			for _, r := range roles {
-				out = append(out, byRole[r]...)
-			}
+	byRole, ok := s.vChildren[parent]
+	if !ok {
+		return base
+	}
+	if role != "" {
+		virt := byRole[role]
+		switch {
+		case len(virt) == 0:
+			return base
+		case len(base) == 0:
+			return virt
 		}
+		return append(append(make([]item.ID, 0, len(base)+len(virt)), base...), virt...)
+	}
+	roles := make([]string, 0, len(byRole))
+	for r := range byRole {
+		roles = append(roles, r)
+	}
+	sort.Strings(roles)
+	out := append([]item.ID(nil), base...)
+	for _, r := range roles {
+		out = append(out, byRole[r]...)
 	}
 	return out
 }

@@ -186,3 +186,51 @@ func TestValidateInheritorCardinality(t *testing.T) {
 		t.Fatal("over-full inherit accepted by engine")
 	}
 }
+
+// TestSplicedChildrenSharesBase pins the allocation-free Children: a parent
+// without spliced sub-objects in the role gets the frozen base's own slice,
+// and a virtual parent its spliced list, neither copied per call.
+func TestSplicedChildrenSharesBase(t *testing.T) {
+	en := engine(t)
+	pat, _ := en.CreatePatternObject("Data", "PO")
+	ptext, _ := en.CreateSubObject(pat, "Text")
+	_, _ = en.CreateValueObject(ptext, "Selector", value.NewString("inherited"))
+	plain, _ := en.CreateObject("Data", "Plain")
+	_, _ = en.CreateSubObject(plain, "Text")
+	_, _ = en.CreateValueObject(plain, "Description", value.NewString("d"))
+	inh, _ := en.CreateObject("Data", "Real")
+	_, _ = en.CreateValueObject(inh, "Description", value.NewString("r"))
+	if _, err := en.Inherit(pat, inh); err != nil {
+		t.Fatal(err)
+	}
+	base := en.FrozenView()
+	sp := pattern.NewSpliced(base)
+	vtexts := sp.Children(inh, "Text")
+	if len(vtexts) != 1 || !pattern.IsVirtualID(vtexts[0]) {
+		t.Fatalf("spliced Text children of the inheritor = %v", vtexts)
+	}
+	cases := []struct {
+		name   string
+		parent item.ID
+		role   string
+		shared []item.ID // the base slice the result must be; nil: a spliced list
+	}{
+		{"plain parent, one role", plain, "Text", base.Children(plain, "Text")},
+		{"plain parent, all roles", plain, "", base.Children(plain, "")},
+		{"inheritor, role without spliced children", inh, "Description", base.Children(inh, "Description")},
+		{"inheritor, role with only spliced children", inh, "Text", nil},
+		{"virtual parent", vtexts[0], "Selector", nil},
+	}
+	for _, c := range cases {
+		got := sp.Children(c.parent, c.role)
+		if len(got) == 0 {
+			t.Fatalf("%s: no children", c.name)
+		}
+		if c.shared != nil && &got[0] != &c.shared[0] {
+			t.Errorf("%s: Children copied the base slice", c.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { sp.Children(c.parent, c.role) }); n != 0 {
+			t.Errorf("%s: Children allocates %.0f times per call, want 0", c.name, n)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 // Cost-based planning: Run picks the most selective access path the view
 // supports — exact name, ordered-name-index prefix range, attribute index
 // (equality or range), class index, or the full scan — from index
-// cardinalities, and reorders the residual predicates most-selective-first. Every path feeds the same executor,
-// which re-runs the full predicate set on each candidate, so all plans
-// return identical results; the plan only changes how few candidates the
-// run touches.
+// cardinalities, and reorders the residual predicates most-selective-first.
+// Every path feeds the same executor, which re-runs the full predicate set
+// on each candidate, so all plans return identical results; the plan only
+// changes how few candidates the run touches. The one restriction the
+// executor takes on trust is the class: a class-path candidate is, by the
+// item.IndexedView contract, a visible object of the class family.
 package query
 
 import (
@@ -123,7 +125,7 @@ func (q *Query) RunPlan(v item.View) ([]item.ID, *Plan, error) {
 		}
 		plan.Candidates = 1
 		o, ok := v.Object(id)
-		if !ok || !q.matches(v, o, nil) {
+		if !ok || !q.restrictions(o) || !passes(id, q.compile(v), nil) {
 			return nil, plan, nil
 		}
 		plan.Matched = 1
@@ -147,14 +149,20 @@ func (q *Query) RunPlan(v item.View) ([]item.ID, *Plan, error) {
 	}
 
 	order := residualOrder(q.preds, predEst)
+	tests := q.compile(v)
+	// A class-path candidate is, by the item.IndexedView contract, a
+	// visible object of the restricted class family: without a name glob
+	// only the predicates are left to check, so it is not decoded.
+	decode := plan.Access != AccessClass || q.nameGlob != ""
 	var out []item.ID
 	skip := q.offset
 	for _, id := range candidates {
-		o, ok := v.Object(id)
-		if !ok {
-			continue
+		if decode {
+			if o, ok := v.Object(id); !ok || !q.restrictions(o) {
+				continue
+			}
 		}
-		if !q.matches(v, o, order) {
+		if !passes(id, tests, order) {
 			continue
 		}
 		plan.Matched++

@@ -306,10 +306,9 @@ func literalGlob(pattern string) bool {
 	return true
 }
 
-// matches re-checks the full restriction set on one candidate. order, when
-// non-nil, gives the predicate evaluation order (most selective first, per
-// the planner's index estimates); nil keeps declaration order.
-func (q *Query) matches(v item.View, o item.Object, order []int) bool {
+// restrictions checks one candidate against the class and name
+// restrictions.
+func (q *Query) restrictions(o item.Object) bool {
 	if q.className != "" {
 		if q.includeSpecs {
 			ok := false
@@ -334,43 +333,59 @@ func (q *Query) matches(v item.View, o item.Object, order []int) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// passes runs one candidate through the compiled predicate tests (see
+// compile). order, when non-nil, gives the evaluation order (most selective
+// first, per the planner's index estimates); nil keeps declaration order.
+func passes(id item.ID, tests []func(item.ID) bool, order []int) bool {
 	if order == nil {
-		for _, p := range q.preds {
-			if !evalPredicate(v, o.ID, p) {
+		for _, test := range tests {
+			if !test(id) {
 				return false
 			}
 		}
 		return true
 	}
 	for _, pi := range order {
-		if !evalPredicate(v, o.ID, q.preds[pi]) {
+		if !tests[pi](id) {
 			return false
 		}
 	}
 	return true
 }
 
-// evalPredicate reports whether some sub-object chain below obj matches the
-// role path and satisfies the comparison. An undefined value matches
-// nothing.
-func evalPredicate(v item.View, obj item.ID, p predicate) bool {
-	frontier := []item.ID{obj}
-	for _, role := range p.roles {
-		var next []item.ID
-		for _, id := range frontier {
-			next = append(next, v.Children(id, role)...)
+// compile builds each predicate's per-candidate test once per run: through
+// the view's item.PathMatcher when it has one, which resolves the role path
+// once and reads leaf values off the view's own rows, and otherwise as the
+// generic evalPredicate walk, which stays the reference the compiled tests
+// are checked against.
+func (q *Query) compile(v item.View) []func(item.ID) bool {
+	tests := make([]func(item.ID) bool, len(q.preds))
+	pm, compiled := v.(item.PathMatcher)
+	for i := range q.preds {
+		p := &q.preds[i]
+		if compiled {
+			tests[i] = pm.MatchPath(p.roles, func(a value.Value) bool { return compare(a, p.op, p.val) })
+		} else {
+			tests[i] = func(id item.ID) bool { return evalPredicate(v, id, p.roles, p) }
 		}
-		if len(next) == 0 {
-			return false // missing sub-object: matches nothing
-		}
-		frontier = next
 	}
-	for _, id := range frontier {
-		o, ok := v.Object(id)
-		if !ok {
-			continue
-		}
-		if compare(o.Value, p.op, p.val) {
+	return tests
+}
+
+// evalPredicate reports whether some sub-object chain below obj matches the
+// remaining role path and satisfies the comparison. An undefined value, or
+// a missing sub-object, matches nothing. The descent allocates nothing of
+// its own.
+func evalPredicate(v item.View, obj item.ID, roles []string, p *predicate) bool {
+	if len(roles) == 0 {
+		o, ok := v.Object(obj)
+		return ok && compare(o.Value, p.op, p.val)
+	}
+	for _, kid := range v.Children(obj, roles[0]) {
+		if evalPredicate(v, kid, roles[1:], p) {
 			return true
 		}
 	}
@@ -392,6 +407,9 @@ func compare(a value.Value, op CompareOp, b value.Value) bool {
 			return false
 		}
 		return contains(a.Str(), b.Str())
+	}
+	if a.Kind() != b.Kind() {
+		return false // unordered across kinds; Compare would build an error
 	}
 	c, err := a.Compare(b)
 	if err != nil {

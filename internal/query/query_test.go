@@ -1,10 +1,14 @@
 package query_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/item"
+	"repro/internal/pattern"
 	"repro/internal/query"
+	"repro/internal/value"
 	"repro/seed"
 )
 
@@ -274,5 +278,54 @@ func TestOffsetPaging(t *testing.T) {
 	}
 	if one, err := query.New().NameGlob("Alarms").Offset(1).Run(v); err != nil || len(one) != 0 {
 		t.Errorf("offset on the exact-name path: %v, %v", one, err)
+	}
+}
+
+// TestGenericPredicateAllocs pins the generic residual walk allocation-free:
+// one inherits link keeps the user view spliced, so no compiled test
+// applies, and RunPlan must allocate as often over 40 class-path
+// candidates as over 400. The first predicate passes on every candidate
+// and walks two roles; the second rejects every one, so the result stays
+// empty.
+func TestGenericPredicateAllocs(t *testing.T) {
+	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	allocs := func(n int) float64 {
+		db, err := seed.NewMemory(seed.Figure3Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		must := func(id seed.ID, err error) seed.ID {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		for i := 0; i < n; i++ {
+			root := must(db.CreateObject("Data", fmt.Sprintf("D%d", i)))
+			text := must(db.CreateSubObject(root, "Text"))
+			must(db.CreateValueObject(text, "Selector", seed.NewString("s")))
+			must(db.CreateValueObject(root, "Revised", seed.NewDate(day.AddDate(0, 0, i%10))))
+		}
+		pat := must(db.CreatePatternObject("Action", "P"))
+		must(db.Inherit(pat, must(db.CreateObject("Action", "Inheritor"))))
+		v := db.View()
+		if _, spliced := v.(*pattern.Spliced); !spliced {
+			t.Fatalf("user view with an inherits link is %T, want *pattern.Spliced", v)
+		}
+		run := func() {
+			ids, plan, err := query.New().Class("Data", false).
+				Where("Text.Selector", query.Eq, value.NewString("s")).
+				Where("Revised", query.Gt, value.NewDate(day.AddDate(0, 0, 100))).
+				RunPlan(v)
+			if err != nil || len(ids) != 0 || plan.Access != query.AccessClass || plan.Candidates != n {
+				t.Fatalf("n=%d: %v %+v %v", n, ids, plan, err)
+			}
+		}
+		return testing.AllocsPerRun(20, run)
+	}
+	if small, large := allocs(40), allocs(400); large != small {
+		t.Errorf("RunPlan allocates %.0f times over 40 candidates and %.0f over 400", small, large)
 	}
 }

@@ -104,6 +104,20 @@ func NewDate(t time.Time) Value {
 	return Value{kind: KindDate, t: time.Date(y, m, d, 0, 0, 0, 0, time.UTC)}
 }
 
+// DateOfUnix returns the date whose midnight UTC is sec seconds after the
+// Unix epoch — the form a store encodes dates in — without NewDate's
+// calendar round trip. A count that is not a midnight is canonicalized
+// like NewDate.
+func DateOfUnix(sec int64) Value {
+	t := time.Unix(sec, 0).UTC()
+	if sec%secondsPerDay != 0 {
+		return NewDate(t)
+	}
+	return Value{kind: KindDate, t: t}
+}
+
+const secondsPerDay = 24 * 60 * 60
+
 // Parse converts a surface string into a value of the given kind.
 func Parse(k Kind, s string) (Value, error) {
 	switch k {

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,6 +177,23 @@ func TestCompareAntisymmetric(t *testing.T) {
 		c1, err1 := NewInteger(a).Compare(NewInteger(b))
 		c2, err2 := NewInteger(b).Compare(NewInteger(a))
 		return err1 == nil && err2 == nil && c1 == -c2
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDateOfUnixMatchesNewDate pins DateOfUnix to NewDate, representation
+// included, for midnights and for counts that are not midnights.
+func TestDateOfUnixMatchesNewDate(t *testing.T) {
+	f := func(days int16, rem uint16) bool {
+		sec := int64(days) * secondsPerDay
+		for _, s := range []int64{sec, sec + int64(rem)%secondsPerDay} {
+			if !reflect.DeepEqual(DateOfUnix(s), NewDate(time.Unix(s, 0).UTC())) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

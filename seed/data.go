@@ -307,20 +307,28 @@ func (tx *Tx) Rollback() error {
 // ---- Retrieval ----
 
 // snapshotCache is one immutable snapshot of a mutation generation: the
-// frozen raw view plus the lazily built user (pattern-spliced) view over
-// it. Both are safe for unsynchronized concurrent use and stay consistent
-// while mutations proceed on the engine.
+// frozen raw view plus the lazily built user view over it. Both are safe
+// for unsynchronized concurrent use and stay consistent while mutations
+// proceed on the engine.
 type snapshotCache struct {
 	gen      uint64
 	raw      View // core.FrozenView of the generation
 	userOnce sync.Once
-	user     *pattern.Spliced
+	user     View
 }
 
-// userView builds the spliced view on first use. The base is frozen, so
-// the splice is consistent no matter when it is built.
-func (c *snapshotCache) userView() *pattern.Spliced {
-	c.userOnce.Do(func() { c.user = pattern.NewSpliced(c.raw) })
+// userView builds the user view on first use. A generation that holds no
+// pattern item and no inherits link is its own user view — the splice
+// would be the identity — and every other generation is spliced. The base
+// is frozen, so either is consistent no matter when it is built.
+func (c *snapshotCache) userView() View {
+	c.userOnce.Do(func() {
+		if pf, ok := c.raw.(interface{ PatternFree() bool }); ok && pf.PatternFree() {
+			c.user = c.raw
+			return
+		}
+		c.user = pattern.NewSpliced(c.raw)
+	})
 	return c.user
 }
 
@@ -371,7 +379,11 @@ func (db *Database) RawView() View {
 func (db *Database) Origin(id ID) (source, patternRoot, inheritor ID, ok bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	org, ok := db.snapshotLocked().userView().Origin(id)
+	sp, ok := db.snapshotLocked().userView().(*pattern.Spliced)
+	if !ok {
+		return NoID, NoID, NoID, false // an unspliced generation has no virtual items
+	}
+	org, ok := sp.Origin(id)
 	if !ok {
 		return NoID, NoID, NoID, false
 	}
