@@ -11,6 +11,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,57 +207,98 @@ func BenchmarkE3_SaveVersion(b *testing.B) {
 	}
 }
 
+// versionedDB holds objs objects, objs/2 roots with a Description each,
+// saved as version 1.0.
+func versionedDB(b *testing.B, objs int) *seed.Database {
+	b.Helper()
+	db := mustMem(b, seed.Figure3Schema())
+	populate(b, db, objs/2)
+	if _, err := db.SaveVersion("1.0"); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// saveOneItem changes one root's Description and saves the next version.
+func saveOneItem(b *testing.B, db *seed.Database, root int) seed.VersionNumber {
+	b.Helper()
+	d, err := db.ResolvePath(fmt.Sprintf("Obj%d.Description", root))
+	if err == nil {
+		err = db.SetValue(d, seed.NewString(fmt.Sprintf("v%d", root)))
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	num, err := db.SaveVersion("one item")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return num
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkE3_VersionView reads a saved version's view at objs=1k/10k/100k.
+// pinned reads the base version, the generation SaveVersion pinned: O(1),
+// flat across objs. cold alternates between 1.0 and 2.0, so each read
+// finds the other in the one rebuilt slot and rebuilds its frozen
+// generation from the delta path: O(objs). The pinned cell also reports
+// retained-B/version, the live heap each of 20 one-item saves adds; the
+// two-slot pin set keeps it from growing a generation per version.
 func BenchmarkE3_VersionView(b *testing.B) {
-	for _, versions := range []int{1, 10, 50} {
-		b.Run(fmt.Sprintf("chain=%d", versions), func(b *testing.B) {
-			db := mustMem(b, seed.Figure3Schema())
-			defer db.Close()
-			populate(b, db, 200)
-			var last seed.VersionNumber
-			for i := 0; i < versions; i++ {
-				d, _ := db.ResolvePath(fmt.Sprintf("Obj%d.Description", i%200))
-				_ = db.SetValue(d, seed.NewString(fmt.Sprintf("v%d", i)))
-				num, err := db.SaveVersion("step")
-				if err != nil {
+	const saves = 20
+	for _, objs := range []int{1_000, 10_000, 100_000} {
+		db := versionedDB(b, objs)
+		before := liveHeap()
+		var base seed.VersionNumber
+		for i := 0; i < saves; i++ {
+			base = saveOneItem(b, db, i)
+		}
+		retained := float64(liveHeap()-before) / saves
+		read := func(b *testing.B, num func(i int) seed.VersionNumber) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.VersionView(num(i)); err != nil {
 					b.Fatal(err)
 				}
-				last = num
 			}
+		}
+		b.Run(fmt.Sprintf("objs=%dk/pinned", objs/1000), func(b *testing.B) {
+			read(b, func(int) seed.VersionNumber { return base })
+			b.ReportMetric(retained, "retained-B/version")
+		})
+		b.Run(fmt.Sprintf("objs=%dk/cold", objs/1000), func(b *testing.B) {
+			read(b, func(i int) seed.VersionNumber { return seed.VersionNumber{1 + i%2, 0} })
+		})
+		db.Close()
+	}
+}
+
+// BenchmarkE3_SelectVersion alternates the base between versions 1.0 and
+// 2.0 at objs=1k/10k/100k; each select restores the whole store.
+func BenchmarkE3_SelectVersion(b *testing.B) {
+	for _, objs := range []int{1_000, 10_000, 100_000} {
+		db := versionedDB(b, objs)
+		v2 := saveOneItem(b, db, 0)
+		b.Run(fmt.Sprintf("objs=%dk", objs/1000), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.VersionView(last); err != nil {
+				num := seed.VersionNumber{1, 0}
+				if i%2 == 1 {
+					num = v2
+				}
+				if err := db.SelectVersion(num); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkE3_SelectVersion(b *testing.B) {
-	db := mustMem(b, seed.Figure3Schema())
-	defer db.Close()
-	populate(b, db, 500)
-	v1, err := db.SaveVersion("base")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, _ := db.ResolvePath("Obj0.Description")
-	_ = db.SetValue(d, seed.NewString("tip"))
-	v2, err := db.SaveVersion("tip")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		num := v1
-		if i%2 == 1 {
-			num = v2
-		}
-		if err := db.SelectVersion(num); err != nil {
-			b.Fatal(err)
-		}
+		db.Close()
 	}
 }
 

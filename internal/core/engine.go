@@ -152,29 +152,43 @@ func (en *Engine) SetSchema(sch *schema.Schema) error {
 
 // RebindSchema re-resolves every item's class or association pointer against
 // the current schema. It fails if an item's class no longer exists, which
-// makes removing a populated class an invalid schema evolution.
+// makes removing a populated class an invalid schema evolution. Items share
+// one interned symbol per class or association name, so it rebinds the
+// symbols the rows use and rewrites no row.
 func (en *Engine) RebindSchema() error {
 	// Class pointers change underneath every frozen copy's index; the next
 	// snapshot must rebuild rather than patch.
 	en.invalidateFrozen()
-	for _, id := range en.st.objectIDs() {
-		o, _ := en.st.object(id)
-		c, err := en.sch.Class(o.Class.QualifiedName())
-		if err != nil {
-			return fmt.Errorf("core: object %d: %w", id, err)
+	cs := en.st
+	objOf := make([]item.ID, len(cs.classBySym)) // a known object per class symbol
+	for ord := 0; ord < cs.objLen; ord++ {
+		if row := cs.objRows.at(ord); row.id != item.NoID {
+			objOf[row.classSym] = row.id
 		}
-		en.st.setClass(id, c)
 	}
-	for _, id := range en.st.relIDs() {
-		r, _ := en.st.rel(id)
-		if r.Inherits {
-			continue
+	for sym, id := range objOf {
+		if id != item.NoID {
+			c, err := en.sch.Class(cs.classBySym[sym].QualifiedName())
+			if err != nil {
+				return fmt.Errorf("core: object %d: %w", id, err)
+			}
+			cs.classBySym[sym] = c
 		}
-		a, err := en.sch.Association(r.Assoc.Name())
-		if err != nil {
-			return fmt.Errorf("core: relationship %d: %w", id, err)
+	}
+	relOf := make([]item.ID, len(cs.assocBySym)) // a known relationship per association symbol
+	for ord := 0; ord < cs.relLen; ord++ {
+		if row := cs.relRows.at(ord); row.id != item.NoID && row.flags&rowInherits == 0 {
+			relOf[row.assocSym] = row.id
 		}
-		en.st.setAssoc(id, a)
+	}
+	for sym, id := range relOf {
+		if id != item.NoID {
+			a, err := en.sch.Association(cs.assocBySym[sym].Name())
+			if err != nil {
+				return fmt.Errorf("core: relationship %d: %w", id, err)
+			}
+			cs.assocBySym[sym] = a
+		}
 	}
 	return nil
 }
@@ -291,11 +305,6 @@ func (en *Engine) Relationship(id item.ID) (item.Relationship, error) {
 func (en *Engine) Contains(id item.ID) bool {
 	_, ok := en.st.kindOf(id)
 	return ok
-}
-
-// KindOf reports the kind of a known item.
-func (en *Engine) KindOf(id item.ID) (item.Kind, bool) {
-	return en.st.kindOf(id)
 }
 
 // liveObject fetches a live object's state.

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/item"
+	"repro/internal/schema"
 )
 
 // Frozen views: immutable snapshots of the engine's raw view. The engine
@@ -46,6 +47,25 @@ func (en *Engine) FrozenView() item.View {
 // untouched. The differential tests compare it against FrozenView after
 // every operation.
 func (en *Engine) FrozenViewRebuild() item.View { return en.st.fullFreeze(en.sch) }
+
+// FreezeItems builds the self-contained frozen view of a saved version that
+// no live generation holds: a fresh engine over sch with the given attribute
+// indexes (one whose class sch lacks is skipped), restored from the
+// version's item states and rebound to sch, then frozen from scratch.
+func FreezeItems(sch *schema.Schema, specs []item.AttrSpec, objs []item.Object, rels []item.Relationship) (item.View, error) {
+	en, err := NewEngine(sch)
+	if err != nil {
+		return nil, err
+	}
+	for _, spec := range specs {
+		_ = en.CreateAttrIndex(spec)
+	}
+	en.Restore(objs, rels)
+	if err := en.RebindSchema(); err != nil {
+		return nil, err
+	}
+	return en.FrozenViewRebuild(), nil
+}
 
 // invalidateFrozen drops the incremental snapshot base: the next FrozenView
 // rebuilds from scratch. Called whenever the engine changes in ways the

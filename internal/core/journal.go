@@ -137,9 +137,6 @@ func (en *Engine) BeginReplay() { en.replaying = true }
 // EndReplay leaves replay mode.
 func (en *Engine) EndReplay() { en.replaying = false }
 
-// Replaying reports whether the engine is in replay mode.
-func (en *Engine) Replaying() bool { return en.replaying }
-
 // ApplyRecord applies one engine journal record during recovery. The engine
 // must be in replay mode.
 func (en *Engine) ApplyRecord(payload []byte) error {

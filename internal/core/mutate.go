@@ -406,7 +406,7 @@ func (en *Engine) Delete(id item.ID) (err error) {
 	// Run attached procedures for every deleted item; any veto undoes the
 	// whole cascade.
 	for _, vid := range victims {
-		kind, _ := en.KindOf(vid)
+		kind, _ := en.st.kindOf(vid)
 		if err := en.runProcedures(Event{Op: OpDelete, Item: vid, Kind: kind, View: en.View()}); err != nil {
 			en.rollbackTo(mark)
 			return err

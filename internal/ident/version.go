@@ -55,9 +55,6 @@ func (v VersionNumber) String() string {
 	return b.String()
 }
 
-// IsZero reports whether the version number is empty (no version).
-func (v VersionNumber) IsZero() bool { return len(v) == 0 }
-
 // Equal reports element-wise equality.
 func (v VersionNumber) Equal(w VersionNumber) bool {
 	if len(v) != len(w) {

@@ -48,6 +48,28 @@ func New(sch *schema.Schema) *Model {
 	}
 }
 
+// FromView returns a read-only model holding a copy of every item v lists,
+// with classes and associations re-resolved by name against sch: a deep
+// copy of a saved state that stays comparable after the database reparses
+// its schemas on reopen.
+func FromView(sch *schema.Schema, v item.View) *Model {
+	m := New(sch)
+	for _, id := range v.Objects() {
+		o, _ := v.Object(id)
+		o.Class = sch.MustClass(o.Class.QualifiedName())
+		m.objs[id] = &o
+	}
+	for _, id := range v.Relationships() {
+		r, _ := v.Relationship(id)
+		r = r.Clone()
+		if !r.Inherits {
+			r.Assoc = sch.MustAssociation(r.Assoc.Name())
+		}
+		m.rels[id] = &r
+	}
+	return m
+}
+
 // ---- mutations ----
 
 // CreateObject adds an independent object of a top-level class.

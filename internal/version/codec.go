@@ -2,6 +2,7 @@ package version
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ident"
 	"repro/internal/item"
@@ -16,20 +17,9 @@ import (
 
 // Encode appends the version tree to an encoder.
 func (m *Manager) Encode(e *storage.Encoder) {
-	nodes := m.List() // sorted by number; parents precede children? not guaranteed
-	// Encode in path-depth order so parents are decoded before children.
-	byDepth := make([]*Node, len(nodes))
-	copy(byDepth, nodes)
-	// A node's parent was created earlier; CreatedAt order is insertion
-	// order, but sorting by number length then number is deterministic and
-	// parent-first (a child's number extends or exceeds its parent's line).
-	// Use explicit depth = len(Path).
-	depth := func(n *Node) int { return len(n.Path()) }
-	for i := 1; i < len(byDepth); i++ {
-		for j := i; j > 0 && depth(byDepth[j]) < depth(byDepth[j-1]); j-- {
-			byDepth[j], byDepth[j-1] = byDepth[j-1], byDepth[j]
-		}
-	}
+	// Encode by path depth, then number, so parents decode before children.
+	byDepth := m.List()
+	sort.SliceStable(byDepth, func(i, j int) bool { return len(byDepth[i].Path()) < len(byDepth[j].Path()) })
 	e.Int(len(byDepth))
 	for _, n := range byDepth {
 		e.Ints(n.Num)
@@ -136,8 +126,6 @@ func Decode(d *storage.Decoder, schemaFor func(ver int) (*schema.Schema, error))
 			}
 			n.parent = p
 			p.children = append(p.children, n)
-		} else {
-			m.roots = append(m.roots, n)
 		}
 		m.nodes[ident.VersionNumber(num).String()] = n
 	}

@@ -21,6 +21,7 @@ package version
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,13 +79,6 @@ type Node struct {
 // Parent returns the predecessor version (nil for the first).
 func (n *Node) Parent() *Node { return n.parent }
 
-// Children returns successor versions in creation order.
-func (n *Node) Children() []*Node {
-	out := make([]*Node, len(n.children))
-	copy(out, n.children)
-	return out
-}
-
 // DeltaSize returns the number of item states this version stores.
 func (n *Node) DeltaSize() int { return len(n.delta) }
 
@@ -96,12 +90,6 @@ func (n *Node) DeltaIDs() []item.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Frozen returns the state this version stores for an item, if any.
-func (n *Node) Frozen(id item.ID) (Frozen, bool) {
-	f, ok := n.delta[id]
-	return f, ok
 }
 
 // Path returns the history path from the first version to this one.
@@ -120,8 +108,7 @@ func (n *Node) Path() []*Node {
 // work is based on.
 type Manager struct {
 	nodes map[string]*Node // by number string
-	roots []*Node
-	base  *Node // nil before the first version
+	base  *Node            // nil before the first version
 }
 
 // NewManager creates an empty version tree.
@@ -205,9 +192,7 @@ func (m *Manager) Freeze(delta []Frozen, note string, schemaVer int, at time.Tim
 		}
 		n.delta[f.ID()] = f
 	}
-	if m.base == nil {
-		m.roots = append(m.roots, n)
-	} else {
+	if m.base != nil {
 		if m.lineSuccessorExists(m.base) {
 			m.base.branches++
 		}
@@ -241,54 +226,57 @@ func (m *Manager) Select(num ident.VersionNumber) (*Node, error) {
 	return n, nil
 }
 
-// Delete removes a leaf version that is not the current base. Versions
-// cannot be modified, except for deletion.
-func (m *Manager) Delete(num ident.VersionNumber) error {
-	n, err := m.Lookup(num)
-	if err != nil {
-		return err
-	}
-	if len(n.children) > 0 {
-		return fmt.Errorf("%w: %s has %d successors", ErrNotLeaf, num, len(n.children))
-	}
-	if n == m.base {
-		return fmt.Errorf("%w: %s", ErrIsBase, num)
-	}
-	if n.parent == nil {
-		for i, r := range m.roots {
-			if r == n {
-				m.roots = append(m.roots[:i:i], m.roots[i+1:]...)
-				break
-			}
-		}
-	} else {
-		for i, c := range n.parent.children {
-			if c == n {
-				n.parent.children = append(n.parent.children[:i:i], n.parent.children[i+1:]...)
-				break
-			}
-		}
-	}
-	delete(m.nodes, num.String())
-	return nil
-}
-
-// Materialize computes the full item state of a version: for every item,
-// the state with the greatest version number less than or equal to the
-// requested one along the history path. Deleted states are included — the
-// engine keeps deletion marks — but invisible through the View.
-func (m *Manager) Materialize(num ident.VersionNumber) (map[item.ID]Frozen, error) {
+// Delete removes a leaf version that is not the current base and returns
+// its node. Versions cannot be modified, except for deletion.
+func (m *Manager) Delete(num ident.VersionNumber) (*Node, error) {
 	n, err := m.Lookup(num)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[item.ID]Frozen)
+	if len(n.children) > 0 {
+		return nil, fmt.Errorf("%w: %s has %d successors", ErrNotLeaf, num, len(n.children))
+	}
+	if n == m.base {
+		return nil, fmt.Errorf("%w: %s", ErrIsBase, num)
+	}
+	if p := n.parent; p != nil {
+		p.children = slices.DeleteFunc(p.children, func(c *Node) bool { return c == n })
+	}
+	delete(m.nodes, num.String())
+	return n, nil
+}
+
+// Materialize computes the full item state of a version: for every item,
+// the state with the greatest version number less than or equal to the
+// requested one along the history path, split into objects and
+// relationships in ascending ID order. Deletion records are included — the
+// engine keeps deletion marks, and a frozen view hides them.
+func (m *Manager) Materialize(num ident.VersionNumber) ([]item.Object, []item.Relationship, error) {
+	n, err := m.Lookup(num)
+	if err != nil {
+		return nil, nil, err
+	}
+	holder := make(map[item.ID]*Node) // the node holding each item's state
 	for _, node := range n.Path() {
-		for id, f := range node.delta {
-			out[id] = f // later nodes on the path overwrite earlier states
+		for id := range node.delta {
+			holder[id] = node // later nodes on the path overwrite earlier states
 		}
 	}
-	return out, nil
+	ids := make([]item.ID, 0, len(holder))
+	for id := range holder {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	objs := make([]item.Object, 0, len(ids))
+	var rels []item.Relationship
+	for _, id := range ids {
+		if f := holder[id].delta[id]; f.Kind == item.KindObject {
+			objs = append(objs, f.Obj)
+		} else {
+			rels = append(rels, f.Rel)
+		}
+	}
+	return objs, rels, nil
 }
 
 // VersionsOf lists the versions that store a state of the given item,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/item"
 	"repro/internal/schema"
@@ -99,22 +100,22 @@ func TestMaterializeOverwrites(t *testing.T) {
 		frozenObj(sch, 3, "C", "", false),
 	}, "next", 1, at(2))
 
-	st1, err := m.Materialize(ident.MustParseVersion("1.0"))
+	objs1, rels1, err := m.Materialize(ident.MustParseVersion("1.0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st1) != 2 || st1[2].Deleted() {
-		t.Errorf("1.0 state wrong: %v", st1)
+	if len(objs1)+len(rels1) != 2 || objs1[1].Deleted {
+		t.Errorf("1.0 state wrong: %v", objs1)
 	}
-	st2, _ := m.Materialize(ident.MustParseVersion("2.0"))
-	if len(st2) != 3 {
-		t.Fatalf("2.0 size = %d", len(st2))
+	objs2, rels2, _ := m.Materialize(ident.MustParseVersion("2.0"))
+	if len(objs2)+len(rels2) != 3 {
+		t.Fatalf("2.0 size = %d", len(objs2)+len(rels2))
 	}
-	if !st2[2].Deleted() {
+	if !objs2[1].Deleted {
 		t.Error("deletion record not visible in 2.0")
 	}
 	// The view hides the deleted item.
-	v := NewView(sch, st2)
+	v := mustFreeze(t, sch, objs2, rels2)
 	if _, ok := v.Object(2); ok {
 		t.Error("deleted object visible in view")
 	}
@@ -124,9 +125,19 @@ func TestMaterializeOverwrites(t *testing.T) {
 	if got := len(v.Objects()); got != 2 {
 		t.Errorf("view objects = %d", got)
 	}
-	if _, err := m.Materialize(ident.MustParseVersion("9.9")); !errors.Is(err, ErrUnknownVersion) {
+	if _, _, err := m.Materialize(ident.MustParseVersion("9.9")); !errors.Is(err, ErrUnknownVersion) {
 		t.Errorf("unknown version: %v", err)
 	}
+}
+
+// mustFreeze builds a version's view the way the database's cold path does.
+func mustFreeze(t *testing.T, sch *schema.Schema, objs []item.Object, rels []item.Relationship) item.View {
+	t.Helper()
+	v, err := core.FreezeItems(sch, nil, objs, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestDeleteRules(t *testing.T) {
@@ -134,14 +145,14 @@ func TestDeleteRules(t *testing.T) {
 	m := NewManager()
 	n1, _ := m.Freeze([]Frozen{frozenObj(sch, 1, "A", "", false)}, "1", 1, at(1))
 	n2, _ := m.Freeze(nil, "2", 1, at(2))
-	if err := m.Delete(n1.Num); !errors.Is(err, ErrNotLeaf) {
+	if _, err := m.Delete(n1.Num); !errors.Is(err, ErrNotLeaf) {
 		t.Errorf("delete non-leaf: %v", err)
 	}
-	if err := m.Delete(n2.Num); !errors.Is(err, ErrIsBase) {
+	if _, err := m.Delete(n2.Num); !errors.Is(err, ErrIsBase) {
 		t.Errorf("delete base: %v", err)
 	}
 	_, _ = m.Select(n1.Num)
-	if err := m.Delete(n2.Num); err != nil {
+	if _, err := m.Delete(n2.Num); err != nil {
 		t.Errorf("delete leaf: %v", err)
 	}
 	if m.Count() != 1 {
@@ -209,7 +220,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if dn1.Note != "first" || dn1.DeltaSize() != 2 {
 		t.Errorf("decoded node: note=%q delta=%d", dn1.Note, dn1.DeltaSize())
 	}
-	f, ok := dn1.Frozen(2)
+	f, ok := dn1.delta[2]
 	if !ok || f.Kind != item.KindRelationship || f.Rel.Assoc.Name() != "Read" {
 		t.Errorf("decoded frozen rel: %+v", f)
 	}
@@ -229,13 +240,13 @@ func TestViewChildrenOrdering(t *testing.T) {
 	sch := schema.Figure2()
 	data := sch.MustClass("Data")
 	textCls := sch.MustClass("Data.Text")
-	states := map[item.ID]Frozen{
-		1: {Kind: item.KindObject, Obj: item.Object{ID: 1, Class: data, Name: "A", Index: item.NoIndex}},
+	objs := []item.Object{
+		{ID: 1, Class: data, Name: "A", Index: item.NoIndex},
 		// Children inserted out of index order.
-		3: {Kind: item.KindObject, Obj: item.Object{ID: 3, Class: textCls, Parent: 1, Role: "Text", Index: 1}},
-		2: {Kind: item.KindObject, Obj: item.Object{ID: 2, Class: textCls, Parent: 1, Role: "Text", Index: 0}},
+		{ID: 3, Class: textCls, Parent: 1, Role: "Text", Index: 1},
+		{ID: 2, Class: textCls, Parent: 1, Role: "Text", Index: 0},
 	}
-	v := NewView(sch, states)
+	v := mustFreeze(t, sch, objs, nil)
 	ch := v.Children(1, "Text")
 	if len(ch) != 2 || ch[0] != 2 || ch[1] != 3 {
 		t.Errorf("children order = %v", ch)

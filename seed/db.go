@@ -106,6 +106,7 @@ type Database struct {
 	snapMu sync.Mutex                    // serializes snapshot builds
 	snap   atomic.Pointer[snapshotCache] // snapshot of the last built generation
 	gen    uint64                        // seed:guarded-by(mu) — mutation generation (bumped per visible change)
+	pins   versionPins                   // saved versions' frozen generations (versions.go); internally synchronized
 
 	// Follower replication (replica.go). replica marks a read-only
 	// follower — every mutation entry point refuses with ErrNotPrimary.
@@ -305,14 +306,8 @@ func (db *Database) RegisterProcedure(name string, p Procedure) {
 func (db *Database) EvolveSchema(edit func(*Schema) error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.replica {
-		return ErrNotPrimary
-	}
-	if db.engine.InTx() {
-		return ErrTxOpen
+	if err := db.barrierLocked(); err != nil {
+		return err
 	}
 	next, err := db.engine.Schema().Evolve()
 	if err != nil {
@@ -467,20 +462,32 @@ func (db *Database) maybeCompact() error {
 	return db.compactLocked()
 }
 
+// barrierLocked admits a whole-database operation (version save, select,
+// delete, vacuum, schema evolution, compaction): the database is open and
+// primary, and no transaction is open — the operation would freeze,
+// persist or expose through its generation bump a half-applied batch.
+//
+// seed:locked-caller
+func (db *Database) barrierLocked() error {
+	switch {
+	case db.closed:
+		return ErrClosed
+	case db.replica:
+		return ErrNotPrimary
+	case db.engine.InTx():
+		return ErrTxOpen
+	}
+	return nil
+}
+
 // Compact writes a full snapshot and truncates the write-ahead log. It is
 // rejected while a transaction is open — the snapshot would persist the
 // half-applied batch.
 func (db *Database) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.replica {
-		return ErrNotPrimary // a follower has no log of its own to compact
-	}
-	if db.engine.InTx() {
-		return ErrTxOpen
+	if err := db.barrierLocked(); err != nil {
+		return err
 	}
 	if db.store == nil {
 		return nil

@@ -223,7 +223,7 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		return db.vers.Delete(ident.VersionNumber(num))
+		return db.deleteVersionLocked(num)
 
 	case recVacuum:
 		// The keep-set is deterministic from the replayed version tree.

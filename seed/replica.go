@@ -110,6 +110,7 @@ func (db *Database) ApplyLogSnapshot(payload []byte) error {
 	} else if err := db.loadSnapshot(payload); err != nil {
 		return err
 	}
+	db.pins.drop(nil)
 	db.gen++
 	return nil
 }
@@ -178,6 +179,7 @@ func (db *Database) ReplicaAdopt(staging *Database) error {
 	for _, spec := range specs {
 		_ = db.engine.CreateAttrIndex(spec)
 	}
+	db.pins.drop(nil)
 	db.gen++
 	return nil
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/item"
-	"repro/internal/pattern"
-	"repro/internal/version"
+	"repro/internal/core"
 )
 
 // History-sensitive consistency rules — the second open problem the paper
@@ -21,7 +19,8 @@ type Transition struct {
 	// Prev is the view to the version the current work is based on; for
 	// the first version it is an empty view.
 	Prev View
-	// Next is the user view of the state about to be saved.
+	// Next is the user view of the state about to be saved: the frozen
+	// generation the new version pins, unaffected by later mutations.
 	Next View
 	// Changed lists the items the new version will freeze (ascending).
 	Changed []ID
@@ -50,31 +49,32 @@ func (db *Database) RegisterTransitionRule(name string, rule TransitionRule) {
 	db.transitions[name] = rule
 }
 
-// checkTransitions evaluates all registered rules for the upcoming save.
+// checkTransitions evaluates all registered rules for the upcoming save:
+// Next is the generation about to be saved, Prev the base version's view
+// through the pin set.
 //
 // seed:locked-caller — SaveVersion holds db.mu across the check.
-func (db *Database) checkTransitions() error {
-	if len(db.transitions) == 0 || db.engine.Replaying() {
+func (db *Database) checkTransitions(next *snapshotCache) error {
+	if len(db.transitions) == 0 {
 		return nil
 	}
 	tr := Transition{
-		Next:    pattern.NewSpliced(db.engine.View()),
+		Next:    next.userView(),
 		Changed: db.engine.DirtyIDs(),
 		NextNum: db.vers.NextNumber(),
 	}
 	if base := db.vers.Base(); base != nil {
-		states, err := db.vers.Materialize(base.Num)
+		prev, err := db.versionSnapLocked(base)
 		if err != nil {
 			return err
 		}
-		sch, err := db.schemaAt(base.SchemaVer)
-		if err != nil {
-			return err
-		}
-		tr.Prev = pattern.NewSpliced(version.NewView(sch, states))
-		tr.PrevNum = base.Num
+		tr.Prev, tr.PrevNum = prev.userView(), base.Num
 	} else {
-		tr.Prev = version.NewView(db.engine.Schema(), map[item.ID]version.Frozen{})
+		empty, err := core.FreezeItems(db.engine.Schema(), nil, nil, nil)
+		if err != nil {
+			return err
+		}
+		tr.Prev = empty
 	}
 	names := make([]string, 0, len(db.transitions))
 	for name := range db.transitions {

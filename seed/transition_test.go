@@ -126,3 +126,40 @@ func TestTransitionRuleFirstVersion(t *testing.T) {
 		t.Error("first transition should see an empty predecessor view")
 	}
 }
+
+// TestTransitionViewsAreFrozen: a rule may keep Transition.Next and
+// Transition.Prev past the save. Next is the generation the new version
+// pins, so later mutations never show through it; Prev is the base
+// version's view.
+func TestTransitionViewsAreFrozen(t *testing.T) {
+	db := memDB(t, Figure3Schema())
+	var next, prev View
+	db.RegisterTransitionRule("keep", func(tr Transition) error {
+		next, prev = tr.Next, tr.Prev
+		return nil
+	})
+	a := create(t, db, "Action", "A")
+	v1, err := db.SaveVersion("with A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := next
+	if err := db.Delete(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := kept.Object(a); !ok {
+		t.Fatal("Transition.Next lost A after a later Delete: it reads live state")
+	}
+	if v, _ := db.VersionView(v1); v != kept {
+		t.Error("Transition.Next is not the generation version 1.0 pins")
+	}
+	if _, err := db.SaveVersion("without A"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := prev.Object(a); !ok {
+		t.Error("Transition.Prev of 2.0 is not the view to 1.0")
+	}
+	if _, ok := next.Object(a); ok {
+		t.Error("Transition.Next of 2.0 still holds the deleted A")
+	}
+}

@@ -2,10 +2,11 @@ package seed
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/item"
-	"repro/internal/pattern"
 	"repro/internal/version"
 )
 
@@ -30,18 +31,13 @@ type VersionInfo struct {
 func (db *Database) SaveVersion(note string) (VersionNumber, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	if err := db.barrierLocked(); err != nil {
+		return nil, err
 	}
-	if db.replica {
-		return nil, ErrNotPrimary
-	}
-	if db.engine.InTx() {
-		// A version must never freeze a half-applied batch, and the gen
-		// bump would let readers snapshot mid-transaction state.
-		return nil, ErrTxOpen
-	}
-	if err := db.checkTransitions(); err != nil {
+	// The version saves exactly the current generation: freeze it once,
+	// for the transition rules' Next and as the new version's pinned view.
+	snap := db.snapshotLocked()
+	if err := db.checkTransitions(snap); err != nil {
 		return nil, err
 	}
 	at := db.clock()
@@ -49,6 +45,7 @@ func (db *Database) SaveVersion(note string) (VersionNumber, error) {
 	if err != nil {
 		return nil, err
 	}
+	db.pins.pin(db.vers.Base(), snap, true)
 	db.gen++
 	if db.store != nil {
 		if err := db.store.Append(encSaveVersion(note, at, num)); err != nil {
@@ -70,27 +67,12 @@ func (db *Database) SaveVersion(note string) (VersionNumber, error) {
 func (db *Database) saveVersionLocked(note string, at time.Time) (VersionNumber, error) {
 	dirty := db.engine.DirtyIDs()
 	delta := make([]version.Frozen, 0, len(dirty))
-	for _, id := range dirty {
-		kind, ok := db.engine.KindOf(id)
-		if !ok {
-			continue
+	for _, id := range dirty { // deleted items too: their states are the deletion records
+		if o, err := db.engine.Object(id); err == nil {
+			delta = append(delta, version.Frozen{Kind: item.KindObject, Obj: o})
+		} else if r, err := db.engine.Relationship(id); err == nil {
+			delta = append(delta, version.Frozen{Kind: item.KindRelationship, Rel: r})
 		}
-		var f version.Frozen
-		f.Kind = kind
-		if kind == item.KindObject {
-			o, err := db.engine.Object(id)
-			if err != nil {
-				return nil, err
-			}
-			f.Obj = o
-		} else {
-			r, err := db.engine.Relationship(id)
-			if err != nil {
-				return nil, err
-			}
-			f.Rel = r
-		}
-		delta = append(delta, f)
 	}
 	node, err := db.vers.Freeze(delta, note, db.engine.Schema().Version(), at)
 	if err != nil {
@@ -123,11 +105,8 @@ func (db *Database) SelectVersion(num VersionNumber) error {
 func (db *Database) SelectVersionDiscard(num VersionNumber) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.replica {
-		return ErrNotPrimary
+	if err := db.barrierLocked(); err != nil {
+		return err
 	}
 	return db.selectVersionJournaled(num)
 }
@@ -156,18 +135,9 @@ func (db *Database) selectVersionJournaled(num VersionNumber) error {
 //
 // seed:locked-caller
 func (db *Database) selectVersionLocked(num VersionNumber) error {
-	states, err := db.vers.Materialize(num)
+	objs, rels, err := db.vers.Materialize(num)
 	if err != nil {
 		return err
-	}
-	objs := make([]item.Object, 0, len(states))
-	rels := make([]item.Relationship, 0)
-	for _, f := range states {
-		if f.Kind == item.KindObject {
-			objs = append(objs, f.Obj)
-		} else {
-			rels = append(rels, f.Rel)
-		}
 	}
 	db.engine.Restore(objs, rels)
 	// The engine state is replaced from here on: bump the generation so
@@ -190,16 +160,10 @@ func (db *Database) selectVersionLocked(num VersionNumber) error {
 func (db *Database) DeleteVersion(num VersionNumber) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
+	if err := db.barrierLocked(); err != nil {
+		return err
 	}
-	if db.replica {
-		return ErrNotPrimary
-	}
-	if db.engine.InTx() {
-		return ErrTxOpen // the gen bump would expose mid-transaction state
-	}
-	if err := db.vers.Delete(num); err != nil {
+	if err := db.deleteVersionLocked(num); err != nil {
 		return err
 	}
 	db.gen++
@@ -212,6 +176,17 @@ func (db *Database) DeleteVersion(num VersionNumber) error {
 	return nil
 }
 
+// deleteVersionLocked removes a leaf version and drops its pinned view.
+//
+// seed:locked-caller
+func (db *Database) deleteVersionLocked(num VersionNumber) error {
+	node, err := db.vers.Delete(num)
+	if err == nil {
+		db.pins.drop(node)
+	}
+	return err
+}
+
 // Vacuum physically removes deletion tombstones that no saved version
 // references: items are marked as deleted instead of being removed (which
 // makes version creation cheap), and Vacuum reclaims the marks once they
@@ -219,14 +194,8 @@ func (db *Database) DeleteVersion(num VersionNumber) error {
 func (db *Database) Vacuum() (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if db.replica {
-		return 0, ErrNotPrimary
-	}
-	if db.engine.InTx() {
-		return 0, ErrTxOpen
+	if err := db.barrierLocked(); err != nil {
+		return 0, err
 	}
 	n, err := db.vacuumLocked()
 	if err != nil {
@@ -257,9 +226,12 @@ func (db *Database) vacuumLocked() (int, error) {
 }
 
 // VersionView returns the user-facing view to a saved version: retrieval
-// from an old version works exactly like retrieval from the current one.
-// The view is interpreted under the schema version recorded by the version.
-// Version views are immutable and need no further synchronization.
+// from an old version works exactly like retrieval from the current one,
+// because a version's view is the frozen generation the version saved —
+// pinned at save time, or rebuilt from the version's delta path (see
+// versionPins). The view is interpreted under the schema version recorded
+// by the version. Version views are immutable and need no further
+// synchronization.
 func (db *Database) VersionView(num VersionNumber) (View, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -267,15 +239,103 @@ func (db *Database) VersionView(num VersionNumber) (View, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch, err := db.schemaAt(node.SchemaVer)
+	snap, err := db.versionSnapLocked(node)
 	if err != nil {
 		return nil, err
 	}
-	states, err := db.vers.Materialize(num)
+	return snap.userView(), nil
+}
+
+// versionSnapLocked serves a version's frozen generation from the pin set,
+// or rebuilds it and pins it: in the base slot if it is the base version.
+//
+// seed:locked-caller
+func (db *Database) versionSnapLocked(n *version.Node) (*snapshotCache, error) {
+	if snap := db.pins.lookup(n); snap != nil {
+		return snap, nil
+	}
+	snap, err := db.rebuildVersionLocked(n)
+	if err == nil {
+		db.pins.pin(n, snap, n == db.vers.Base())
+	}
+	return snap, err
+}
+
+// rebuildVersionLocked derives a version's frozen generation from its delta
+// path, under the schema the version was saved with. It carries the
+// engine's attribute indexes, so a query plans alike on a pinned and a
+// rebuilt view.
+//
+// seed:locked-caller
+func (db *Database) rebuildVersionLocked(n *version.Node) (*snapshotCache, error) {
+	sch, err := db.schemaAt(n.SchemaVer)
 	if err != nil {
 		return nil, err
 	}
-	return pattern.NewSpliced(version.NewView(sch, states)), nil
+	objs, rels, err := db.vers.Materialize(n.Num)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := core.FreezeItems(sch, db.engine.AttrIndexes(), objs, rels)
+	if err != nil {
+		return nil, err
+	}
+	return &snapshotCache{raw: raw}, nil
+}
+
+// versionPins keeps at most two saved versions' frozen generations alive:
+// the base version's, pinned by SaveVersion, and the most recently rebuilt
+// other one's. Any other version is rebuilt from its delta path when read,
+// so the retained heap is two generations however many versions exist. The
+// bound has no knob: transition rules read the base, a user browsing
+// history reads one old version at a time, and more slots would only hold
+// whole-database copies longer. VersionView runs under db.mu.RLock, so the
+// slots have their own mutex, held for a lookup or a swap and never across
+// a rebuild (snapMu would stall db.View() behind one). Slots are keyed by
+// node, so a deleted and re-saved number never matches a stale one.
+type versionPins struct {
+	mu    sync.Mutex
+	slots [2]versionPin // seed:guarded-by(mu) — the base version's, the last rebuilt one's
+}
+
+type versionPin struct {
+	node *version.Node
+	snap *snapshotCache
+}
+
+// lookup returns n's pinned generation, or nil.
+func (p *versionPins) lookup(n *version.Node) *snapshotCache {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range p.slots {
+		if s.node == n {
+			return s.snap
+		}
+	}
+	return nil
+}
+
+// pin puts n's generation in the base slot or the rebuilt slot.
+func (p *versionPins) pin(n *version.Node, snap *snapshotCache, base bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i := 1
+	if base {
+		i = 0
+	}
+	p.slots[i] = versionPin{n, snap}
+}
+
+// drop empties n's slot, or every slot when n is nil (the version tree
+// was replaced).
+func (p *versionPins) drop(n *version.Node) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.slots {
+		if n == nil || p.slots[i].node == n {
+			p.slots[i] = versionPin{}
+		}
+	}
 }
 
 // Versions lists all saved versions sorted by number.
@@ -300,13 +360,6 @@ func (db *Database) BaseVersion() (VersionInfo, bool) {
 		return VersionInfo{}, false
 	}
 	return infoOf(b), true
-}
-
-// NextVersionNumber previews the number SaveVersion would assign.
-func (db *Database) NextVersionNumber() VersionNumber {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.vers.NextNumber()
 }
 
 // HistoryOf lists the versions that store a state of the given item,
