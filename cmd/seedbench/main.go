@@ -7,11 +7,11 @@
 //	seedbench -exp e3    # run one experiment
 //	seedbench -list      # list experiments (the authoritative set)
 //
-// E1-E5 reproduce the paper's evaluation artifacts; E6 measures the
-// storage engine's group-commit pipeline and E7 the snapshot-read/check-in
-// concurrency engine. The features beyond the paper are measured end to end
-// by seedmark (benchmark/, BENCHMARK.json); the results of the retired
-// per-feature experiments E8-E14 are recorded in EXPERIMENTS.md. The
+// E1-E5 reproduce the paper's evaluation artifacts; E7 measures the
+// snapshot-read/check-in concurrency engine. The features beyond the paper
+// are measured end to end by seedmark (benchmark/, BENCHMARK.json); the
+// results of the retired per-feature experiments E6 and E8-E14 are
+// recorded in EXPERIMENTS.md. The
 // experiment list below is the single source of truth: -list, the -exp flag
 // help and the unknown-id error all enumerate it.
 package main
@@ -36,8 +36,7 @@ var experiments = []struct {
 	{"e3", "figure 4: versions, views, delta storage, alternatives", bench.E3},
 	{"e4", "figure 5: variants defined by means of patterns", bench.E4},
 	{"e5", "SPADES on SEED vs. direct data structures", bench.E5},
-	{"e6", "storage: group commit vs per-record fsync", bench.E6},
-	{"e7", "concurrency: parallel snapshot reads vs serialized check-ins", bench.E7},
+	{"e7", "concurrency: parallel snapshot reads under contended check-ins", bench.E7},
 }
 
 // experimentIDs enumerates the registered experiments, so the flag help, the

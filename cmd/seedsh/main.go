@@ -29,6 +29,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/item"
+	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/seed"
 )
 
@@ -239,13 +241,11 @@ func (s *shell) list(rest []string) error {
 	return nil
 }
 
-// query evaluates an ad-hoc retrieval over the current view: the same
-// selection → follow → page shape the wire protocol's query operation
-// executes server-side.
-func (s *shell) query(rest []string) error {
-	q := seed.NewQuery()
-	var follows []seed.FollowStep
-	limit, offset := 0, 0
+// parseQuery parses the query command's clauses into a wire query — the
+// one form both the local shell and the server execute — and reports
+// whether the plan should be printed.
+func parseQuery(rest []string) (*wire.Query, bool, error) {
+	q := &wire.Query{}
 	explain := false
 	for i := 0; i < len(rest); {
 		clause := rest[i]
@@ -261,72 +261,72 @@ func (s *shell) query(rest []string) error {
 		case "class":
 			a, err := arg(1)
 			if err != nil {
-				return err
+				return nil, false, err
 			}
-			specs := false
+			q.Class = a[0]
 			if i < len(rest) && rest[i] == "specs" {
-				specs = true
+				q.Specs = true
 				i++
 			}
-			q = q.Class(a[0], specs)
 		case "name":
 			a, err := arg(1)
 			if err != nil {
-				return err
+				return nil, false, err
 			}
-			q = q.NameGlob(a[0])
+			q.NameGlob = a[0]
 		case "where":
 			a, err := arg(3)
 			if err != nil {
-				return err
+				return nil, false, err
 			}
-			op, err := seed.ParseCompareOp(a[1])
-			if err != nil {
-				return err
-			}
-			val, err := parseQueryValue(a[2])
-			if err != nil {
-				return err
-			}
-			q = q.Where(a[0], op, val)
+			kind, raw := splitKindPrefix(a[2])
+			q.Where = append(q.Where, wire.Where{
+				Path: a[0], Op: a[1], ValueKind: uint8(kind), Value: raw,
+			})
 		case "follow":
 			a, err := arg(3)
 			if err != nil {
-				return err
+				return nil, false, err
 			}
-			follows = append(follows, seed.FollowStep{Assoc: a[0], From: a[1], To: a[2]})
+			q.Follow = append(q.Follow, wire.FollowStep{Assoc: a[0], From: a[1], To: a[2]})
 		case "limit", "offset":
 			a, err := arg(1)
 			if err != nil {
-				return err
+				return nil, false, err
 			}
 			n, err := strconv.Atoi(a[0])
 			if err != nil || n < 0 {
-				return fmt.Errorf("bad %s %q", clause, a[0])
+				return nil, false, fmt.Errorf("bad %s %q", clause, a[0])
 			}
 			if clause == "limit" {
-				limit = n
+				q.Limit = n
 			} else {
-				offset = n
+				q.Offset = n
 			}
 		case "explain":
 			explain = true
 			i++
 		default:
-			return fmt.Errorf("unknown clause %q ('help' shows the syntax)", clause)
+			return nil, false, fmt.Errorf("unknown clause %q ('help' shows the syntax)", clause)
 		}
 	}
+	return q, explain, nil
+}
+
+// query evaluates an ad-hoc retrieval over the current view through the
+// server's own query execution, so local and remote answers cannot drift.
+func (s *shell) query(rest []string) error {
+	q, explain, err := parseQuery(rest)
+	if err != nil {
+		return err
+	}
 	v := s.db.View()
-	ids, plan, err := seed.RunPlan(q, v)
+	ids, total, plan, err := server.ExecQuery(v, q)
 	if err != nil {
 		return err
 	}
 	if explain {
 		fmt.Fprintf(s.out, "plan: %s\n", plan)
-	}
-	ids, total, err := seed.FollowPage(v, ids, follows, limit, offset)
-	if err != nil {
-		return err
 	}
 	for _, id := range ids {
 		o, ok := v.Object(id)
@@ -372,14 +372,6 @@ func (s *shell) index(rest []string) error {
 		return s.db.CreateAttrIndex(rest[0], rest[1], kind)
 	}
 	return fmt.Errorf("usage: index [<class> <path> [hash|ordered] | drop <class> <path>]")
-}
-
-// parseQueryValue parses a comparison value with an optional kind prefix
-// (int:5, real:1.5, bool:true, date:1986-02-05, str:x); without a prefix
-// the value is a string.
-func parseQueryValue(raw string) (seed.Value, error) {
-	kind, rest := splitKindPrefix(raw)
-	return seed.ParseValue(kind, rest)
 }
 
 func (s *shell) make(rest []string, pattern bool) error {
@@ -623,4 +615,25 @@ func (s *shell) resolve(path string) (seed.ID, error) {
 		return id, nil
 	}
 	return s.db.ResolvePathRaw(path)
+}
+
+// splitKindPrefix splits an optional kind prefix (int:5, real:1.5,
+// bool:true, date:1986-02-05, str:x) off a comparison value; without a
+// prefix the value is a string.
+func splitKindPrefix(raw string) (seed.Kind, string) {
+	if k, rest, ok := strings.Cut(raw, ":"); ok {
+		switch k {
+		case "str":
+			return seed.KindString, rest
+		case "int":
+			return seed.KindInteger, rest
+		case "real":
+			return seed.KindReal, rest
+		case "bool":
+			return seed.KindBoolean, rest
+		case "date":
+			return seed.KindDate, rest
+		}
+	}
+	return seed.KindString, raw
 }

@@ -3,11 +3,7 @@ package main
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-
-	"repro/internal/wire"
-	"repro/seed"
 )
 
 // execRemote dispatches one shell command against a remote seedserver (the
@@ -79,73 +75,11 @@ func (s *shell) execRemote(line string) error {
 	return fmt.Errorf("unknown command %q (try 'help')", cmd)
 }
 
-// remoteQuery parses the same clause syntax the local query command takes
-// into a wire query and executes it server-side.
+// remoteQuery executes a parsed query server-side.
 func (s *shell) remoteQuery(rest []string) error {
-	q := &wire.Query{}
-	explain := false
-	for i := 0; i < len(rest); {
-		clause := rest[i]
-		arg := func(n int) ([]string, error) {
-			if len(rest)-i-1 < n {
-				return nil, fmt.Errorf("clause %q needs %d argument(s); 'help' shows the syntax", clause, n)
-			}
-			args := rest[i+1 : i+1+n]
-			i += 1 + n
-			return args, nil
-		}
-		switch clause {
-		case "class":
-			a, err := arg(1)
-			if err != nil {
-				return err
-			}
-			q.Class = a[0]
-			if i < len(rest) && rest[i] == "specs" {
-				q.Specs = true
-				i++
-			}
-		case "name":
-			a, err := arg(1)
-			if err != nil {
-				return err
-			}
-			q.NameGlob = a[0]
-		case "where":
-			a, err := arg(3)
-			if err != nil {
-				return err
-			}
-			kind, raw := splitKindPrefix(a[2])
-			q.Where = append(q.Where, wire.Where{
-				Path: a[0], Op: a[1], ValueKind: uint8(kind), Value: raw,
-			})
-		case "follow":
-			a, err := arg(3)
-			if err != nil {
-				return err
-			}
-			q.Follow = append(q.Follow, wire.FollowStep{Assoc: a[0], From: a[1], To: a[2]})
-		case "limit", "offset":
-			a, err := arg(1)
-			if err != nil {
-				return err
-			}
-			n, err := strconv.Atoi(a[0])
-			if err != nil || n < 0 {
-				return fmt.Errorf("bad %s %q", clause, a[0])
-			}
-			if clause == "limit" {
-				q.Limit = n
-			} else {
-				q.Offset = n
-			}
-		case "explain":
-			explain = true
-			i++
-		default:
-			return fmt.Errorf("unknown clause %q ('help' shows the syntax)", clause)
-		}
+	q, explain, err := parseQuery(rest)
+	if err != nil {
+		return err
 	}
 	objs, total, plan, err := s.remote.QueryPlan(q)
 	if err != nil {
@@ -258,25 +192,4 @@ func (s *shell) remoteStats() error {
 		}
 	}
 	return nil
-}
-
-// splitKindPrefix splits an optional kind prefix (int:5, real:1.5,
-// bool:true, date:1986-02-05, str:x) off a comparison value; without a
-// prefix the value is a string.
-func splitKindPrefix(raw string) (seed.Kind, string) {
-	if k, rest, ok := strings.Cut(raw, ":"); ok {
-		switch k {
-		case "str":
-			return seed.KindString, rest
-		case "int":
-			return seed.KindInteger, rest
-		case "real":
-			return seed.KindReal, rest
-		case "bool":
-			return seed.KindBoolean, rest
-		case "date":
-			return seed.KindDate, rest
-		}
-	}
-	return seed.KindString, raw
 }

@@ -14,7 +14,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
-	"repro/internal/storage"
 	"repro/internal/wire"
 	"repro/seed"
 )
@@ -360,112 +358,6 @@ func E5() *Result {
 	return r
 }
 
-// CommitWorkload sizes the E6 concurrent group-commit measurement.
-type CommitWorkload struct {
-	Committers int // concurrent goroutines in the group-commit run
-	Records    int // total records, split across committers
-	RecordSize int // payload bytes per record
-}
-
-// DefaultCommitWorkload is the standard E6 size: 8 committers, mirroring
-// the BenchmarkGroupCommit8 measurement in internal/storage (the ratio is
-// reported, not asserted — wall-clock gates flake across machines).
-var DefaultCommitWorkload = CommitWorkload{Committers: 8, Records: 2000, RecordSize: 128}
-
-// RunCommits drives one durable-commit run against a fresh store in dir:
-// with a single committer every record pays its own fsync; with several,
-// the group-commit pipeline coalesces them. It returns the elapsed time.
-func RunCommits(dir string, w CommitWorkload) (time.Duration, error) {
-	st, err := storage.Open(dir, nil, storage.Options{})
-	if err != nil {
-		return 0, err
-	}
-	defer st.Close()
-	payload := make([]byte, w.RecordSize)
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, w.Committers)
-	for c := 0; c < w.Committers; c++ {
-		share := w.Records / w.Committers
-		if c < w.Records%w.Committers {
-			share++
-		}
-		wg.Add(1)
-		go func(c, share int) {
-			defer wg.Done()
-			for i := 0; i < share; i++ {
-				if err := st.Commit(payload); err != nil {
-					errs[c] = err
-					return
-				}
-			}
-		}(c, share)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed, nil
-}
-
-// E6 measures the segmented WAL's group commit: the same durable-record
-// workload once with a single committer (one fsync per record) and once
-// with concurrent committers sharing fsyncs, then proves by replay that no
-// acked record was lost.
-func E6() *Result {
-	r := &Result{Name: "E6: storage — group commit vs per-record fsync"}
-	w := DefaultCommitWorkload
-
-	dir, err := os.MkdirTemp("", "seed-e6-*")
-	if err != nil {
-		r.assert(false, "temp dir: %v", err)
-		return r
-	}
-	defer os.RemoveAll(dir)
-
-	single := w
-	single.Committers = 1
-	baseDir, groupDir := dir+"/base", dir+"/group"
-	baseTime, err := RunCommits(baseDir, single)
-	r.assert(err == nil, "single committer: %d durable records in %v", w.Records, baseTime.Round(time.Millisecond))
-	if err != nil {
-		return r
-	}
-	groupTime, err := RunCommits(groupDir, w)
-	r.assert(err == nil, "%d concurrent committers: %d durable records in %v",
-		w.Committers, w.Records, groupTime.Round(time.Millisecond))
-	if err != nil {
-		return r
-	}
-
-	baseTP := float64(w.Records) / baseTime.Seconds()
-	groupTP := float64(w.Records) / groupTime.Seconds()
-	r.logf("throughput: %.0f commits/s single, %.0f commits/s with %d committers (%.1fx)",
-		baseTP, groupTP, w.Committers, groupTP/baseTP)
-
-	// Replay integrity: batching must not drop, reorder into loss, or
-	// corrupt any acked record. (Crash-durability of the fsync itself is
-	// covered by the kill-and-recover tests in internal/storage; a reopen
-	// within one process cannot distinguish page cache from disk.)
-	replayed := 0
-	st, err := storage.Open(groupDir, countingHandler{n: &replayed}, storage.Options{})
-	if err == nil {
-		err = st.Close()
-	}
-	r.assert(err == nil && replayed == w.Records,
-		"replay after reopen finds %d/%d batched records intact", replayed, w.Records)
-	return r
-}
-
-// countingHandler counts replayed records for E6.
-type countingHandler struct{ n *int }
-
-func (c countingHandler) LoadSnapshot([]byte) error { return nil }
-func (c countingHandler) ApplyRecord([]byte) error  { *c.n++; return nil }
-
 // ReadWorkload sizes the E7 concurrent-read/check-in measurement.
 type ReadWorkload struct {
 	Readers        int // parallel reader clients in the scaled run
@@ -547,7 +439,7 @@ func runWireReads(addr string, readers, readsPer, keywords int) (time.Duration, 
 // block each other — a serial client is bound by its own round-trip
 // latency, which parallel clients overlap.
 func E7() *Result {
-	r := &Result{Name: "E7: concurrency — parallel retrieval vs serialized check-ins"}
+	r := &Result{Name: "E7: concurrency — parallel retrieval under contended check-ins"}
 	w := DefaultReadWorkload
 	db := mustDB()
 	defer db.Close()
@@ -582,8 +474,10 @@ func E7() *Result {
 	defer srv.Close()
 
 	// Check-in writers: both contend for the same document, so every
-	// iteration exercises the lock conflict (typed, retryable) and the
-	// transaction gate (serialized Begin→apply→Commit).
+	// iteration exercises the check-out lock conflict (typed, retryable)
+	// and a check-in staged in its own transaction and committed as one
+	// batch. The document's lock, not a server-wide gate, orders the two
+	// writers; check-ins on disjoint lock sets would commit in parallel.
 	var (
 		stop      atomic.Bool
 		checkins  atomic.Int64
@@ -659,5 +553,5 @@ func E7() *Result {
 
 // All runs every experiment.
 func All() []*Result {
-	return []*Result{E1(), E2(), E3(), E4(), E5(), E6(), E7()}
+	return []*Result{E1(), E2(), E3(), E4(), E5(), E7()}
 }

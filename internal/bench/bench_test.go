@@ -6,7 +6,7 @@ import (
 )
 
 // TestAllExperimentsPass guards the reproduction: every assertion of
-// E1-E7 must hold.
+// E1-E5 and E7 must hold.
 func TestAllExperimentsPass(t *testing.T) {
 	for _, r := range All() {
 		if r.Failed {

@@ -66,7 +66,7 @@ func (en *Engine) encSetValue(id item.ID, v value.Value) []byte {
 	e := storage.NewEncoder(nil)
 	e.Byte(RecSetValue)
 	e.Uint64(uint64(id))
-	item.EncodeValue(e, v)
+	item.EncodeValue(e, item.Inline, v)
 	return e.Bytes()
 }
 
@@ -78,11 +78,7 @@ func (en *Engine) encCreateRel(r *item.Relationship) []byte {
 	e.Byte(RecCreateRel)
 	e.Uint64(uint64(r.ID))
 	e.String(r.Assoc.Name())
-	e.Int(len(r.Ends))
-	for _, end := range r.Ends {
-		e.String(end.Role)
-		e.Uint64(uint64(end.Object))
-	}
+	item.EncodeEnds(e, item.Inline, r.Ends)
 	return e.Bytes()
 }
 
@@ -138,7 +134,9 @@ func (en *Engine) BeginReplay() { en.replaying = true }
 func (en *Engine) EndReplay() { en.replaying = false }
 
 // ApplyRecord applies one engine journal record during recovery. The engine
-// must be in replay mode.
+// must be in replay mode. Each record is decoded whole and checked once
+// before it touches the engine: a malformed record (ErrBadRecord, wrapping
+// the decoder's error) changes nothing.
 func (en *Engine) ApplyRecord(payload []byte) error {
 	if !en.replaying {
 		return fmt.Errorf("%w: ApplyRecord outside replay mode", ErrTxState)
@@ -149,54 +147,30 @@ func (en *Engine) ApplyRecord(payload []byte) error {
 	d := storage.NewDecoder(payload[1:])
 	switch payload[0] {
 	case RecCreateObject:
-		id, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		clsName, err := d.String()
-		if err != nil {
-			return err
-		}
-		name, err := d.String()
-		if err != nil {
-			return err
-		}
-		pat, err := d.Bool()
-		if err != nil {
+		id, clsName, name, pat := item.ID(d.Uint64()), d.String(), d.String(), d.Bool()
+		if err := RecordErr(d); err != nil {
 			return err
 		}
 		cls, err := en.sch.Class(clsName)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		o := &item.Object{ID: item.ID(id), Class: cls, Name: name, Index: item.NoIndex, Pattern: pat}
+		o := &item.Object{ID: id, Class: cls, Name: name, Index: item.NoIndex, Pattern: pat}
 		en.insertObjectRaw(o)
 		en.bumpID(o.ID)
 		return nil
 
 	case RecCreateSub:
-		id, err := d.Uint64()
-		if err != nil {
+		id, parent, role, index := item.ID(d.Uint64()), item.ID(d.Uint64()), d.String(), d.Int()
+		if err := RecordErr(d); err != nil {
 			return err
 		}
-		parent, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		role, err := d.String()
-		if err != nil {
-			return err
-		}
-		index, err := d.Int()
-		if err != nil {
-			return err
-		}
-		cls, parentPattern, err := en.resolveSubObjectClass(item.ID(parent), role)
+		cls, parentPattern, err := en.resolveSubObjectClass(parent, role)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
 		o := &item.Object{
-			ID: item.ID(id), Class: cls, Parent: item.ID(parent),
+			ID: id, Class: cls, Parent: parent,
 			Role: role, Index: index, Pattern: parentPattern,
 		}
 		en.insertObjectRaw(o)
@@ -205,53 +179,27 @@ func (en *Engine) ApplyRecord(payload []byte) error {
 		return nil
 
 	case RecSetValue:
-		id, err := d.Uint64()
-		if err != nil {
+		id, v := item.ID(d.Uint64()), item.DecodeValue(d, item.Inline)
+		if err := RecordErr(d); err != nil {
 			return err
 		}
-		v, err := item.DecodeValue(d)
-		if err != nil {
-			return err
-		}
-		if _, ok := en.st.object(item.ID(id)); !ok {
+		if _, ok := en.st.object(id); !ok {
 			return fmt.Errorf("%w: set value on unknown object %d", ErrBadRecord, id)
 		}
-		en.st.setValue(item.ID(id), v)
-		en.markDirty(item.ID(id))
+		en.st.setValue(id, v)
+		en.markDirty(id)
 		return nil
 
 	case RecCreateRel:
-		id, err := d.Uint64()
-		if err != nil {
+		id, assocName, ends := item.ID(d.Uint64()), d.String(), item.DecodeEnds(d, item.Inline)
+		if err := RecordErr(d); err != nil {
 			return err
-		}
-		assocName, err := d.String()
-		if err != nil {
-			return err
-		}
-		n, err := d.Int()
-		if err != nil {
-			return err
-		}
-		if n < 0 || n > 64 {
-			return fmt.Errorf("%w: %d ends", ErrBadRecord, n)
 		}
 		assoc, err := en.sch.Association(assocName)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		r := &item.Relationship{ID: item.ID(id), Assoc: assoc}
-		for i := 0; i < n; i++ {
-			role, err := d.String()
-			if err != nil {
-				return err
-			}
-			obj, err := d.Uint64()
-			if err != nil {
-				return err
-			}
-			r.Ends = append(r.Ends, item.End{Role: role, Object: item.ID(obj)})
-		}
+		r := &item.Relationship{ID: id, Assoc: assoc, Ends: ends}
 		r.SortEnds()
 		for _, end := range r.Ends {
 			if o, ok := en.st.object(end.Object); ok && !o.Deleted && o.Pattern {
@@ -264,24 +212,16 @@ func (en *Engine) ApplyRecord(payload []byte) error {
 		return nil
 
 	case RecInherit:
-		id, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		pat, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		inh, err := d.Uint64()
-		if err != nil {
+		id, pat, inh := item.ID(d.Uint64()), item.ID(d.Uint64()), item.ID(d.Uint64())
+		if err := RecordErr(d); err != nil {
 			return err
 		}
 		r := &item.Relationship{
-			ID:       item.ID(id),
+			ID:       id,
 			Inherits: true,
 			Ends: []item.End{
-				{Role: item.InheritsInheritorRole, Object: item.ID(inh)},
-				{Role: item.InheritsPatternRole, Object: item.ID(pat)},
+				{Role: item.InheritsInheritorRole, Object: inh},
+				{Role: item.InheritsPatternRole, Object: pat},
 			},
 		}
 		r.SortEnds()
@@ -290,61 +230,64 @@ func (en *Engine) ApplyRecord(payload []byte) error {
 		return nil
 
 	case RecDelete:
-		id, err := d.Uint64()
-		if err != nil {
+		id := item.ID(d.Uint64())
+		if err := RecordErr(d); err != nil {
 			return err
 		}
-		for _, vid := range en.deletionSet(item.ID(id)) {
+		for _, vid := range en.deletionSet(id) {
 			en.deleteRaw(vid)
 		}
 		return nil
 
 	case RecReclassify:
-		id, err := d.Uint64()
-		if err != nil {
+		id, newName := item.ID(d.Uint64()), d.String()
+		if err := RecordErr(d); err != nil {
 			return err
 		}
-		newName, err := d.String()
-		if err != nil {
-			return err
-		}
-		if k, ok := en.st.kindOf(item.ID(id)); ok && k == item.KindObject {
+		if k, ok := en.st.kindOf(id); ok && k == item.KindObject {
 			cls, err := en.sch.Class(newName)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrBadRecord, err)
 			}
-			en.st.setClass(item.ID(id), cls)
-			en.markDirty(item.ID(id))
+			en.st.setClass(id, cls)
+			en.markDirty(id)
 			return nil
 		} else if ok {
 			assoc, err := en.sch.Association(newName)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrBadRecord, err)
 			}
-			en.st.setAssoc(item.ID(id), assoc)
-			en.markDirty(item.ID(id))
+			en.st.setAssoc(id, assoc)
+			en.markDirty(id)
 			return nil
 		}
 		return fmt.Errorf("%w: reclassify unknown item %d", ErrBadRecord, id)
 
 	case RecSetPattern:
-		id, err := d.Uint64()
-		if err != nil {
+		id, pat := item.ID(d.Uint64()), d.Bool()
+		if err := RecordErr(d); err != nil {
 			return err
 		}
-		pat, err := d.Bool()
-		if err != nil {
-			return err
-		}
-		if _, ok := en.st.kindOf(item.ID(id)); ok {
-			en.st.setPattern(item.ID(id), pat)
-			en.markDirty(item.ID(id))
-			en.setPatternSubtree(item.ID(id), pat)
+		if _, ok := en.st.kindOf(id); ok {
+			en.st.setPattern(id, pat)
+			en.markDirty(id)
+			en.setPatternSubtree(id, pat)
 			return nil
 		}
 		return fmt.Errorf("%w: set pattern on unknown item %d", ErrBadRecord, id)
 	}
 	return fmt.Errorf("%w: tag %d", ErrBadRecord, payload[0])
+}
+
+// RecordErr reports a journal record's decode failure as ErrBadRecord,
+// keeping the decoder's own error (a short buffer, a bad count) in the
+// chain. Every record decoder — the engine's and the database's — checks
+// it once, before it acts.
+func RecordErr(d *storage.Decoder) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRecord, err)
+	}
+	return nil
 }
 
 // bumpID keeps ID allocation monotonic across replay.

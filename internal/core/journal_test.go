@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -76,10 +77,16 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 
-	// Replay into a fresh engine.
+	// Replay into a fresh engine. Every proper prefix of a record is
+	// refused first and must change nothing, or the states below diverge.
 	re := newFig3(t)
 	re.BeginReplay()
 	for i, rec := range journal {
+		for cut := 1; cut < len(rec); cut++ {
+			if err := re.ApplyRecord(rec[:cut]); !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("record %d cut to %d bytes: %v", i, cut, err)
+			}
+		}
 		if err := re.ApplyRecord(rec); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}

@@ -13,16 +13,70 @@ import (
 // qualified name; the decoder resolves them against the schema version in
 // effect for the state being decoded, which is exactly why the paper
 // requires schema versions for interpreting old data versions.
+//
+// The decoders follow the storage.Decoder contract: they read a whole item,
+// record every malformation in the decoder (the first one is kept), and
+// resolve names against the schema only if the bytes were sound. The
+// caller checks Err once.
 
 // ErrDecode reports a malformed item encoding.
 var ErrDecode = errors.New("item: malformed encoding")
 
+// Strings is the item codec's one parameter: how the strings an item
+// carries — class and association names, object names, roles, string
+// values — are written. Inline writes each in place, length-prefixed
+// (version deltas, journal records). A *SymTab writes each as the uvarint
+// of its symbol, the table itself serialized once ahead of the items by
+// EncodeSymTab (snapshots): encoding interns into the table, decoding
+// resolves against the table DecodeSymTab read.
+type Strings interface {
+	putString(e *storage.Encoder, s string)
+	getString(d *storage.Decoder) string
+}
+
+// Inline writes every string in place.
+var Inline Strings = inline{}
+
+type inline struct{}
+
+func (inline) putString(e *storage.Encoder, s string) { e.String(s) }
+func (inline) getString(d *storage.Decoder) string    { return d.String() }
+
+func (t *SymTab) putString(e *storage.Encoder, s string) { e.Uint64(uint64(t.Intern(s))) }
+
+func (t *SymTab) getString(d *storage.Decoder) string {
+	u := d.Uint64()
+	if n := t.Len(); u >= uint64(n) {
+		d.Fail(fmt.Errorf("%w: symbol %d of %d", ErrDecode, u, n))
+		return ""
+	}
+	return t.Str(Sym(u))
+}
+
+// EncodeSymTab appends the table's strings in symbol order.
+func EncodeSymTab(e *storage.Encoder, t *SymTab) {
+	strs := t.Strs()
+	e.Int(len(strs))
+	for _, s := range strs {
+		e.String(s)
+	}
+}
+
+// DecodeSymTab reads a serialized table back, every string at its symbol.
+func DecodeSymTab(d *storage.Decoder) *SymTab {
+	strs := make([]string, d.Count())
+	for i := range strs {
+		strs[i] = d.String()
+	}
+	return symTabOf(strs)
+}
+
 // EncodeValue appends a typed value.
-func EncodeValue(e *storage.Encoder, v value.Value) {
+func EncodeValue(e *storage.Encoder, strs Strings, v value.Value) {
 	e.Byte(byte(v.Kind()))
 	switch v.Kind() {
 	case value.KindString:
-		e.String(v.Str())
+		strs.putString(e, v.Str())
 	case value.KindInteger:
 		e.Int64(v.Int())
 	case value.KindReal:
@@ -35,152 +89,123 @@ func EncodeValue(e *storage.Encoder, v value.Value) {
 }
 
 // DecodeValue reads a typed value.
-func DecodeValue(d *storage.Decoder) (value.Value, error) {
-	kb, err := d.Byte()
-	if err != nil {
-		return value.Undefined, err
-	}
-	k := value.Kind(kb)
-	switch k {
+func DecodeValue(d *storage.Decoder, strs Strings) value.Value {
+	switch kb := d.Byte(); value.Kind(kb) {
 	case value.KindNone:
-		return value.Undefined, nil
+		return value.Undefined
 	case value.KindString:
-		s, err := d.String()
-		return value.NewString(s), err
+		return value.NewString(strs.getString(d))
 	case value.KindInteger:
-		i, err := d.Int64()
-		return value.NewInteger(i), err
+		return value.NewInteger(d.Int64())
 	case value.KindReal:
-		f, err := d.Float64()
-		return value.NewReal(f), err
+		return value.NewReal(d.Float64())
 	case value.KindBoolean:
-		b, err := d.Bool()
-		return value.NewBoolean(b), err
+		return value.NewBoolean(d.Bool())
 	case value.KindDate:
-		t, err := d.Time()
-		return value.NewDate(t), err
+		return value.NewDate(d.Time())
+	default:
+		d.Fail(fmt.Errorf("%w: value kind %d", ErrDecode, kb))
+		return value.Undefined
 	}
-	return value.Undefined, fmt.Errorf("%w: value kind %d", ErrDecode, kb)
 }
 
 // EncodeObject appends a full object state.
-func EncodeObject(e *storage.Encoder, o *Object) {
+func EncodeObject(e *storage.Encoder, strs Strings, o *Object) {
 	e.Uint64(uint64(o.ID))
-	e.String(o.Class.QualifiedName())
-	e.String(o.Name)
+	strs.putString(e, o.Class.QualifiedName())
+	strs.putString(e, o.Name)
 	e.Uint64(uint64(o.Parent))
-	e.String(o.Role)
+	strs.putString(e, o.Role)
 	e.Int(o.Index)
-	EncodeValue(e, o.Value)
+	EncodeValue(e, strs, o.Value)
 	e.Bool(o.Pattern)
 	e.Bool(o.Deleted)
 }
 
 // DecodeObject reads an object state, resolving the class against s.
-func DecodeObject(d *storage.Decoder, s *schema.Schema) (Object, error) {
-	var o Object
-	id, err := d.Uint64()
+func DecodeObject(d *storage.Decoder, strs Strings, s *schema.Schema) Object {
+	o := Object{ID: ID(d.Uint64())}
+	cls := strs.getString(d)
+	o.Name = strs.getString(d)
+	o.Parent = ID(d.Uint64())
+	o.Role = strs.getString(d)
+	o.Index = d.Int()
+	o.Value = DecodeValue(d, strs)
+	o.Pattern = d.Bool()
+	o.Deleted = d.Bool()
+	if d.Err() != nil {
+		return Object{}
+	}
+	c, err := s.Class(cls)
 	if err != nil {
-		return o, err
+		d.Fail(fmt.Errorf("%w: %v", ErrDecode, err))
+		return Object{}
 	}
-	o.ID = ID(id)
-	cls, err := d.String()
-	if err != nil {
-		return o, err
-	}
-	o.Class, err = s.Class(cls)
-	if err != nil {
-		return o, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	if o.Name, err = d.String(); err != nil {
-		return o, err
-	}
-	parent, err := d.Uint64()
-	if err != nil {
-		return o, err
-	}
-	o.Parent = ID(parent)
-	if o.Role, err = d.String(); err != nil {
-		return o, err
-	}
-	if o.Index, err = d.Int(); err != nil {
-		return o, err
-	}
-	if o.Value, err = DecodeValue(d); err != nil {
-		return o, err
-	}
-	if o.Pattern, err = d.Bool(); err != nil {
-		return o, err
-	}
-	if o.Deleted, err = d.Bool(); err != nil {
-		return o, err
-	}
-	return o, nil
+	o.Class = c
+	return o
 }
 
-// EncodeRelationship appends a full relationship state.
-func EncodeRelationship(e *storage.Encoder, r *Relationship) {
+// EncodeRelationship appends a full relationship state. An inherits
+// relationship has no association; it writes the empty name.
+func EncodeRelationship(e *storage.Encoder, strs Strings, r *Relationship) {
 	e.Uint64(uint64(r.ID))
 	e.Bool(r.Inherits)
 	if r.Inherits {
-		e.String("")
+		strs.putString(e, "")
 	} else {
-		e.String(r.Assoc.Name())
+		strs.putString(e, r.Assoc.Name())
 	}
-	e.Int(len(r.Ends))
-	for _, end := range r.Ends {
-		e.String(end.Role)
-		e.Uint64(uint64(end.Object))
-	}
+	EncodeEnds(e, strs, r.Ends)
 	e.Bool(r.Pattern)
 	e.Bool(r.Deleted)
 }
 
 // DecodeRelationship reads a relationship state, resolving the association
 // against s.
-func DecodeRelationship(d *storage.Decoder, s *schema.Schema) (Relationship, error) {
-	var r Relationship
-	id, err := d.Uint64()
-	if err != nil {
-		return r, err
-	}
-	r.ID = ID(id)
-	if r.Inherits, err = d.Bool(); err != nil {
-		return r, err
-	}
-	name, err := d.String()
-	if err != nil {
-		return r, err
+func DecodeRelationship(d *storage.Decoder, strs Strings, s *schema.Schema) Relationship {
+	r := Relationship{ID: ID(d.Uint64()), Inherits: d.Bool()}
+	name := strs.getString(d)
+	r.Ends = DecodeEnds(d, strs)
+	r.Pattern = d.Bool()
+	r.Deleted = d.Bool()
+	if d.Err() != nil {
+		return Relationship{}
 	}
 	if !r.Inherits {
-		r.Assoc, err = s.Association(name)
+		a, err := s.Association(name)
 		if err != nil {
-			return r, fmt.Errorf("%w: %v", ErrDecode, err)
+			d.Fail(fmt.Errorf("%w: %v", ErrDecode, err))
+			return Relationship{}
 		}
+		r.Assoc = a
 	}
-	n, err := d.Int()
-	if err != nil {
-		return r, err
+	return r
+}
+
+// EncodeEnds appends a relationship's end list: the count, then role and
+// object per end.
+func EncodeEnds(e *storage.Encoder, strs Strings, ends []End) {
+	e.Int(len(ends))
+	for _, end := range ends {
+		strs.putString(e, end.Role)
+		e.Uint64(uint64(end.Object))
 	}
-	if n < 0 || n > 64 {
-		return r, fmt.Errorf("%w: %d ends", ErrDecode, n)
+}
+
+// maxEnds bounds a decoded relationship's end count.
+const maxEnds = 64
+
+// DecodeEnds reads an end list written by EncodeEnds; more than maxEnds
+// ends is corrupt.
+func DecodeEnds(d *storage.Decoder, strs Strings) []End {
+	n := d.Count()
+	if n > maxEnds {
+		d.Fail(fmt.Errorf("%w: %d ends", ErrDecode, n))
+		return nil
 	}
-	r.Ends = make([]End, n)
-	for i := range r.Ends {
-		if r.Ends[i].Role, err = d.String(); err != nil {
-			return r, err
-		}
-		obj, err := d.Uint64()
-		if err != nil {
-			return r, err
-		}
-		r.Ends[i].Object = ID(obj)
+	ends := make([]End, n)
+	for i := range ends {
+		ends[i] = End{Role: strs.getString(d), Object: ID(d.Uint64())}
 	}
-	if r.Pattern, err = d.Bool(); err != nil {
-		return r, err
-	}
-	if r.Deleted, err = d.Bool(); err != nil {
-		return r, err
-	}
-	return r, nil
+	return ends
 }

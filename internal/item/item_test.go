@@ -1,6 +1,7 @@
 package item_test
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -56,6 +57,12 @@ func TestRelationshipEnds(t *testing.T) {
 	}
 }
 
+// stringModes returns the codec's two string representations: inline, and
+// a symbol table (which decodes the symbols it interned while encoding).
+func stringModes() map[string]item.Strings {
+	return map[string]item.Strings{"inline": item.Inline, "symbols": item.NewSymTab()}
+}
+
 func TestCodecObjectRoundTrip(t *testing.T) {
 	sch := schema.Figure3()
 	cases := []item.Object{
@@ -65,18 +72,23 @@ func TestCodecObjectRoundTrip(t *testing.T) {
 			Index: item.NoIndex, Value: value.NewDate(time.Date(1986, 2, 5, 0, 0, 0, 0, time.UTC)), Deleted: true},
 		{ID: 4, Class: sch.MustClass("Write.NumberOfWrites"), Parent: 9, Role: "NumberOfWrites",
 			Index: item.NoIndex, Value: value.NewInteger(-5)},
+		{ID: 5, Class: sch.MustClass("Data.Text.Body.Keywords"), Parent: 2, Role: "Keywords",
+			Index: 0, Value: value.NewString("alarm")},
 	}
-	for _, o := range cases {
-		e := storage.NewEncoder(nil)
-		item.EncodeObject(e, &o)
-		got, err := item.DecodeObject(storage.NewDecoder(e.Bytes()), sch)
-		if err != nil {
-			t.Fatalf("decode %v: %v", o.ID, err)
-		}
-		if got.ID != o.ID || got.Class != o.Class || got.Name != o.Name ||
-			got.Parent != o.Parent || got.Role != o.Role || got.Index != o.Index ||
-			!got.Value.Equal(o.Value) || got.Pattern != o.Pattern || got.Deleted != o.Deleted {
-			t.Errorf("round trip changed: %+v -> %+v", o, got)
+	for mode, strs := range stringModes() {
+		for _, o := range cases {
+			e := storage.NewEncoder(nil)
+			item.EncodeObject(e, strs, &o)
+			d := storage.NewDecoder(e.Bytes())
+			got := item.DecodeObject(d, strs, sch)
+			if d.Err() != nil {
+				t.Fatalf("%s: decode %v: %v", mode, o.ID, d.Err())
+			}
+			if got.ID != o.ID || got.Class != o.Class || got.Name != o.Name ||
+				got.Parent != o.Parent || got.Role != o.Role || got.Index != o.Index ||
+				!got.Value.Equal(o.Value) || got.Pattern != o.Pattern || got.Deleted != o.Deleted {
+				t.Errorf("%s: round trip changed: %+v -> %+v", mode, o, got)
+			}
 		}
 	}
 }
@@ -88,15 +100,6 @@ func TestCodecRelationshipRoundTrip(t *testing.T) {
 		Assoc: sch.MustAssociation("Write"),
 		Ends:  []item.End{{Role: "by", Object: 2}, {Role: "from", Object: 1}},
 	}
-	e := storage.NewEncoder(nil)
-	item.EncodeRelationship(e, &r)
-	got, err := item.DecodeRelationship(storage.NewDecoder(e.Bytes()), sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Assoc != r.Assoc || len(got.Ends) != 2 || got.End("from") != 1 {
-		t.Errorf("round trip changed: %+v", got)
-	}
 	// Inherits-relationships survive without an association.
 	ir := item.Relationship{
 		ID: 8, Inherits: true,
@@ -105,34 +108,45 @@ func TestCodecRelationshipRoundTrip(t *testing.T) {
 			{Role: item.InheritsPatternRole, Object: 3},
 		},
 	}
-	e.Reset()
-	item.EncodeRelationship(e, &ir)
-	got, err = item.DecodeRelationship(storage.NewDecoder(e.Bytes()), sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Inherits || got.Assoc != nil || got.End(item.InheritsPatternRole) != 3 {
-		t.Errorf("inherits round trip: %+v", got)
+	for mode, strs := range stringModes() {
+		e := storage.NewEncoder(nil)
+		item.EncodeRelationship(e, strs, &r)
+		item.EncodeRelationship(e, strs, &ir)
+		d := storage.NewDecoder(e.Bytes())
+		got := item.DecodeRelationship(d, strs, sch)
+		gotIr := item.DecodeRelationship(d, strs, sch)
+		if d.Err() != nil {
+			t.Fatalf("%s: %v", mode, d.Err())
+		}
+		if got.Assoc != r.Assoc || len(got.Ends) != 2 || got.End("from") != 1 {
+			t.Errorf("%s: round trip changed: %+v", mode, got)
+		}
+		if !gotIr.Inherits || gotIr.Assoc != nil || gotIr.End(item.InheritsPatternRole) != 3 {
+			t.Errorf("%s: inherits round trip: %+v", mode, gotIr)
+		}
 	}
 }
 
 func TestCodecValueQuick(t *testing.T) {
 	f := func(i int64, s string, b bool, fl float64) bool {
-		for _, v := range []value.Value{
-			value.NewInteger(i), value.NewString(s), value.NewBoolean(b),
-			value.NewReal(fl), value.Undefined,
-		} {
-			e := storage.NewEncoder(nil)
-			item.EncodeValue(e, v)
-			got, err := item.DecodeValue(storage.NewDecoder(e.Bytes()))
-			if err != nil {
-				return false
-			}
-			if v.Kind() == value.KindReal && fl != fl {
-				continue // NaN compares unequal by design
-			}
-			if !got.Equal(v) {
-				return false
+		for _, strs := range stringModes() {
+			for _, v := range []value.Value{
+				value.NewInteger(i), value.NewString(s), value.NewBoolean(b),
+				value.NewReal(fl), value.Undefined,
+			} {
+				e := storage.NewEncoder(nil)
+				item.EncodeValue(e, strs, v)
+				d := storage.NewDecoder(e.Bytes())
+				got := item.DecodeValue(d, strs)
+				if d.Err() != nil {
+					return false
+				}
+				if v.Kind() == value.KindReal && fl != fl {
+					continue // NaN compares unequal by design
+				}
+				if !got.Equal(v) {
+					return false
+				}
 			}
 		}
 		return true
@@ -145,19 +159,58 @@ func TestCodecValueQuick(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	sch := schema.Figure3()
 	// Truncated buffer.
-	if _, err := item.DecodeObject(storage.NewDecoder([]byte{1}), sch); err == nil {
-		t.Error("truncated object decoded")
+	d := storage.NewDecoder([]byte{1})
+	if item.DecodeObject(d, item.Inline, sch); !errors.Is(d.Err(), storage.ErrShortBuffer) {
+		t.Errorf("truncated object: %v", d.Err())
 	}
 	// Unknown class.
-	e := storage.NewEncoder(nil)
-	o := item.Object{ID: 1, Class: sch.MustClass("Data"), Name: "X", Index: item.NoIndex}
-	item.EncodeObject(e, &o)
 	other := schema.Figure2() // has Data, but lacks e.g. Thing
-	o2 := item.Object{ID: 2, Class: sch.MustClass("Thing"), Name: "Y", Index: item.NoIndex}
-	e2 := storage.NewEncoder(nil)
-	item.EncodeObject(e2, &o2)
-	if _, err := item.DecodeObject(storage.NewDecoder(e2.Bytes()), other); err == nil {
-		t.Error("object with unknown class decoded")
+	o := item.Object{ID: 2, Class: sch.MustClass("Thing"), Name: "Y", Index: item.NoIndex}
+	e := storage.NewEncoder(nil)
+	item.EncodeObject(e, item.Inline, &o)
+	d = storage.NewDecoder(e.Bytes())
+	if item.DecodeObject(d, item.Inline, other); !errors.Is(d.Err(), item.ErrDecode) {
+		t.Errorf("object with unknown class: %v", d.Err())
+	}
+	// A symbol the table does not hold.
+	e.Reset()
+	e.Byte(byte(value.KindString))
+	e.Uint64(5)
+	d = storage.NewDecoder(e.Bytes())
+	if item.DecodeValue(d, item.NewSymTab()); !errors.Is(d.Err(), item.ErrDecode) {
+		t.Errorf("unknown symbol: %v", d.Err())
+	}
+	// More ends than a relationship may have, and a negative end count.
+	for _, n := range []int{65, -1} {
+		e.Reset()
+		e.Int(n)
+		e.Blob(make([]byte, 200))
+		d = storage.NewDecoder(e.Bytes())
+		if item.DecodeEnds(d, item.Inline); d.Err() == nil {
+			t.Errorf("%d ends decoded", n)
+		}
+	}
+}
+
+func TestSymTabRoundTrip(t *testing.T) {
+	tab := item.NewSymTab()
+	for _, s := range []string{"Data", "Alarms", "Data"} {
+		tab.Intern(s)
+	}
+	e := storage.NewEncoder(nil)
+	item.EncodeSymTab(e, tab)
+	d := storage.NewDecoder(e.Bytes())
+	got := item.DecodeSymTab(d)
+	if d.Err() != nil || got.Len() != tab.Len() {
+		t.Fatalf("decoded %d symbols, want %d (%v)", got.Len(), tab.Len(), d.Err())
+	}
+	for sym := 0; sym < tab.Len(); sym++ {
+		if got.Str(item.Sym(sym)) != tab.Str(item.Sym(sym)) {
+			t.Errorf("symbol %d = %q, want %q", sym, got.Str(item.Sym(sym)), tab.Str(item.Sym(sym)))
+		}
+	}
+	if sym, ok := got.Lookup("Alarms"); !ok || sym != 2 {
+		t.Errorf("Lookup(Alarms) = %d, %v", sym, ok)
 	}
 }
 

@@ -38,6 +38,17 @@ func NewSymTab() *SymTab {
 	return t
 }
 
+// symTabOf returns a table holding strs at their positions — a table read
+// back by DecodeSymTab. Where a string repeats, its first symbol wins.
+func symTabOf(strs []string) *SymTab {
+	t := &SymTab{index: make(map[string]Sym, len(strs))}
+	for i := len(strs) - 1; i >= 0; i-- {
+		t.index[strs[i]] = Sym(i)
+	}
+	t.strs.Store(&strs)
+	return t
+}
+
 // Intern returns the symbol of s, allocating one on first sight.
 func (t *SymTab) Intern(s string) Sym {
 	t.mu.RLock()

@@ -226,6 +226,7 @@ func TestSplicedChildrenSharesBase(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("%s: no children", c.name)
 		}
+		//lint:ignore frozenmut identity check: the addresses are compared, never written through
 		if c.shared != nil && &got[0] != &c.shared[0] {
 			t.Errorf("%s: Children copied the base slice", c.name)
 		}

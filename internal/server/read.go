@@ -58,7 +58,7 @@ func (s *Server) handleQuery(_ *conn, req *wire.Request) *wire.Response {
 		return fail(fmt.Errorf("server: query request without a query body"))
 	}
 	v := s.db.View()
-	ids, total, plan, err := execQuery(v, req.Query)
+	ids, total, plan, err := ExecQuery(v, req.Query)
 	if err != nil {
 		return fail(err)
 	}
@@ -99,12 +99,13 @@ func (s *Server) handleQuery(_ *conn, req *wire.Request) *wire.Response {
 	return resp
 }
 
-// execQuery runs a wire query on a view: cost-based selection through the
+// ExecQuery runs a wire query on a view: cost-based selection through the
 // query engine, Follow steps, then paging. Paging applies to the final
 // result set — after the Follow chain — so the selection itself runs
 // unbounded and Total reports the unpaged match count. The returned plan
-// reports the access path the planner executed.
-func execQuery(v seed.View, wq *wire.Query) ([]seed.ID, int, *seed.Plan, error) {
+// reports the access path the planner executed. The server's query
+// operation and seedsh's local query both run through it.
+func ExecQuery(v seed.View, wq *wire.Query) ([]seed.ID, int, *seed.Plan, error) {
 	q := seed.NewQuery()
 	if wq.Class != "" {
 		q = q.Class(wq.Class, wq.Specs)

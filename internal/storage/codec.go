@@ -23,6 +23,7 @@ import (
 var (
 	ErrShortBuffer = errors.New("storage: short buffer")
 	ErrOversize    = errors.New("storage: element exceeds size limit")
+	ErrBadCount    = errors.New("storage: element count out of range")
 )
 
 // MaxBlob bounds a single encoded string or byte slice (16 MiB); a database
@@ -99,10 +100,14 @@ func (e *Encoder) Ints(v []int) {
 	}
 }
 
-// Decoder reads values written by Encoder.
+// Decoder reads values written by Encoder. It keeps its first failure: a
+// read that fails records the error, and from then on every read returns
+// the zero value and consumes nothing. A decoder therefore reads a whole
+// record, then checks Err once — before it acts on what it read.
 type Decoder struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewDecoder returns a decoder over buf.
@@ -111,117 +116,154 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
+// Err returns the first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err unless a failure is already kept; Fail(nil) does
+// nothing. Codecs layered on the decoder report their own malformations
+// through it, so a caller has one error to check.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Uint64 reads an unsigned varint.
-func (d *Decoder) Uint64() (uint64, error) {
+func (d *Decoder) Uint64() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: uvarint at offset %d", ErrShortBuffer, d.off)
+		d.Fail(fmt.Errorf("%w: uvarint at offset %d", ErrShortBuffer, d.off))
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
 // Int64 reads a signed varint.
-func (d *Decoder) Int64() (int64, error) {
+func (d *Decoder) Int64() int64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: varint at offset %d", ErrShortBuffer, d.off)
+		d.Fail(fmt.Errorf("%w: varint at offset %d", ErrShortBuffer, d.off))
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
 // Int reads an int.
-func (d *Decoder) Int() (int, error) {
-	v, err := d.Int64()
-	return int(v), err
+func (d *Decoder) Int() int { return int(d.Int64()) }
+
+// Count reads an element count written as Encoder.Int(len(...)). Every
+// element takes at least one byte, so a count that is negative or larger
+// than Remaining is corrupt; it fails with ErrBadCount and reads as 0, and
+// never sizes an allocation.
+func (d *Decoder) Count() int {
+	off := d.off
+	n := d.Int64()
+	if n < 0 || n > int64(d.Remaining()) {
+		d.Fail(fmt.Errorf("%w: %d elements with %d bytes left at offset %d", ErrBadCount, n, d.Remaining(), off))
+		return 0
+	}
+	return int(n)
 }
 
 // Byte reads one raw byte.
-func (d *Decoder) Byte() (byte, error) {
+func (d *Decoder) Byte() byte {
+	if d.err != nil {
+		return 0
+	}
 	if d.off >= len(d.buf) {
-		return 0, fmt.Errorf("%w: byte at offset %d", ErrShortBuffer, d.off)
+		d.Fail(fmt.Errorf("%w: byte at offset %d", ErrShortBuffer, d.off))
+		return 0
 	}
 	b := d.buf[d.off]
 	d.off++
-	return b, nil
+	return b
 }
 
 // Bool reads a boolean.
-func (d *Decoder) Bool() (bool, error) {
-	b, err := d.Byte()
-	return b != 0, err
-}
+func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // Float64 reads an IEEE-754 double.
-func (d *Decoder) Float64() (float64, error) {
+func (d *Decoder) Float64() float64 {
+	if d.err != nil {
+		return 0
+	}
 	if d.Remaining() < 8 {
-		return 0, fmt.Errorf("%w: float64 at offset %d", ErrShortBuffer, d.off)
+		d.Fail(fmt.Errorf("%w: float64 at offset %d", ErrShortBuffer, d.off))
+		return 0
 	}
 	bits := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(bits)
+}
+
+// bytes reads a length-prefixed byte run without copying it.
+func (d *Decoder) bytes(what string) []byte {
+	n := d.Uint64()
+	if d.err != nil {
+		return nil
+	}
+	if n > MaxBlob {
+		d.Fail(fmt.Errorf("%w: %s of %d bytes", ErrOversize, what, n))
+		return nil
+	}
+	if d.Remaining() < int(n) {
+		d.Fail(fmt.Errorf("%w: %s of %d bytes at offset %d", ErrShortBuffer, what, n, d.off))
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	n, err := d.Uint64()
-	if err != nil {
-		return "", err
-	}
-	if n > MaxBlob {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrOversize, n)
-	}
-	if d.Remaining() < int(n) {
-		return "", fmt.Errorf("%w: string of %d bytes at offset %d", ErrShortBuffer, n, d.off)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
+func (d *Decoder) String() string { return string(d.bytes("string")) }
 
 // Blob reads a length-prefixed byte slice (copied).
-func (d *Decoder) Blob() ([]byte, error) {
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, err
+func (d *Decoder) Blob() []byte {
+	b := d.bytes("blob")
+	if d.err != nil {
+		return nil
 	}
-	if n > MaxBlob {
-		return nil, fmt.Errorf("%w: blob of %d bytes", ErrOversize, n)
-	}
-	if d.Remaining() < int(n) {
-		return nil, fmt.Errorf("%w: blob of %d bytes at offset %d", ErrShortBuffer, n, d.off)
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:])
-	d.off += int(n)
-	return b, nil
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // Time reads a time written by Encoder.Time.
-func (d *Decoder) Time() (time.Time, error) {
-	sec, err := d.Int64()
-	if err != nil {
-		return time.Time{}, err
+func (d *Decoder) Time() time.Time {
+	sec := d.Int64()
+	if d.err != nil {
+		return time.Time{}
 	}
-	return time.Unix(sec, 0).UTC(), nil
+	return time.Unix(sec, 0).UTC()
 }
 
-// Ints reads a length-prefixed int slice.
-func (d *Decoder) Ints() ([]int, error) {
-	n, err := d.Uint64()
-	if err != nil {
-		return nil, err
+// Ints reads a length-prefixed int slice, its length bounded like Count.
+func (d *Decoder) Ints() []int {
+	n := d.Uint64()
+	if d.err != nil {
+		return nil
 	}
 	if n > MaxBlob {
-		return nil, fmt.Errorf("%w: int slice of %d", ErrOversize, n)
+		d.Fail(fmt.Errorf("%w: int slice of %d", ErrOversize, n))
+		return nil
+	}
+	if n > uint64(d.Remaining()) {
+		d.Fail(fmt.Errorf("%w: int slice of %d with %d bytes left", ErrBadCount, n, d.Remaining()))
+		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i], err = d.Int()
-		if err != nil {
-			return nil, err
-		}
+		out[i] = d.Int()
 	}
-	return out, nil
+	if d.err != nil {
+		return nil
+	}
+	return out
 }

@@ -25,60 +25,106 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Ints([]int{1, 0, 2})
 
 	d := NewDecoder(e.Bytes())
-	if v, _ := d.Uint64(); v != 12345 {
+	if v := d.Uint64(); v != 12345 {
 		t.Errorf("Uint64 = %d", v)
 	}
-	if v, _ := d.Int64(); v != -987 {
+	if v := d.Int64(); v != -987 {
 		t.Errorf("Int64 = %d", v)
 	}
-	if v, _ := d.Int(); v != 42 {
+	if v := d.Int(); v != 42 {
 		t.Errorf("Int = %d", v)
 	}
-	if v, _ := d.Byte(); v != 0xAB {
+	if v := d.Byte(); v != 0xAB {
 		t.Errorf("Byte = %x", v)
 	}
-	if v, _ := d.Bool(); !v {
+	if v := d.Bool(); !v {
 		t.Error("Bool true")
 	}
-	if v, _ := d.Bool(); v {
+	if v := d.Bool(); v {
 		t.Error("Bool false")
 	}
-	if v, _ := d.Float64(); v != 3.25 {
+	if v := d.Float64(); v != 3.25 {
 		t.Errorf("Float64 = %v", v)
 	}
-	if v, _ := d.String(); v != "Alarms.Text.Body" {
+	if v := d.String(); v != "Alarms.Text.Body" {
 		t.Errorf("String = %q", v)
 	}
-	if v, _ := d.Blob(); !bytes.Equal(v, []byte{1, 2, 3}) {
+	if v := d.Blob(); !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Errorf("Blob = %v", v)
 	}
-	if v, _ := d.Time(); v.Unix() != 500000000 {
+	if v := d.Time(); v.Unix() != 500000000 {
 		t.Errorf("Time = %v", v)
 	}
-	if v, _ := d.Ints(); len(v) != 3 || v[0] != 1 || v[2] != 2 {
+	if v := d.Ints(); len(v) != 3 || v[0] != 1 || v[2] != 2 {
 		t.Errorf("Ints = %v", v)
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d", d.Remaining())
+	if d.Remaining() != 0 || d.Err() != nil {
+		t.Errorf("Remaining = %d, Err = %v", d.Remaining(), d.Err())
 	}
 }
 
 func TestCodecShortBuffer(t *testing.T) {
-	d := NewDecoder(nil)
-	if _, err := d.Uint64(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("Uint64 on empty: %v", err)
-	}
-	if _, err := d.Byte(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("Byte on empty: %v", err)
-	}
-	if _, err := d.Float64(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("Float64 on empty: %v", err)
+	for name, read := range map[string]func(*Decoder){
+		"Uint64":  func(d *Decoder) { d.Uint64() },
+		"Byte":    func(d *Decoder) { d.Byte() },
+		"Float64": func(d *Decoder) { d.Float64() },
+	} {
+		d := NewDecoder(nil)
+		read(d)
+		if !errors.Is(d.Err(), ErrShortBuffer) {
+			t.Errorf("%s on empty: %v", name, d.Err())
+		}
 	}
 	e := NewEncoder(nil)
 	e.Uint64(100) // claims 100-byte string, provides none
-	d = NewDecoder(e.Bytes())
-	if _, err := d.String(); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("truncated String: %v", err)
+	d := NewDecoder(e.Bytes())
+	if _ = d.String(); !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Errorf("truncated String: %v", d.Err())
+	}
+}
+
+// TestCodecStickyError pins the decoder contract: the first failure is
+// kept, and every later read returns the zero value and consumes nothing.
+func TestCodecStickyError(t *testing.T) {
+	e := NewEncoder(nil)
+	e.Uint64(100) // a 100-byte string that is not there
+	e.Int(7)
+	d := NewDecoder(e.Bytes())
+	_ = d.String()
+	first := d.Err()
+	left := d.Remaining()
+	if v := d.Int(); v != 0 || d.Remaining() != left || d.Err() != first {
+		t.Errorf("read after failure: %d, %d bytes left (want %d), err %v", v, d.Remaining(), left, d.Err())
+	}
+	d.Fail(errors.New("later"))
+	if d.Err() != first {
+		t.Errorf("Fail replaced the first error: %v", d.Err())
+	}
+}
+
+// TestCodecCountBounds refuses counts that cannot be satisfied by the bytes
+// left, in Count and in Ints' length.
+func TestCodecCountBounds(t *testing.T) {
+	for _, n := range []int{-1, 2} {
+		e := NewEncoder(nil)
+		e.Int(n)
+		e.Byte(0)
+		d := NewDecoder(e.Bytes())
+		if got := d.Count(); got != 0 || !errors.Is(d.Err(), ErrBadCount) {
+			t.Errorf("Count of %d over 1 byte = %d, %v", n, got, d.Err())
+		}
+	}
+	e := NewEncoder(nil)
+	e.Int(1)
+	e.Byte(0)
+	if d := NewDecoder(e.Bytes()); d.Count() != 1 || d.Err() != nil {
+		t.Errorf("Count of 1 over 1 byte refused: %v", d.Err())
+	}
+	e = NewEncoder(nil)
+	e.Uint64(3)
+	e.Int(1)
+	if d := NewDecoder(e.Bytes()); d.Ints() != nil || !errors.Is(d.Err(), ErrBadCount) {
+		t.Errorf("Ints of 3 over 1 byte: %v", d.Err())
 	}
 }
 
@@ -91,12 +137,8 @@ func TestCodecQuick(t *testing.T) {
 		e.Blob(b)
 		e.Float64(fl)
 		d := NewDecoder(e.Bytes())
-		u2, _ := d.Uint64()
-		i2, _ := d.Int64()
-		s2, _ := d.String()
-		b2, _ := d.Blob()
-		f2, err := d.Float64()
-		if err != nil {
+		u2, i2, s2, b2, f2 := d.Uint64(), d.Int64(), d.String(), d.Blob(), d.Float64()
+		if d.Err() != nil {
 			return false
 		}
 		return u2 == u && i2 == i && s2 == s && bytes.Equal(b2, b) &&
@@ -346,7 +388,7 @@ func TestEncoderReuse(t *testing.T) {
 	}
 	e.Uint64(7)
 	d := NewDecoder(e.Bytes())
-	if v, _ := d.Uint64(); v != 7 {
+	if v := d.Uint64(); v != 7 {
 		t.Error("reuse after Reset broken")
 	}
 }
@@ -354,14 +396,15 @@ func TestEncoderReuse(t *testing.T) {
 func TestDecoderOversizeGuards(t *testing.T) {
 	e := NewEncoder(nil)
 	e.Uint64(MaxBlob + 1)
-	if _, err := NewDecoder(e.Bytes()).String(); !errors.Is(err, ErrOversize) {
-		t.Error("oversize string accepted")
-	}
-	if _, err := NewDecoder(e.Bytes()).Blob(); !errors.Is(err, ErrOversize) {
-		t.Error("oversize blob accepted")
-	}
-	if _, err := NewDecoder(e.Bytes()).Ints(); !errors.Is(err, ErrOversize) {
-		t.Error("oversize ints accepted")
+	for name, read := range map[string]func(*Decoder){
+		"string": func(d *Decoder) { _ = d.String() },
+		"blob":   func(d *Decoder) { d.Blob() },
+		"ints":   func(d *Decoder) { d.Ints() },
+	} {
+		d := NewDecoder(e.Bytes())
+		if read(d); !errors.Is(d.Err(), ErrOversize) {
+			t.Errorf("oversize %s accepted", name)
+		}
 	}
 }
 

@@ -37,9 +37,9 @@ func (m *Manager) Encode(e *storage.Encoder) {
 			f := n.delta[id]
 			e.Byte(byte(f.Kind))
 			if f.Kind == item.KindObject {
-				item.EncodeObject(e, &f.Obj)
+				item.EncodeObject(e, item.Inline, &f.Obj)
 			} else {
-				item.EncodeRelationship(e, &f.Rel)
+				item.EncodeRelationship(e, item.Inline, &f.Rel)
 			}
 		}
 	}
@@ -51,73 +51,44 @@ func (m *Manager) Encode(e *storage.Encoder) {
 }
 
 // Decode reconstructs a version tree. schemaFor resolves the schema for a
-// recorded schema version number.
+// recorded schema version number. Decode reads each node whole and checks
+// the decoder before it resolves the node's schema or links it into the
+// tree, so a short or corrupt encoding reports the decoder's first error.
 func Decode(d *storage.Decoder, schemaFor func(ver int) (*schema.Schema, error)) (*Manager, error) {
 	m := NewManager()
-	count, err := d.Int()
-	if err != nil {
-		return nil, err
-	}
+	count := d.Count()
 	for i := 0; i < count; i++ {
-		num, err := d.Ints()
-		if err != nil {
+		num, parentNum := d.Ints(), d.Ints()
+		n := &Node{
+			Num:       num,
+			Note:      d.String(),
+			CreatedAt: d.Time(),
+			SchemaVer: d.Int(),
+			branches:  d.Int(),
+			delta:     make(map[item.ID]Frozen),
+		}
+		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		parentNum, err := d.Ints()
-		if err != nil {
-			return nil, err
-		}
-		note, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		at, err := d.Time()
-		if err != nil {
-			return nil, err
-		}
-		schemaVer, err := d.Int()
-		if err != nil {
-			return nil, err
-		}
-		branches, err := d.Int()
-		if err != nil {
-			return nil, err
-		}
-		sch, err := schemaFor(schemaVer)
+		sch, err := schemaFor(n.SchemaVer)
 		if err != nil {
 			return nil, fmt.Errorf("version: node %v: %w", num, err)
 		}
-		n := &Node{
-			Num:       num,
-			Note:      note,
-			CreatedAt: at,
-			SchemaVer: schemaVer,
-			branches:  branches,
-			delta:     make(map[item.ID]Frozen),
-		}
-		deltaLen, err := d.Int()
-		if err != nil {
-			return nil, err
-		}
+		deltaLen := d.Count()
 		for j := 0; j < deltaLen; j++ {
-			kb, err := d.Byte()
-			if err != nil {
-				return nil, err
-			}
 			var f Frozen
-			f.Kind = item.Kind(kb)
-			switch f.Kind {
+			switch f.Kind = item.Kind(d.Byte()); f.Kind {
 			case item.KindObject:
-				f.Obj, err = item.DecodeObject(d, sch)
+				f.Obj = item.DecodeObject(d, item.Inline, sch)
 			case item.KindRelationship:
-				f.Rel, err = item.DecodeRelationship(d, sch)
+				f.Rel = item.DecodeRelationship(d, item.Inline, sch)
 			default:
-				return nil, fmt.Errorf("version: bad frozen kind %d", kb)
-			}
-			if err != nil {
-				return nil, err
+				d.Fail(fmt.Errorf("version: bad frozen kind %d", f.Kind))
 			}
 			n.delta[f.ID()] = f
+		}
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if len(parentNum) > 0 {
 			p, ok := m.nodes[ident.VersionNumber(parentNum).String()]
@@ -127,10 +98,14 @@ func Decode(d *storage.Decoder, schemaFor func(ver int) (*schema.Schema, error))
 			n.parent = p
 			p.children = append(p.children, n)
 		}
-		m.nodes[ident.VersionNumber(num).String()] = n
+		key := ident.VersionNumber(num).String()
+		if _, dup := m.nodes[key]; dup {
+			return nil, fmt.Errorf("version: node %v encoded twice", num)
+		}
+		m.nodes[key] = n
 	}
-	baseNum, err := d.Ints()
-	if err != nil {
+	baseNum := d.Ints()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if len(baseNum) > 0 {

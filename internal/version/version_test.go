@@ -185,10 +185,12 @@ func TestVersionsOfWithPrefix(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	sch := schema.Figure2()
-	m := NewManager()
-	n1, _ := m.Freeze([]Frozen{
+// codecTree builds the version tree the codec tests encode: a trunk of two
+// versions, the first with an object and a relationship in its delta, and
+// an alternative off the first.
+func codecTree(sch *schema.Schema) (m *Manager, n1, alt *Node) {
+	m = NewManager()
+	n1, _ = m.Freeze([]Frozen{
 		frozenObj(sch, 1, "A", "", false),
 		{Kind: item.KindRelationship, Rel: item.Relationship{
 			ID: 2, Assoc: sch.MustAssociation("Read"),
@@ -197,7 +199,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	}, "first", 1, at(1))
 	_, _ = m.Freeze([]Frozen{frozenObj(sch, 4, "B", "", false)}, "second", 1, at(2))
 	_, _ = m.Select(n1.Num)
-	alt, _ := m.Freeze(nil, "alt", 1, at(3))
+	alt, _ = m.Freeze(nil, "alt", 1, at(3))
+	return m, n1, alt
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	sch := schema.Figure2()
+	m, n1, alt := codecTree(sch)
 
 	e := storage.NewEncoder(nil)
 	m.Encode(e)

@@ -284,10 +284,15 @@ func (db *Database) SchemaAt(ver int) (*Schema, error) {
 //
 // seed:locked-caller
 func (db *Database) schemaAt(ver int) (*schema.Schema, error) {
-	if ver < 1 || ver > len(db.schemas) {
-		return nil, fmt.Errorf("seed: unknown schema version %d (have 1..%d)", ver, len(db.schemas))
+	return schemaIn(db.schemas, ver)
+}
+
+// schemaIn resolves a 1-based schema version in a version-ordered list.
+func schemaIn(schemas []*schema.Schema, ver int) (*schema.Schema, error) {
+	if ver < 1 || ver > len(schemas) {
+		return nil, fmt.Errorf("seed: unknown schema version %d (have 1..%d)", ver, len(schemas))
 	}
-	return db.schemas[ver-1], nil
+	return schemas[ver-1], nil
 }
 
 // RegisterProcedure registers an attached procedure implementation under

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ident"
 	"repro/internal/sdl"
 	"repro/internal/storage"
 )
@@ -156,8 +155,8 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 	d := storage.NewDecoder(payload[1:])
 	switch tag {
 	case recSchema:
-		text, err := d.String()
-		if err != nil {
+		text := d.String()
+		if err := core.RecordErr(d); err != nil {
 			return err
 		}
 		sch, err := sdl.Parse(text)
@@ -189,38 +188,29 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 		return nil
 
 	case recSaveVersion:
-		note, err := d.String()
-		if err != nil {
-			return err
-		}
-		at, err := d.Time()
-		if err != nil {
-			return err
-		}
-		want, err := d.Ints()
-		if err != nil {
+		note, at, want := d.String(), d.Time(), VersionNumber(d.Ints())
+		if err := core.RecordErr(d); err != nil {
 			return err
 		}
 		num, err := db.saveVersionLocked(note, at)
 		if err != nil {
 			return err
 		}
-		if !num.Equal(VersionNumber(want)) {
-			return fmt.Errorf("seed: replayed version %s, journal recorded %s",
-				num, ident.VersionNumber(want))
+		if !num.Equal(want) {
+			return fmt.Errorf("seed: replayed version %s, journal recorded %s", num, want)
 		}
 		return nil
 
 	case recSelectVersion:
-		num, err := d.Ints()
-		if err != nil {
+		num := VersionNumber(d.Ints())
+		if err := core.RecordErr(d); err != nil {
 			return err
 		}
 		return db.selectVersionLocked(num)
 
 	case recDeleteVersion:
-		num, err := d.Ints()
-		if err != nil {
+		num := VersionNumber(d.Ints())
+		if err := core.RecordErr(d); err != nil {
 			return err
 		}
 		return db.deleteVersionLocked(num)

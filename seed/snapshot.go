@@ -16,13 +16,19 @@ import (
 //	format   uvarint (2)
 //	nextID   uvarint
 //	schemas  count + SDL text per schema version
-//	symbols  the symbol table: count + strings, serialized once — item
-//	         encodings reference strings by uvarint symbol
-//	items    blob: objects count + sym-coded encodings (against the latest
-//	         schema), then rels count + sym-coded encodings
+//	symbols  the symbol table: count + strings, serialized once
+//	items    blob: objects count + object encodings (against the latest
+//	         schema), then rels count + relationship encodings
 //	dirty    count + IDs
 //	versions the version tree (per-node deltas encoded against the schema
 //	         version each node was created under)
+//
+// Items and version deltas share one codec (internal/item) with two string
+// modes: the items blob writes each string as a uvarint symbol of the
+// table ahead of it, version deltas write strings inline. Decoding follows
+// storage.Decoder's contract: the first failure is kept, every count is
+// bounded by the bytes left, and loadSnapshot checks the decoder before it
+// builds anything from what it read.
 
 const snapshotFormat = 2
 
@@ -94,11 +100,11 @@ func (db *Database) encodeSnapshot() ([]byte, error) {
 	be := storage.NewEncoder(nil)
 	be.Int(len(objs))
 	for i := range objs {
-		item.EncodeObjectSym(be, tab, &objs[i])
+		item.EncodeObject(be, tab, &objs[i])
 	}
 	be.Int(len(rels))
 	for i := range rels {
-		item.EncodeRelationshipSym(be, tab, &rels[i])
+		item.EncodeRelationship(be, tab, &rels[i])
 	}
 	item.EncodeSymTab(e, tab)
 	e.Blob(be.Bytes())
@@ -112,35 +118,33 @@ func (db *Database) encodeSnapshot() ([]byte, error) {
 }
 
 // loadSnapshot rebuilds engine, schemas and version tree from a snapshot
-// record.
+// record. It decodes the whole payload before it touches the database: a
+// malformed snapshot returns the decoder's first error and leaves the
+// database as it was.
 //
 // seed:locked-caller — called during pre-publication recovery.
 func (db *Database) loadSnapshot(payload []byte) error {
 	d := storage.NewDecoder(payload)
-	format, err := d.Uint64()
-	if err != nil {
+	format := d.Uint64()
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if format != snapshotFormat {
 		return fmt.Errorf("seed: unsupported snapshot format %d", format)
 	}
-	nextID, err := d.Uint64()
-	if err != nil {
+	nextID := item.ID(d.Uint64())
+	texts := make([]string, d.Count())
+	for i := range texts {
+		texts[i] = d.String()
+	}
+	if err := d.Err(); err != nil {
 		return err
 	}
-	schemaCount, err := d.Int()
-	if err != nil {
-		return err
-	}
-	if schemaCount < 1 {
+	if len(texts) == 0 {
 		return fmt.Errorf("seed: snapshot without schemas")
 	}
-	db.schemas = db.schemas[:0]
-	for i := 0; i < schemaCount; i++ {
-		text, err := d.String()
-		if err != nil {
-			return err
-		}
+	schemas := make([]*Schema, len(texts))
+	for i, text := range texts {
 		sch, err := sdl.Parse(text)
 		if err != nil {
 			return fmt.Errorf("seed: snapshot schema %d: %w", i+1, err)
@@ -148,78 +152,46 @@ func (db *Database) loadSnapshot(payload []byte) error {
 		if sch.Version() != i+1 {
 			return fmt.Errorf("seed: snapshot schema order: got version %d at position %d", sch.Version(), i+1)
 		}
-		db.schemas = append(db.schemas, sch)
+		schemas[i] = sch
 	}
-	latest := db.schemas[len(db.schemas)-1]
+	latest := schemas[len(schemas)-1]
+	objs, rels := decodeItems(d, latest)
+	dirty := make([]item.ID, d.Count())
+	for i := range dirty {
+		dirty[i] = item.ID(d.Uint64())
+	}
+	vers, err := version.Decode(d, func(ver int) (*Schema, error) { return schemaIn(schemas, ver) })
+	if err != nil {
+		return err
+	}
+
 	en, err := core.NewEngine(latest)
 	if err != nil {
 		return err
 	}
 	en.BeginReplay()
-
-	objs, rels, err := decodeItems(d, latest)
-	if err != nil {
-		return err
-	}
 	en.Restore(objs, rels)
-	en.ForceNextID(item.ID(nextID))
-
-	dirtyCount, err := d.Int()
-	if err != nil {
-		return err
-	}
-	dirty := make([]item.ID, dirtyCount)
-	for i := range dirty {
-		id, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		dirty[i] = item.ID(id)
-	}
+	en.ForceNextID(nextID)
 	en.RestoreDirty(dirty)
-
-	vers, err := version.Decode(d, func(ver int) (*Schema, error) {
-		return db.schemaAt(ver)
-	})
-	if err != nil {
-		return err
-	}
+	db.schemas = schemas
 	db.engine = en
 	db.vers = vers
 	return nil
 }
 
-// decodeItems reads the item sections: the symbol table, then the sym-coded
-// items blob.
-func decodeItems(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
-	strs, err := item.DecodeSymTab(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := d.Blob()
-	if err != nil {
-		return nil, nil, err
-	}
-	bd := storage.NewDecoder(body)
-	objCount, err := bd.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	objs := make([]item.Object, objCount)
+// decodeItems reads the item sections: the symbol table, then the items
+// blob, symbol-coded against the latest schema. A failure is kept in d.
+func decodeItems(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship) {
+	tab := item.DecodeSymTab(d)
+	bd := storage.NewDecoder(d.Blob())
+	objs := make([]item.Object, bd.Count())
 	for i := range objs {
-		if objs[i], err = item.DecodeObjectSym(bd, strs, latest); err != nil {
-			return nil, nil, err
-		}
+		objs[i] = item.DecodeObject(bd, tab, latest)
 	}
-	relCount, err := bd.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	rels := make([]item.Relationship, relCount)
+	rels := make([]item.Relationship, bd.Count())
 	for i := range rels {
-		if rels[i], err = item.DecodeRelationshipSym(bd, strs, latest); err != nil {
-			return nil, nil, err
-		}
+		rels[i] = item.DecodeRelationship(bd, tab, latest)
 	}
-	return objs, rels, nil
+	d.Fail(bd.Err())
+	return objs, rels
 }
