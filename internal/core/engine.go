@@ -89,7 +89,8 @@ type Engine struct {
 	sch *schema.Schema
 
 	st     *colStore // physical item state; seed:guarded-by(external)
-	nextID item.ID   // seed:guarded-by(external)
+	nextID item.ID   // next ID to allocate; monotonic; seed:guarded-by(external)
+	idMark item.ID   // one past the highest published ID; seed:guarded-by(external)
 
 	attrSpecs []item.AttrSpec // registered attribute indexes (in-memory DDL)
 
@@ -102,9 +103,7 @@ type Engine struct {
 	inheritsLive map[item.ID]bool // live inherits-relationships (rawView lists them)
 
 	procs   map[string]Procedure
-	journal func(records [][]byte) error // persistence sink; nil while replaying or in-memory
-
-	replaying bool
+	journal func(records [][]byte) error // persistence sink; nil on a follower, in recovery or in memory
 
 	open      map[*Tx]bool       // transactions currently open (BeginTx until CommitTx/RollbackTx)
 	one       Tx                 // the one-operation transaction of a mutator called outside a Tx
@@ -122,6 +121,7 @@ func NewEngine(sch *schema.Schema) (*Engine, error) {
 	en := &Engine{
 		sch:          sch,
 		nextID:       1,
+		idMark:       1,
 		indexCtr:     make(map[item.ID]map[string]int),
 		snapDirty:    make(map[item.ID]bool),
 		inheritsLive: make(map[item.ID]bool),
@@ -204,9 +204,10 @@ func (en *Engine) RegisterProcedure(name string, p Procedure) {
 // retain the slice; a sink error rolls the operation back.
 func (en *Engine) SetJournal(fn func(records [][]byte) error) { en.journal = fn }
 
-// NextID returns the next item ID the engine would allocate (used by
-// snapshots to preserve monotonic allocation).
-func (en *Engine) NextID() item.ID { return en.nextID }
+// NextID returns the committed ID high-water mark, one past the highest ID
+// a published write set or a restore brought in, which snapshots record. The
+// IDs of creations that were refused or rolled back never move it.
+func (en *Engine) NextID() item.ID { return en.idMark }
 
 // allocID hands out the next item ID.
 func (en *Engine) allocID() item.ID {
@@ -338,9 +339,6 @@ func (en *Engine) liveRel(id item.ID) (item.Relationship, error) {
 // ancestor, because updating a sub-object updates the composed object it
 // belongs to. Each procedure sees the item of its own schema element.
 func (en *Engine) runProcedures(ev Event) error {
-	if en.replaying {
-		return nil // records were validated when first written
-	}
 	type target struct {
 		names []string
 		ev    Event

@@ -11,8 +11,9 @@ import (
 
 // Journal records: one compact binary record per committed mutation. The
 // seed database appends them to the write-ahead log and replays them on
-// open. Records are only written after full validation, so replay applies
-// them without re-checking.
+// open; followers apply the ones the primary ships. Records are only
+// written after full validation, so replay re-runs no consistency rule; it
+// checks only what it must to apply a record exactly, and undoably.
 
 // Record type tags for engine mutations. Tags 16 and above are reserved for
 // the database layer (version and schema operations).
@@ -126,21 +127,28 @@ func (en *Engine) encSetPattern(id item.ID, pat bool) []byte {
 	return e.Bytes()
 }
 
-// BeginReplay switches the engine into replay mode: mutations apply without
-// validation, without attached procedures, and without journaling.
-func (en *Engine) BeginReplay() { en.replaying = true }
-
-// EndReplay leaves replay mode.
-func (en *Engine) EndReplay() { en.replaying = false }
-
-// ApplyRecord applies one engine journal record during recovery. The engine
-// must be in replay mode. Each record is decoded whole and checked once
-// before it touches the engine: a malformed record (ErrBadRecord, wrapping
-// the decoder's error) changes nothing.
-func (en *Engine) ApplyRecord(payload []byte) error {
-	if !en.replaying {
-		return fmt.Errorf("%w: ApplyRecord outside replay mode", ErrTxState)
+// ApplyRecords applies one committed batch of engine journal records (one
+// write's or one transaction's) as one engine transaction, without
+// consistency checks, attached procedures or journaling. Every step records
+// its undo, so a record that is malformed or names what the engine does not
+// hold (ErrBadRecord) rolls the whole batch back: a refused batch changes
+// nothing. It is refused with ErrTxState while a transaction is open.
+func (en *Engine) ApplyRecords(batch [][]byte) (err error) {
+	if en.curTx != nil || len(en.open) > 0 {
+		return fmt.Errorf("%w: journal batch applied while a transaction is open", ErrTxState)
 	}
+	defer en.endOp(en.beginOp(), nil, &err)
+	for _, rec := range batch {
+		if err := en.applyRecord(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyRecord applies one engine journal record inside ApplyRecords. Each
+// record is decoded whole and checked before it touches the engine.
+func (en *Engine) applyRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return ErrBadRecord
 	}
@@ -148,135 +156,140 @@ func (en *Engine) ApplyRecord(payload []byte) error {
 	switch payload[0] {
 	case RecCreateObject:
 		id, clsName, name, pat := item.ID(d.Uint64()), d.String(), d.String(), d.Bool()
-		if err := RecordErr(d); err != nil {
+		cls, err := en.sch.Class(clsName)
+		if _, taken := en.st.lookupName(name); taken && err == nil {
+			err = fmt.Errorf("%w: %q", ErrDuplicateName, name)
+		}
+		if err := recordCheck(d, err, en.freshID(id)); err != nil {
 			return err
 		}
-		cls, err := en.sch.Class(clsName)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRecord, err)
-		}
-		o := &item.Object{ID: id, Class: cls, Name: name, Index: item.NoIndex, Pattern: pat}
-		en.insertObjectRaw(o)
-		en.bumpID(o.ID)
-		return nil
+		en.insertObjectRaw(&item.Object{ID: id, Class: cls, Name: name, Index: item.NoIndex, Pattern: pat})
 
 	case RecCreateSub:
 		id, parent, role, index := item.ID(d.Uint64()), item.ID(d.Uint64()), d.String(), d.Int()
-		if err := RecordErr(d); err != nil {
+		cls, parentPattern, err := en.resolveSubObjectClass(parent, role)
+		if err := recordCheck(d, err, en.freshID(id)); err != nil {
 			return err
 		}
-		cls, parentPattern, err := en.resolveSubObjectClass(parent, role)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRecord, err)
-		}
-		o := &item.Object{
+		en.insertObjectRaw(&item.Object{
 			ID: id, Class: cls, Parent: parent,
 			Role: role, Index: index, Pattern: parentPattern,
-		}
-		en.insertObjectRaw(o)
-		en.bumpID(o.ID)
-		en.bumpIndex(o.Parent, role, index)
-		return nil
+		})
+		en.bumpIndexRaw(parent, role, index)
 
 	case RecSetValue:
 		id, v := item.ID(d.Uint64()), item.DecodeValue(d, item.Inline)
-		if err := RecordErr(d); err != nil {
+		o, err := en.Object(id)
+		if err := recordCheck(d, err); err != nil {
 			return err
 		}
-		if _, ok := en.st.object(id); !ok {
-			return fmt.Errorf("%w: set value on unknown object %d", ErrBadRecord, id)
-		}
-		en.st.setValue(id, v)
-		en.markDirty(id)
-		return nil
+		en.setValueRaw(id, o.Value, v)
 
 	case RecCreateRel:
 		id, assocName, ends := item.ID(d.Uint64()), d.String(), item.DecodeEnds(d, item.Inline)
-		if err := RecordErr(d); err != nil {
-			return err
-		}
 		assoc, err := en.sch.Association(assocName)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRecord, err)
-		}
-		r := &item.Relationship{ID: id, Assoc: assoc, Ends: ends}
-		r.SortEnds()
-		for _, end := range r.Ends {
-			if o, ok := en.st.object(end.Object); ok && !o.Deleted && o.Pattern {
-				r.Pattern = true
-				break
-			}
-		}
-		en.insertRelRaw(r)
-		en.bumpID(r.ID)
-		return nil
+		return en.insertReplayedRel(d, err, &item.Relationship{ID: id, Assoc: assoc, Ends: ends})
 
 	case RecInherit:
 		id, pat, inh := item.ID(d.Uint64()), item.ID(d.Uint64()), item.ID(d.Uint64())
-		if err := RecordErr(d); err != nil {
-			return err
-		}
-		r := &item.Relationship{
-			ID:       id,
-			Inherits: true,
-			Ends: []item.End{
-				{Role: item.InheritsInheritorRole, Object: inh},
-				{Role: item.InheritsPatternRole, Object: pat},
-			},
-		}
-		r.SortEnds()
-		en.insertRelRaw(r)
-		en.bumpID(r.ID)
-		return nil
+		return en.insertReplayedRel(d, nil, &item.Relationship{ID: id, Inherits: true, Ends: []item.End{
+			{Role: item.InheritsInheritorRole, Object: inh},
+			{Role: item.InheritsPatternRole, Object: pat},
+		}})
 
 	case RecDelete:
 		id := item.ID(d.Uint64())
-		if err := RecordErr(d); err != nil {
+		if err := recordCheck(d, en.known(id)); err != nil {
 			return err
 		}
 		for _, vid := range en.deletionSet(id) {
 			en.deleteRaw(vid)
 		}
-		return nil
 
 	case RecReclassify:
 		id, newName := item.ID(d.Uint64()), d.String()
-		if err := RecordErr(d); err != nil {
-			return err
-		}
-		if k, ok := en.st.kindOf(id); ok && k == item.KindObject {
+		o, isObj := en.st.object(id)
+		r, isRel := en.st.rel(id)
+		switch {
+		case isObj:
 			cls, err := en.sch.Class(newName)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrBadRecord, err)
+			if err := recordCheck(d, err); err != nil {
+				return err
 			}
-			en.st.setClass(id, cls)
-			en.markDirty(id)
-			return nil
-		} else if ok {
+			en.setClassRaw(id, o.Class, cls)
+		case isRel && !r.Inherits:
 			assoc, err := en.sch.Association(newName)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrBadRecord, err)
+			if err := recordCheck(d, err); err != nil {
+				return err
 			}
-			en.st.setAssoc(id, assoc)
-			en.markDirty(id)
-			return nil
+			en.setAssocRaw(id, r.Assoc, assoc)
+		default:
+			return recordCheck(d, fmt.Errorf("%w: reclassify item %d", ErrUnknownItem, id))
 		}
-		return fmt.Errorf("%w: reclassify unknown item %d", ErrBadRecord, id)
 
 	case RecSetPattern:
 		id, pat := item.ID(d.Uint64()), d.Bool()
-		if err := RecordErr(d); err != nil {
+		if err := recordCheck(d, en.known(id)); err != nil {
 			return err
 		}
-		if _, ok := en.st.kindOf(id); ok {
-			en.st.setPattern(id, pat)
-			en.markDirty(id)
-			en.setPatternSubtree(id, pat)
-			return nil
-		}
-		return fmt.Errorf("%w: set pattern on unknown item %d", ErrBadRecord, id)
+		en.setPatternSubtree(id, pat)
+
+	default:
+		return fmt.Errorf("%w: tag %d", ErrBadRecord, payload[0])
 	}
-	return fmt.Errorf("%w: tag %d", ErrBadRecord, payload[0])
+	return nil
+}
+
+// insertReplayedRel inserts a replayed relationship once its record decoded
+// whole, its association resolved (lookup), its ID is fresh and every end
+// names a known object. Like CreateRelationship, it is a pattern
+// relationship when an end is a live pattern.
+func (en *Engine) insertReplayedRel(d *storage.Decoder, lookup error, r *item.Relationship) error {
+	for _, e := range r.Ends {
+		if k, ok := en.st.kindOf(e.Object); (!ok || k != item.KindObject) && lookup == nil {
+			lookup = fmt.Errorf("%w: end object %d", ErrUnknownItem, e.Object)
+		}
+	}
+	if err := recordCheck(d, lookup, en.freshID(r.ID)); err != nil {
+		return err
+	}
+	r.SortEnds()
+	r.Pattern = !r.Inherits && en.endsPattern(r.Ends)
+	en.insertRelRaw(r)
+	return nil
+}
+
+// recordCheck reports a record's decode failure or else the first failed
+// check, as ErrBadRecord. Checks have no side effects, so they may run on
+// the zero values a failed decode returns.
+func recordCheck(d *storage.Decoder, checks ...error) error {
+	if err := RecordErr(d); err != nil {
+		return err
+	}
+	for _, err := range checks {
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBadRecord, err)
+		}
+	}
+	return nil
+}
+
+// freshID refuses the ID of a replayed creation that is NoID or held by
+// the engine. An ID past the allocation counter is fresh: a log skips the
+// IDs of creations that were refused or rolled back, however many.
+func (en *Engine) freshID(id item.ID) error {
+	if id == item.NoID || en.Contains(id) {
+		return fmt.Errorf("item %d is not a fresh ID", id)
+	}
+	return nil
+}
+
+// known refuses an ID the engine does not hold.
+func (en *Engine) known(id item.ID) error {
+	if !en.Contains(id) {
+		return fmt.Errorf("%w: item %d", ErrUnknownItem, id)
+	}
+	return nil
 }
 
 // RecordErr reports a journal record's decode failure as ErrBadRecord,
@@ -290,14 +303,19 @@ func RecordErr(d *storage.Decoder) error {
 	return nil
 }
 
-// bumpID keeps ID allocation monotonic across replay.
+// bumpID raises the committed ID mark, and the allocation counter with it,
+// past a committed item's ID.
 func (en *Engine) bumpID(id item.ID) {
-	if id >= en.nextID {
-		en.nextID = id + 1
+	if id >= en.idMark {
+		en.idMark = id + 1
+	}
+	if en.idMark > en.nextID {
+		en.nextID = en.idMark
 	}
 }
 
-// bumpIndex keeps sub-object index allocation monotonic across replay.
+// bumpIndex keeps sub-object index allocation above a restored or replayed
+// sub-object's index.
 func (en *Engine) bumpIndex(parent item.ID, role string, index int) {
 	if index == item.NoIndex {
 		return

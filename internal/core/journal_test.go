@@ -1,13 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/item"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -80,18 +83,16 @@ func TestReplayDeterminism(t *testing.T) {
 	// Replay into a fresh engine. Every proper prefix of a record is
 	// refused first and must change nothing, or the states below diverge.
 	re := newFig3(t)
-	re.BeginReplay()
 	for i, rec := range journal {
 		for cut := 1; cut < len(rec); cut++ {
-			if err := re.ApplyRecord(rec[:cut]); !errors.Is(err, ErrBadRecord) {
+			if err := re.ApplyRecords([][]byte{rec[:cut]}); !errors.Is(err, ErrBadRecord) {
 				t.Fatalf("record %d cut to %d bytes: %v", i, cut, err)
 			}
 		}
-		if err := re.ApplyRecord(rec); err != nil {
+		if err := re.ApplyRecords([][]byte{rec}); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
-	re.EndReplay()
 
 	gotObjs, gotRels := re.CaptureAll()
 	wantObjs, wantRels := en.CaptureAll()
@@ -120,19 +121,21 @@ func TestReplayDeterminism(t *testing.T) {
 
 func TestApplyRecordErrors(t *testing.T) {
 	en := newFig3(t)
-	if err := en.ApplyRecord([]byte{RecCreateObject}); err == nil {
-		t.Error("ApplyRecord outside replay accepted")
+	tx := en.BeginTx()
+	if err := en.ApplyRecords([][]byte{{RecCreateObject}}); !errors.Is(err, ErrTxState) {
+		t.Errorf("batch applied while a Tx is open: %v", err)
 	}
-	en.BeginReplay()
-	defer en.EndReplay()
-	if err := en.ApplyRecord(nil); err == nil {
-		t.Error("empty record accepted")
+	if err := en.RollbackTx(tx); err != nil {
+		t.Fatal(err)
 	}
-	if err := en.ApplyRecord([]byte{255}); err == nil {
-		t.Error("unknown tag accepted")
-	}
-	if err := en.ApplyRecord([]byte{RecCreateObject, 0xFF}); err == nil {
-		t.Error("truncated record accepted")
+	for name, rec := range map[string][]byte{
+		"empty record":     nil,
+		"unknown tag":      {255},
+		"truncated record": {RecCreateObject, 0xFF},
+	} {
+		if err := en.ApplyRecords([][]byte{rec}); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -192,4 +195,126 @@ func TestJournalErrorUndoesOp(t *testing.T) {
 	if _, ok := en.View().ObjectByName("Good"); !ok {
 		t.Error("earlier committed operation lost")
 	}
+}
+
+// FuzzApplyRecords splits arbitrary bytes into a batch of length-prefixed
+// journal records and applies it to an engine holding a small fixed state.
+// Applying must never panic, and a refused batch must leave the rebuilt
+// frozen view and the committed ID mark as they were. The corpus starts
+// from real records: the batches of further writes on the same state.
+// Batches that create an item past fuzzMaxID are skipped: replay takes any
+// fresh ID, and the engine's ID-keyed tables are dense, so such an ID costs
+// memory in proportion to its size.
+func FuzzApplyRecords(f *testing.F) {
+	en := fuzzState(f)
+	var all [][]byte
+	en.SetJournal(func(records [][]byte) error {
+		f.Add(joinRecords(records))
+		all = append(all, records...)
+		return nil
+	})
+	id := func(name string) item.ID { id, _ := en.View().ObjectByName(name); return id }
+	must := func(_ item.ID, err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	must(en.CreateObject("OutputData", "Log"))
+	must(en.CreateValueObject(id("Log"), "Revised", value.NewDate(time.Date(1986, 2, 5, 0, 0, 0, 0, time.UTC))))
+	must(en.CreateRelationship("Write", map[string]item.ID{"from": id("Log"), "by": id("Sensor")}))
+	must(en.CreateObject("Action", "Spare"))
+	must(item.NoID, en.MarkPattern(id("Spare")))
+	must(item.NoID, en.Reclassify(id("Alarms"), "InputData"))
+	must(item.NoID, en.SetValue(en.View().Children(id("Alarms"), "Description")[0], value.NewString("revised")))
+	must(item.NoID, en.Delete(id("Sensor")))
+	f.Add(joinRecords(all))
+	classes := append(schema.Figure3().ClassNames(), "NoSuchClass")
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch := splitRecords(data)
+		if createsFarID(batch) {
+			t.Skip()
+		}
+		en := fuzzState(t)
+		before, next := en.FrozenViewRebuild().(frozenIndexes), en.NextID()
+		if en.ApplyRecords(batch) == nil {
+			return
+		}
+		if err := viewsDiff(en.FrozenViewRebuild().(frozenIndexes), before, classes); err != nil {
+			t.Fatalf("refused batch changed the state: %v", err)
+		}
+		if en.NextID() != next {
+			t.Fatalf("refused batch moved NextID() from %d to %d", next, en.NextID())
+		}
+	})
+}
+
+// fuzzState builds FuzzApplyRecords' fixed state: objects with valued
+// sub-objects, a relationship, and a pattern with an inheritor.
+func fuzzState(tb testing.TB) *Engine {
+	tb.Helper()
+	en := newTortureEngine(schema.Figure3())
+	must := func(id item.ID, err error) item.ID {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return id
+	}
+	alarms := must(en.CreateObject("Data", "Alarms"))
+	must(en.CreateValueObject(alarms, "Description", value.NewString("alarm records")))
+	sensor := must(en.CreateObject("Action", "Sensor"))
+	must(en.CreateRelationship("Access", map[string]item.ID{"from": alarms, "by": sensor}))
+	tmpl := must(en.CreatePatternObject("Data", "Template"))
+	must(en.CreateValueObject(tmpl, "Description", value.NewString("shared")))
+	must(en.Inherit(tmpl, must(en.CreateObject("Data", "Derived"))))
+	return en
+}
+
+// joinRecords writes records as one length-prefixed byte string.
+func joinRecords(records [][]byte) []byte {
+	var out []byte
+	for _, rec := range records {
+		out = binary.AppendUvarint(out, uint64(len(rec)))
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// fuzzMaxID bounds the IDs FuzzApplyRecords lets a batch create.
+const fuzzMaxID = 1 << 16
+
+// createsFarID reports whether a creation record in batch names an ID past
+// fuzzMaxID. Every creation record starts with its ID.
+func createsFarID(batch [][]byte) bool {
+	for _, rec := range batch {
+		if len(rec) == 0 {
+			continue
+		}
+		switch rec[0] {
+		case RecCreateObject, RecCreateSub, RecCreateRel, RecInherit:
+			if id, k := binary.Uvarint(rec[1:]); k > 0 && id > fuzzMaxID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// splitRecords reads joinRecords' format back from arbitrary bytes: a
+// length past the end takes the rest, and a bad length prefix ends the
+// batch with the rest as one record.
+func splitRecords(data []byte) [][]byte {
+	var batch [][]byte
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 {
+			return append(batch, data)
+		}
+		data = data[k:]
+		n = min(n, uint64(len(data)))
+		batch = append(batch, data[:n])
+		data = data[n:]
+	}
+	return batch
 }

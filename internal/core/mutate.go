@@ -174,10 +174,7 @@ func (en *Engine) SetValue(id item.ID, v value.Value) (err error) {
 		return err
 	}
 	mark := en.mark()
-	old := o.Value
-	en.st.setValue(id, v)
-	en.push(func() { en.st.setValue(id, old) })
-	en.markDirty(id)
+	en.setValueRaw(id, o.Value, v)
 	return en.finishMutation(id, item.KindObject, OpUpdate, mark, en.encSetValue(id, v))
 }
 
@@ -196,14 +193,7 @@ func (en *Engine) CreateRelationship(assocName string, ends map[string]item.ID) 
 		r.Ends = append(r.Ends, item.End{Role: role, Object: obj})
 	}
 	r.SortEnds()
-	// A relationship that connects to a pattern is itself a pattern
-	// relationship: it becomes visible in the context of inheritors.
-	for _, e := range r.Ends {
-		if o, ok := en.st.object(e.Object); ok && !o.Deleted && o.Pattern {
-			r.Pattern = true
-			break
-		}
-	}
+	r.Pattern = en.endsPattern(r.Ends)
 	// Creating a relationship perturbs the relationship lists (and the
 	// participation counts) of every end: claim them all.
 	endIDs := make([]item.ID, 0, len(r.Ends))
@@ -220,6 +210,18 @@ func (en *Engine) CreateRelationship(assocName string, ends map[string]item.ID) 
 		return item.NoID, err
 	}
 	return r.ID, nil
+}
+
+// endsPattern reports whether a relationship with these ends connects to a
+// live pattern: such a relationship is itself a pattern relationship, visible
+// in the context of inheritors.
+func (en *Engine) endsPattern(ends []item.End) bool {
+	for _, e := range ends {
+		if o, ok := en.st.object(e.Object); ok && !o.Deleted && o.Pattern {
+			return true
+		}
+	}
+	return false
 }
 
 // Inherit establishes the special inherits-relationship between a pattern
@@ -308,10 +310,6 @@ func (en *Engine) setPattern(id item.ID, pat bool) (err error) {
 	if r.Pattern == pat {
 		return nil
 	}
-	old := r.Pattern
-	en.st.setPattern(id, pat)
-	en.push(func() { en.st.setPattern(id, old) })
-	en.markDirty(id)
 	en.setPatternSubtree(id, pat) // attribute sub-objects follow the relationship
 	if err := en.validateSubtree(id); err != nil {
 		en.rollbackTo(mark)
@@ -330,15 +328,21 @@ func (en *Engine) validateSubtree(id item.ID) error {
 	return nil
 }
 
-// setPatternSubtree flips the pattern flag on an object and its live
-// descendants, with undo.
+// setPatternSubtree flips the pattern flag on an item (object or
+// relationship) and its live descendant objects, with undo.
 func (en *Engine) setPatternSubtree(root item.ID, pat bool) {
 	for _, id := range append([]item.ID{root}, en.subtreeObjects(root)...) {
-		o, ok := en.st.object(id)
-		if !ok || o.Pattern == pat {
+		var old bool
+		if o, ok := en.st.object(id); ok {
+			old = o.Pattern
+		} else if r, ok := en.st.rel(id); ok {
+			old = r.Pattern
+		} else {
 			continue
 		}
-		id, old := id, o.Pattern
+		if old == pat {
+			continue
+		}
 		en.st.setPattern(id, pat)
 		en.push(func() { en.st.setPattern(id, old) })
 		en.markDirty(id)
@@ -352,8 +356,8 @@ func (en *Engine) setPatternSubtree(root item.ID, pat bool) {
 // cheap. Deleting a pattern that still has inheritors is rejected.
 func (en *Engine) Delete(id item.ID) (err error) {
 	defer en.endOp(en.beginOp(), nil, &err)
-	if !en.Contains(id) {
-		return fmt.Errorf("%w: item %d", ErrUnknownItem, id)
+	if err := en.known(id); err != nil {
+		return err
 	}
 	victims := en.deletionSet(id)
 	if len(victims) == 0 {
@@ -536,10 +540,8 @@ func (en *Engine) reclassifyObject(o item.Object, newName string) error {
 		return nil
 	}
 	mark := en.mark()
-	id, old := o.ID, o.Class
-	en.st.setClass(id, ncls)
-	en.push(func() { en.st.setClass(id, old) })
-	en.markDirty(id)
+	id := o.ID
+	en.setClassRaw(id, o.Class, ncls)
 
 	// Re-check the object, its sub-objects (their roles must still resolve
 	// to the same classes under the new classification), and its
@@ -582,10 +584,8 @@ func (en *Engine) reclassifyRel(r item.Relationship, newName string) error {
 		return nil
 	}
 	mark := en.mark()
-	id, old := r.ID, r.Assoc
-	en.st.setAssoc(id, nas)
-	en.push(func() { en.st.setAssoc(id, old) })
-	en.markDirty(id)
+	id := r.ID
+	en.setAssocRaw(id, r.Assoc, nas)
 
 	if err := consistency.CheckRelationship(en.View(), id); err != nil {
 		en.rollbackTo(mark)

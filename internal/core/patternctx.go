@@ -73,7 +73,7 @@ func (en *Engine) affectedInheritors(id item.ID) []item.ID {
 // validatePatternContexts re-checks every inheritor context a mutation on
 // id may have changed.
 func (en *Engine) validatePatternContexts(id item.ID) error {
-	if len(en.inheritsLive) == 0 || en.replaying {
+	if len(en.inheritsLive) == 0 {
 		return nil
 	}
 	affected := en.affectedInheritors(id)
@@ -96,7 +96,7 @@ func (en *Engine) validatePatternContexts(id item.ID) error {
 // surviving contexts of patterns whose relationships were deleted are
 // re-checked.
 func (en *Engine) validatePatternContextsAfterDelete(victims []item.ID) error {
-	if len(en.inheritsLive) == 0 || en.replaying {
+	if len(en.inheritsLive) == 0 {
 		return nil
 	}
 	v := en.View()

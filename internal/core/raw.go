@@ -2,22 +2,21 @@ package core
 
 import (
 	"repro/internal/item"
+	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // Raw state primitives: each applies one physical change to the store and
 // pushes the inverse onto the active transaction's undo log. Public
-// operations compose these, validate the result, and roll back on failure.
+// operations compose these, validate the result, and roll back on failure;
+// a replayed journal batch composes them unvalidated (ApplyRecords). Every
+// change is undoable until its transaction's write set publishes.
 
 // mark returns the depth of the active transaction's undo log.
 func (en *Engine) mark() int { return len(en.curTx.undo) }
 
-// push records an undo step on the active transaction. During replay
-// nothing is recorded: replayed records were validated when first written
-// and are never rolled back.
+// push records an undo step on the active transaction.
 func (en *Engine) push(fn func()) {
-	if en.replaying {
-		return
-	}
 	en.curTx.undo = append(en.curTx.undo, fn)
 }
 
@@ -37,14 +36,8 @@ func (en *Engine) rollbackTo(mark int) {
 // (or, conservatively, when it rolls back: the item is back in its
 // pre-change state, and the next delta freeze re-reads that state from the
 // live store, so a conservative mark only costs one spurious patch).
-// Replayed records were committed when first written and mark snapDirty
-// directly.
 func (en *Engine) markDirty(id item.ID) {
-	if en.replaying {
-		en.snapDirty[id] = true
-	} else {
-		en.curTx.touched[id] = true
-	}
+	en.curTx.touched[id] = true
 	if !en.dirty.Add(id) {
 		return
 	}
@@ -129,4 +122,34 @@ func (en *Engine) deleteRaw(id item.ID) {
 			}
 		})
 	}
+}
+
+// setValueRaw, setClassRaw and setAssocRaw replace an object's value, an
+// object's class and a relationship's association; old is what it had.
+func (en *Engine) setValueRaw(id item.ID, old, v value.Value) {
+	en.st.setValue(id, v)
+	en.push(func() { en.st.setValue(id, old) })
+	en.markDirty(id)
+}
+
+func (en *Engine) setClassRaw(id item.ID, old, c *schema.Class) {
+	en.st.setClass(id, c)
+	en.push(func() { en.st.setClass(id, old) })
+	en.markDirty(id)
+}
+
+func (en *Engine) setAssocRaw(id item.ID, old, a *schema.Association) {
+	en.st.setAssoc(id, a)
+	en.push(func() { en.st.setAssoc(id, old) })
+	en.markDirty(id)
+}
+
+// bumpIndexRaw is bumpIndex for a replayed sub-object, with undo.
+func (en *Engine) bumpIndexRaw(parent item.ID, role string, index int) {
+	if index == item.NoIndex {
+		return
+	}
+	old := en.indexCtr[parent][role]
+	en.bumpIndex(parent, role, index)
+	en.push(func() { en.indexCtr[parent][role] = old })
 }

@@ -54,10 +54,12 @@ func TestTorture_Differential_InterleavedTx(t *testing.T) {
 		"commit", "rollback", "conflict")
 }
 
-// TestTorture_Lifecycle_Replay: the records the engine emits — the batches
-// one-operation writes journal and the batches CommitTx returns — replayed
-// into a fresh engine must rebuild the same state, across whole-state
-// CaptureAll → Restore round trips of the original.
+// TestTorture_Lifecycle_Replay: the batches the engine emits — one per
+// one-operation write, one per CommitTx — applied batch by batch to a fresh
+// engine must rebuild the same state and the same committed ID mark, across
+// whole-state CaptureAll → Restore round trips of the original. About one
+// batch in ten is first fed with one record truncated: the replica must
+// refuse it whole.
 func TestTorture_Lifecycle_Replay(t *testing.T) {
 	torture(t, tortureConfig{txs: 1, replay: true}, 1986, 800, "create", "sub", "relate",
 		"delete", "purge", "commit", "restore")
@@ -91,7 +93,7 @@ func TestRandomizedInvariants(t *testing.T) {
 // tortureConfig selects one configuration of the engine.
 type tortureConfig struct {
 	txs      int  // transactions staged at once; 0 runs one-operation writes only
-	replay   bool // feed the emitted records to a replica; restore the original at random
+	replay   bool // feed the emitted batches to a replica; restore the original at random
 	cow      bool // hold a published generation and re-check it against its rebuild later
 	validate bool // validate the whole state after every op, not only at the end
 }
@@ -154,9 +156,10 @@ type torturer struct {
 	txSeq   int
 	applied bool // the current op reached the model (or a staged batch)
 
-	journal  [][]byte // records the engine emitted, in log order
-	replica  *Engine  // fed the journal in replay mode
-	replayed int
+	journal  [][][]byte // batches the engine emitted, in log order
+	replica  *Engine    // fed the journal batch by batch
+	replayed int        // batches fed so far
+	corrupt  *rand.Rand // picks the batches first fed with a truncated record
 
 	held, heldWant frozenIndexes // in cow mode: a published generation and its rebuild
 	heldAge        int           // checks since held was published
@@ -181,8 +184,8 @@ func runTorture(cfg tortureConfig, seed int64, steps int) (g *torturer, err erro
 		kinds:   make(map[string]int), pools: make(map[string][]item.ID)}
 	if cfg.replay {
 		g.replica = newTortureEngine(sch)
-		g.replica.BeginReplay()
-		en.SetJournal(func(recs [][]byte) error { g.journal = append(g.journal, recs...); return nil })
+		g.corrupt = rand.New(rand.NewSource(seed))
+		en.SetJournal(func(recs [][]byte) error { g.journal = append(g.journal, slices.Clone(recs)); return nil })
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -292,7 +295,7 @@ func (g *torturer) txControl() error {
 	for _, op := range st.ops {
 		op(g.m)
 	}
-	g.journal = append(g.journal, recs...)
+	g.journal = append(g.journal, recs)
 	g.kinds["commit"]++
 	return err
 }
@@ -554,17 +557,46 @@ func (g *torturer) check() error {
 	}
 	if g.replica != nil {
 		for ; g.replayed < len(g.journal); g.replayed++ {
-			if err := g.replica.ApplyRecord(g.journal[g.replayed]); err != nil {
-				return fmt.Errorf("replaying record %d: %w", g.replayed, err)
+			batch := g.journal[g.replayed]
+			if len(batch) > 0 && g.corrupt.Intn(10) == 0 {
+				if err := g.refuseTruncated(batch); err != nil {
+					return fmt.Errorf("batch %d: %w", g.replayed, err)
+				}
+			}
+			if err := g.replica.ApplyRecords(batch); err != nil {
+				return fmt.Errorf("replaying batch %d: %w", g.replayed, err)
 			}
 		}
 		if err := viewsDiff(g.replica.FrozenView().(frozenIndexes), got, g.classes); err != nil {
 			return fmt.Errorf("replica vs frozen view: %w", err)
 		}
+		if r, e := g.replica.NextID(), g.en.NextID(); r != e {
+			return fmt.Errorf("replica NextID() = %d, engine %d", r, e)
+		}
 	}
 	select {
 	case g.views <- got:
 	default:
+	}
+	return nil
+}
+
+// refuseTruncated feeds the replica a copy of batch with one record cut
+// short. The replica must refuse the batch with ErrBadRecord and keep its
+// frozen view and committed ID mark.
+func (g *torturer) refuseTruncated(batch [][]byte) error {
+	bad := slices.Clone(batch)
+	k := g.corrupt.Intn(len(bad))
+	bad[k] = bad[k][:g.corrupt.Intn(len(bad[k]))]
+	before, next := g.replica.FrozenView().(frozenIndexes), g.replica.NextID()
+	if err := g.replica.ApplyRecords(bad); !errors.Is(err, ErrBadRecord) {
+		return fmt.Errorf("record %d of %d cut to %d bytes: got %v, want ErrBadRecord", k, len(bad), len(bad[k]), err)
+	}
+	if err := viewsDiff(g.replica.FrozenView().(frozenIndexes), before, g.classes); err != nil {
+		return fmt.Errorf("refused batch changed the replica: %w", err)
+	}
+	if g.replica.NextID() != next {
+		return fmt.Errorf("refused batch moved NextID() from %d to %d", next, g.replica.NextID())
 	}
 	return nil
 }

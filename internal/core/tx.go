@@ -18,7 +18,8 @@ import (
 // mutator called with no transaction active runs in a one-operation
 // transaction the engine owns and reuses: it commits its records to the
 // journal sink as one batch when the operation is accepted, and rolls back
-// when the operation is refused or the sink fails.
+// when the operation is refused or the sink fails. A replayed journal batch
+// (ApplyRecords) runs in the same one-operation transaction.
 //
 // Several transactions may be open at once (the server stages one per
 // concurrent check-in). Each Tx carries its own undo log, its own pending
@@ -156,13 +157,17 @@ func (en *Engine) endOp(own bool, id *item.ID, err *error) {
 }
 
 // publish makes a committed write set part of the next frozen generation's
-// delta. While other transactions are open it also stamps every touched
-// item and name with a fresh commit generation, so transactions that began
-// earlier can no longer claim them; with none open a stamp could never
-// conflict, and none is written.
+// delta and raises the committed ID mark past the items it created. While
+// other transactions are open it also stamps every touched item and name
+// with a fresh commit generation, so transactions that began earlier can no
+// longer claim them; with none open a stamp could never conflict, and none
+// is written.
 func (en *Engine) publish(tx *Tx) {
 	for id := range tx.touched {
 		en.snapDirty[id] = true
+		if id >= en.idMark && en.Contains(id) {
+			en.bumpID(id)
+		}
 	}
 	if len(en.open) == 0 {
 		return
@@ -190,14 +195,14 @@ func (en *Engine) abort(tx *Tx) {
 }
 
 // reset empties the one-operation transaction for reuse. A write set that
-// grew large (a deletion cascade) is replaced rather than cleared, so later
-// operations do not pay for clearing its capacity. Names stay few: an
-// operation claims at most one.
+// grew large (a deletion cascade, a replayed batch) is replaced rather than
+// cleared, undo log included, so later operations neither pay for clearing
+// its capacity nor keep it. Names stay few: an operation claims at most one.
 func (tx *Tx) reset() {
 	clear(tx.undo)
 	tx.undo, tx.pending = tx.undo[:0], tx.pending[:0]
 	if len(tx.touched) > 64 {
-		tx.touched = make(map[item.ID]bool)
+		tx.touched, tx.undo = make(map[item.ID]bool), nil
 	} else {
 		clear(tx.touched)
 	}

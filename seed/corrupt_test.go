@@ -2,8 +2,13 @@ package seed
 
 import (
 	"encoding/binary"
+	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/item"
 )
 
 // snapshotCounts locates the counts of a snapshot payload that size
@@ -121,4 +126,85 @@ func TestCorruptSnapshotCountsRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCorruptBatchRefusedWhole feeds a follower a transaction batch whose
+// middle record is bad — truncated, naming an unknown class, setting a value
+// on an unknown object — and the same faults as a lone record and as a
+// batch opened twice. Each must be refused with core.ErrBadRecord and leave
+// the follower's state digest and raw view as they were; the intact batch
+// then applies and converges with the primary.
+func TestCorruptBatchRefusedWhole(t *testing.T) {
+	db := openDB(t, filepath.Join(t.TempDir(), "db"), Options{Schema: Figure3Schema(), Clock: fixedClock()})
+	defer db.Close()
+	create(t, db, "Data", "Alarms")
+	rep, sub := bootstrapReplica(t, db)
+
+	tx, err := db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newID, err := tx.CreateObject("Data", "New")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.CreateValueObject(newID, "Description", NewString("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// recTxBegin, create "New", create its Description, set its value, recTxEnd.
+	batch := drainTap(t, sub, 5)
+	if len(batch) != 5 || batch[0][0] != recTxBegin || batch[4][0] != recTxEnd {
+		t.Fatalf("unexpected batch shape: %d records", len(batch))
+	}
+	unknownClass := newRecordEncoder(core.RecCreateObject)
+	unknownClass.Uint64(uint64(newID) + 10)
+	unknownClass.String("NoSuchClass")
+	unknownClass.String("Ghost")
+	unknownClass.Bool(false)
+	unknownObject := newRecordEncoder(core.RecSetValue)
+	unknownObject.Uint64(1 << 20)
+	item.EncodeValue(unknownObject, item.Inline, NewString("lost"))
+	withMiddle := func(rec []byte) [][]byte {
+		out := slices.Clone(batch)
+		out[2] = rec
+		return out
+	}
+	truncSet := batch[3][:len(batch[3])-1]
+
+	before, err := rep.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, rels := rep.RawView().Objects(), rep.RawView().Relationships()
+	for _, tc := range []struct {
+		name    string
+		records [][]byte
+	}{
+		{"middle record truncated", withMiddle(batch[2][:len(batch[2])-1])},
+		{"middle record names an unknown class", withMiddle(unknownClass.Bytes())},
+		{"middle record sets a value on an unknown object", withMiddle(unknownObject.Bytes())},
+		{"create then truncated set value", [][]byte{batch[0], batch[1], truncSet, batch[4]}},
+		{"lone truncated record", [][]byte{truncSet}},
+		{"lone record naming an unknown class", [][]byte{unknownClass.Bytes()}},
+		{"batch begun inside a batch", [][]byte{batch[0], batch[1], batch[0]}},
+	} {
+		err := rep.ApplyLogRecords(tc.records)
+		if !errors.Is(err, core.ErrBadRecord) {
+			t.Errorf("%s: got %v, want ErrBadRecord", tc.name, err)
+		}
+		if after, _ := rep.StateDigest(); after != before {
+			t.Errorf("%s: refused records changed the follower's state digest", tc.name)
+		}
+		v := rep.RawView()
+		if _, ok := v.ObjectByName("New"); ok || !slices.Equal(v.Objects(), objs) || !slices.Equal(v.Relationships(), rels) {
+			t.Errorf("%s: refused records changed the follower's raw view", tc.name)
+		}
+	}
+	if err := rep.ApplyLogRecords(batch); err != nil {
+		t.Fatalf("intact batch after the refusals: %v", err)
+	}
+	digestsEqual(t, db, rep, "after the intact batch")
 }

@@ -166,7 +166,6 @@ func Open(dir string, opts Options) (*Database, error) {
 			return nil, err
 		}
 	}
-	db.engine.EndReplay()
 	db.engine.SetJournal(db.journalOneOp)
 	return db, nil
 }
@@ -183,7 +182,6 @@ func newDatabase(store *storage.Store, opts Options) (*Database, error) {
 	if err := db.initFresh(opts.Schema); err != nil {
 		return nil, err
 	}
-	db.engine.EndReplay()
 	if store != nil {
 		db.engine.SetJournal(db.journalOneOp)
 	}

@@ -24,9 +24,9 @@ const (
 	// recovery applies the whole batch or none of it. A crash can tear the
 	// tail mid-batch: replay then buffers records that never see their end
 	// marker and drops them, and the next open neutralizes the fragment
-	// with recTxAbort so later appends are not mistaken for its
-	// continuation. Single-record commits skip the framing (one record is
-	// atomic by construction).
+	// durably with recTxAbort before it appends anything, so later appends
+	// are never mistaken for its continuation. Single-record commits skip
+	// the framing (one record is one batch).
 	recTxBegin byte = 21 // start of a committed transaction batch
 	recTxEnd   byte = 22 // end of a committed transaction batch
 	recTxAbort byte = 23 // torn batch fragment precedes; discard it
@@ -74,8 +74,9 @@ func encDeleteVersion(num VersionNumber) []byte {
 
 // recovery adapts the database to storage.RecoveryHandler. Transaction
 // batches (recTxBegin ... recTxEnd) are buffered and applied only when
-// their end marker arrives: a batch torn by a crash mid-append must never
-// surface half-applied.
+// their end marker arrives, as one engine transaction (core ApplyRecords):
+// a batch torn by a crash mid-append, or refused for a bad record, never
+// surfaces half-applied.
 type recovery struct {
 	db      *Database
 	batch   [][]byte // buffered data records of an open batch
@@ -101,46 +102,23 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 	db := r.db
 	tag := payload[0]
 	if r.inBatch {
-		switch {
-		case tag == recTxEnd:
-			r.inBatch = false
-			for _, rec := range r.batch {
-				if db.engine == nil {
-					return fmt.Errorf("%w: data record before schema record", core.ErrBadRecord)
-				}
-				if err := db.engine.ApplyRecord(rec); err != nil {
-					return err
-				}
-			}
-			r.batch = r.batch[:0]
-			return nil
-		case tag == recTxBegin:
-			// A new batch while one is open: the previous batch is a torn
-			// fragment (the tail was truncated mid-batch and the database
-			// reopened before batch framing gained the abort record) —
-			// drop it and start buffering the new one.
-			r.batch = r.batch[:0]
-			return nil
-		case tag == recTxAbort:
-			r.inBatch = false
-			r.batch = r.batch[:0]
-			return nil
-		case tag <= core.RecDataMax:
+		if tag <= core.RecDataMax {
 			// The scan loop reuses its record buffer; keep a copy.
 			r.batch = append(r.batch, append([]byte(nil), payload...))
 			return nil
-		default:
-			// A database-level record can only follow a torn fragment:
-			// discard the fragment and dispatch the record normally.
-			r.inBatch = false
-			r.batch = r.batch[:0]
 		}
+		batch := r.batch
+		r.inBatch, r.batch = false, r.batch[:0]
+		switch tag {
+		case recTxEnd:
+			return r.applyData(batch)
+		case recTxAbort:
+			return nil
+		}
+		return fmt.Errorf("%w: tag %d inside a transaction batch", core.ErrBadRecord, tag)
 	}
 	if tag <= core.RecDataMax {
-		if db.engine == nil {
-			return fmt.Errorf("%w: data record before schema record", core.ErrBadRecord)
-		}
-		return db.engine.ApplyRecord(payload)
+		return r.applyData([][]byte{payload})
 	}
 	switch tag {
 	case recTxBegin:
@@ -168,7 +146,6 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 			if err != nil {
 				return err
 			}
-			en.BeginReplay()
 			db.engine = en
 			db.schemas = []*Schema{sch}
 			return nil
@@ -221,4 +198,14 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 		return err
 	}
 	return fmt.Errorf("%w: tag %d", core.ErrBadRecord, tag)
+}
+
+// applyData applies a batch of engine records as one engine transaction.
+//
+// seed:locked-caller — called from ApplyRecord.
+func (r *recovery) applyData(batch [][]byte) error {
+	if r.db.engine == nil {
+		return fmt.Errorf("%w: data record before schema record", core.ErrBadRecord)
+	}
+	return r.db.engine.ApplyRecords(batch)
 }

@@ -65,9 +65,9 @@ func (db *Database) SubscribeLog() (*storage.Subscription, uint64, error) {
 // (ApplyLogSnapshot, ApplyLogRecords, or adopting a bootstrapped staging
 // follower via ReplicaAdopt); reads are meaningful only after the first
 // complete bootstrap, which the serving layer gates on. Mutations are
-// refused with ErrNotPrimary for the follower's whole life. The engine
-// stays in replay mode permanently: records were validated by the primary,
-// and the follower journals nothing.
+// refused with ErrNotPrimary for the follower's whole life. Each shipped
+// batch applies as one engine transaction, and a refused batch changes
+// nothing; the follower journals nothing.
 func NewFollower() *Database {
 	db := &Database{replica: true, clock: time.Now}
 	db.vers = version.NewManager()
@@ -120,20 +120,21 @@ func (db *Database) ApplyLogSnapshot(payload []byte) error {
 // records evolve their planes, and recTxBegin/recTxEnd framing buffers a
 // transaction batch until its end marker arrives — possibly in a later
 // call, so a batch split across stream chunks still surfaces atomically.
-// Readers pinned to earlier generations are unaffected; the generation bump
-// publishes the applied records to new reads.
+// A batch with a bad record is refused whole, and the records after it are
+// not applied. Readers pinned to earlier generations are unaffected; the
+// generation bump publishes what applied to new reads.
 func (db *Database) ApplyLogRecords(records [][]byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.guardReplicaApply(); err != nil {
 		return err
 	}
+	db.gen++ // under the write lock, so no read sees the records half-applied
 	for _, rec := range records {
 		if err := db.rep.ApplyRecord(rec); err != nil {
 			return err
 		}
 	}
-	db.gen++
 	return nil
 }
 

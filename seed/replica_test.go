@@ -259,3 +259,82 @@ func TestReplicaCompactShedsInternChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplicaDigestIgnoresUncommittedIDs: a rolled-back transaction's
+// creation and a creation the eager check refuses allocate IDs the log never
+// carries. The committed ID mark a snapshot and StateDigest record must not
+// see them, so a follower and a reopened copy digest equal to the primary.
+func TestReplicaDigestIgnoresUncommittedIDs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
+	alarms := create(t, db, "Data", "Alarms")
+	live, _ := bootstrapReplica(t, db)
+
+	tx, err := db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.CreateObject("Data", "Draft"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	digestsEqual(t, db, live, "after a rollback")
+	// 'by' of Access takes an Action: the relationship is allocated, then
+	// refused by the eager check.
+	if _, err := db.CreateRelationship("Access", map[string]ID{"from": alarms, "by": alarms}); err == nil {
+		t.Fatal("ill-typed relationship accepted")
+	}
+	digestsEqual(t, db, live, "after a refused create")
+	boot, _ := bootstrapReplica(t, db)
+	digestsEqual(t, db, boot, "bootstrapped after the refusals")
+
+	want, err := db.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDB(t, dir, Options{})
+	defer reopened.Close()
+	if got, err := reopened.StateDigest(); err != nil || got != want {
+		t.Fatalf("reopened copy digests %s (%v), primary %s", got, err, want)
+	}
+}
+
+// TestManyRefusedCreatesStillReplay: every refused creation burns an ID, so
+// a committed record may name an ID far past a reopened copy's or a
+// follower's allocation counter. Recovery and a live follower must still
+// take it: an ID past the counter is fresh, however far.
+func TestManyRefusedCreatesStillReplay(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
+	alarms := create(t, db, "Data", "Alarms")
+	live, sub := bootstrapReplica(t, db)
+	// 'by' of Access takes an Action: each relationship is allocated an ID,
+	// then refused by the eager check.
+	for i := 0; i <= 1<<20; i++ {
+		if _, err := db.CreateRelationship("Access", map[string]ID{"from": alarms, "by": alarms}); err == nil {
+			t.Fatal("ill-typed relationship accepted")
+		}
+	}
+	create(t, db, "Action", "Sensor")
+	if err := live.ApplyLogRecords(drainTap(t, sub, 1)); err != nil {
+		t.Fatalf("live follower refused the create: %v", err)
+	}
+	digestsEqual(t, db, live, "live follower")
+	want, err := db.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDB(t, dir, Options{})
+	defer reopened.Close()
+	if got, err := reopened.StateDigest(); err != nil || got != want {
+		t.Fatalf("reopened copy digests %s (%v), primary %s", got, err, want)
+	}
+}

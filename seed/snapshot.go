@@ -169,7 +169,6 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	en.BeginReplay()
 	en.Restore(objs, rels)
 	en.ForceNextID(nextID)
 	en.RestoreDirty(dirty)
