@@ -138,8 +138,8 @@ func (s *shell) remoteTree(name string) error {
 		}
 		for _, r := range snap.Rels {
 			fmt.Fprintf(s.out, "  -- %s:", r.Assoc)
-			for role, end := range r.Ends {
-				fmt.Fprintf(s.out, " %s=%s", role, end)
+			for _, end := range r.Ends { // role order
+				fmt.Fprintf(s.out, " %s=%s", end.Role, end.Path)
 			}
 			fmt.Fprintln(s.out)
 		}

@@ -84,3 +84,27 @@ func TestRemoteShellRefusesEdits(t *testing.T) {
 		t.Errorf("bogus: err = %v", err)
 	}
 }
+
+// TestRemoteTreeEndsInRoleOrder: a relationship's ends print in role order,
+// so the same tree prints the same lines on every get.
+func TestRemoteTreeEndsInRoleOrder(t *testing.T) {
+	sh, db, output := newRemoteShell(t)
+	alarms, err := db.CreateObject("Data", "Alarms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := db.CreateObject("Action", "Handler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelationship("Access", map[string]seed.ID{"from": alarms, "by": handler}); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	for range runs {
+		run(t, sh, "tree Alarms")
+	}
+	if got := strings.Count(output(), "  -- Access: by=Handler from=Alarms\n"); got != runs {
+		t.Errorf("%d of %d trees printed the ends in role order:\n%s", got, runs, output())
+	}
+}

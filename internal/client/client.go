@@ -3,12 +3,12 @@
 // against local copies in a Workspace and sent back in one check-in, which
 // the server applies as a single transaction.
 //
-// The client speaks wire protocol v2: requests carry correlation ids, a
-// demultiplexing goroutine routes responses to their callers through an
-// in-flight map, and any number of goroutines may share one Client — the
-// blocking calls (Get, Query, Checkout, ...) pipeline transparently, and
-// Send/Await expose the pipeline directly for callers that want many
-// requests in flight from one goroutine.
+// The client speaks wire protocol 3 (wire.Proto): requests carry
+// correlation ids, a demultiplexing goroutine routes responses to their
+// callers through an in-flight map, and any number of goroutines may share
+// one Client — the blocking calls (Get, Query, Checkout, ...) pipeline
+// transparently, and Send/Await expose the pipeline directly for callers
+// that want many requests in flight from one goroutine.
 //
 // A refusal the server reports with a wire code comes back as an error that
 // wraps ErrRemote and the same wire sentinel the server returned
@@ -23,7 +23,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 
@@ -66,7 +68,7 @@ type result struct {
 	err  error
 }
 
-// Dial connects and performs the hello handshake, announcing protocol v2.
+// Dial connects and performs the hello handshake, announcing wire.Proto.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -82,7 +84,7 @@ func Dial(addr string) (*Client, error) {
 	c.wr = wire.NewWriter(c.bw)
 	// The hello runs lockstep: the demux starts only after the server has
 	// answered it.
-	if err := c.writeFlush(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2}); err != nil {
+	if err := c.writeFlush(&wire.Request{Op: wire.OpHello, Proto: wire.Proto}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -95,9 +97,9 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, remoteError(&resp)
 	}
-	if resp.Proto < wire.ProtoV2 {
+	if resp.Proto != wire.Proto {
 		conn.Close()
-		return nil, fmt.Errorf("client: server answered protocol %d, need %d", resp.Proto, wire.ProtoV2)
+		return nil, fmt.Errorf("client: server answered protocol %d, need %d", resp.Proto, wire.Proto)
 	}
 	c.id = resp.ClientID
 	go c.demux()
@@ -447,9 +449,13 @@ func (w *Workspace) SetValue(path string, kind uint8, value string) {
 	w.updates = append(w.updates, wire.Update{Kind: wire.UpdateSetValue, Path: path, ValueKind: kind, Value: value})
 }
 
-// CreateRelationship stages a relationship between paths.
+// CreateRelationship stages a relationship between paths, keyed by role.
 func (w *Workspace) CreateRelationship(assoc string, ends map[string]string) {
-	w.updates = append(w.updates, wire.Update{Kind: wire.UpdateCreateRel, Assoc: assoc, Ends: ends})
+	u := wire.Update{Kind: wire.UpdateCreateRel, Assoc: assoc}
+	for _, role := range slices.Sorted(maps.Keys(ends)) {
+		u.Ends = append(u.Ends, wire.End{Role: role, Path: ends[role]})
+	}
+	w.updates = append(w.updates, u)
 }
 
 // Delete stages a deletion at a path.

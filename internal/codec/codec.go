@@ -1,15 +1,13 @@
-// Package storage implements the persistence substrate of SEED: a compact
-// binary codec, a segmented append-only write-ahead log with per-record
-// CRC-32 checksums, torn-write recovery and group-committed fsyncs, and a
-// directory-level store that combines a snapshot with the log and supports
-// incremental compaction (sealed segments are deleted; the live tail is
-// never rewritten).
+// Package codec is SEED's one binary encoding: unsigned and zig-zag
+// varints, fixed little-endian floats, length-prefixed strings and blobs.
+// The write-ahead log records, the snapshots and the client/server frames
+// all use it. It imports nothing of the repository, so every layer that
+// writes bytes can share it.
 //
-// The storage layer deals in opaque record payloads; the engine above it
-// decides what a record means. This keeps recovery logic (checksums,
-// truncated tails, seal markers, atomic snapshot replacement) independent
-// of the data model.
-package storage
+// The Decoder's contract: it keeps its first failure, every count is bounded
+// by the bytes left, a length never exceeds MaxBlob, and what String and
+// Blob return is copied, never an alias of the input buffer.
+package codec
 
 import (
 	"encoding/binary"
@@ -21,9 +19,9 @@ import (
 
 // Codec errors.
 var (
-	ErrShortBuffer = errors.New("storage: short buffer")
-	ErrOversize    = errors.New("storage: element exceeds size limit")
-	ErrBadCount    = errors.New("storage: element count out of range")
+	ErrShortBuffer = errors.New("codec: short buffer")
+	ErrOversize    = errors.New("codec: element exceeds size limit")
+	ErrBadCount    = errors.New("codec: element count out of range")
 )
 
 // MaxBlob bounds a single encoded string or byte slice (16 MiB); a database
@@ -80,6 +78,17 @@ func (e *Encoder) Float64(f float64) {
 func (e *Encoder) String(s string) {
 	e.Uint64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// Strings appends a group of at most maxGroup strings: every length, then
+// all their bytes. Decoder.Strings reads the group with one allocation.
+func (e *Encoder) Strings(ss ...string) {
+	for _, s := range ss {
+		e.Uint64(uint64(len(s)))
+	}
+	for _, s := range ss {
+		e.buf = append(e.buf, s...)
+	}
 }
 
 // Blob appends a length-prefixed byte slice.
@@ -225,6 +234,43 @@ func (d *Decoder) bytes(what string) []byte {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.bytes("string")) }
+
+// maxGroup bounds a Strings group.
+const maxGroup = 8
+
+// Strings reads a group written by Encoder.Strings into dst, which must
+// name as many strings as were written. The strings share one copy of
+// their bytes — one allocation for the group, never an alias of the
+// buffer — so a kept string keeps its group's bytes alive, and nothing
+// more. On failure every dst is "".
+func (d *Decoder) Strings(dst ...*string) {
+	if len(dst) > maxGroup {
+		panic("codec: Strings group larger than maxGroup")
+	}
+	var lens [maxGroup]int
+	total := 0
+	for i := range dst {
+		*dst[i] = ""
+		n := d.Uint64()
+		if n > MaxBlob {
+			d.Fail(fmt.Errorf("%w: string of %d bytes", ErrOversize, n))
+		}
+		if d.err != nil {
+			return
+		}
+		lens[i] = int(n)
+		total += lens[i]
+	}
+	if d.Remaining() < total {
+		d.Fail(fmt.Errorf("%w: %d strings of %d bytes at offset %d", ErrShortBuffer, len(dst), total, d.off))
+		return
+	}
+	all := string(d.buf[d.off : d.off+total])
+	d.off += total
+	for i, p := range dst {
+		*p, all = all[:lens[i]], all[lens[i]:]
+	}
+}
 
 // Blob reads a length-prefixed byte slice (copied).
 func (d *Decoder) Blob() []byte {

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/item"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -38,7 +38,7 @@ func (en *Engine) encCreateObject(o *item.Object) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecCreateObject)
 	e.Uint64(uint64(o.ID))
 	e.String(o.Class.QualifiedName())
@@ -51,7 +51,7 @@ func (en *Engine) encCreateSub(o *item.Object) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecCreateSub)
 	e.Uint64(uint64(o.ID))
 	e.Uint64(uint64(o.Parent))
@@ -64,7 +64,7 @@ func (en *Engine) encSetValue(id item.ID, v value.Value) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecSetValue)
 	e.Uint64(uint64(id))
 	item.EncodeValue(e, item.Inline, v)
@@ -75,7 +75,7 @@ func (en *Engine) encCreateRel(r *item.Relationship) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecCreateRel)
 	e.Uint64(uint64(r.ID))
 	e.String(r.Assoc.Name())
@@ -87,7 +87,7 @@ func (en *Engine) encInherit(r *item.Relationship) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecInherit)
 	e.Uint64(uint64(r.ID))
 	e.Uint64(uint64(r.End(item.InheritsPatternRole)))
@@ -99,7 +99,7 @@ func (en *Engine) encDelete(id item.ID) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecDelete)
 	e.Uint64(uint64(id))
 	return e.Bytes()
@@ -109,7 +109,7 @@ func (en *Engine) encReclassify(id item.ID, newName string) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecReclassify)
 	e.Uint64(uint64(id))
 	e.String(newName)
@@ -120,7 +120,7 @@ func (en *Engine) encSetPattern(id item.ID, pat bool) []byte {
 	if en.journal == nil {
 		return nil
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(RecSetPattern)
 	e.Uint64(uint64(id))
 	e.Bool(pat)
@@ -152,7 +152,7 @@ func (en *Engine) applyRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return ErrBadRecord
 	}
-	d := storage.NewDecoder(payload[1:])
+	d := codec.NewDecoder(payload[1:])
 	switch payload[0] {
 	case RecCreateObject:
 		id, clsName, name, pat := item.ID(d.Uint64()), d.String(), d.String(), d.Bool()
@@ -244,7 +244,7 @@ func (en *Engine) applyRecord(payload []byte) error {
 // whole, its association resolved (lookup), its ID is fresh and every end
 // names a known object. Like CreateRelationship, it is a pattern
 // relationship when an end is a live pattern.
-func (en *Engine) insertReplayedRel(d *storage.Decoder, lookup error, r *item.Relationship) error {
+func (en *Engine) insertReplayedRel(d *codec.Decoder, lookup error, r *item.Relationship) error {
 	for _, e := range r.Ends {
 		if k, ok := en.st.kindOf(e.Object); (!ok || k != item.KindObject) && lookup == nil {
 			lookup = fmt.Errorf("%w: end object %d", ErrUnknownItem, e.Object)
@@ -262,7 +262,7 @@ func (en *Engine) insertReplayedRel(d *storage.Decoder, lookup error, r *item.Re
 // recordCheck reports a record's decode failure or else the first failed
 // check, as ErrBadRecord. Checks have no side effects, so they may run on
 // the zero values a failed decode returns.
-func recordCheck(d *storage.Decoder, checks ...error) error {
+func recordCheck(d *codec.Decoder, checks ...error) error {
 	if err := RecordErr(d); err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func (en *Engine) known(id item.ID) error {
 // keeping the decoder's own error (a short buffer, a bad count) in the
 // chain. Every record decoder — the engine's and the database's — checks
 // it once, before it acts.
-func RecordErr(d *storage.Decoder) error {
+func RecordErr(d *codec.Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadRecord, err)
 	}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -14,7 +14,7 @@ import (
 // effect for the state being decoded, which is exactly why the paper
 // requires schema versions for interpreting old data versions.
 //
-// The decoders follow the storage.Decoder contract: they read a whole item,
+// The decoders follow the codec.Decoder contract: they read a whole item,
 // record every malformation in the decoder (the first one is kept), and
 // resolve names against the schema only if the bytes were sound. The
 // caller checks Err once.
@@ -30,8 +30,8 @@ var ErrDecode = errors.New("item: malformed encoding")
 // EncodeSymTab (snapshots): encoding interns into the table, decoding
 // resolves against the table DecodeSymTab read.
 type Strings interface {
-	putString(e *storage.Encoder, s string)
-	getString(d *storage.Decoder) string
+	putString(e *codec.Encoder, s string)
+	getString(d *codec.Decoder) string
 }
 
 // Inline writes every string in place.
@@ -39,12 +39,12 @@ var Inline Strings = inline{}
 
 type inline struct{}
 
-func (inline) putString(e *storage.Encoder, s string) { e.String(s) }
-func (inline) getString(d *storage.Decoder) string    { return d.String() }
+func (inline) putString(e *codec.Encoder, s string) { e.String(s) }
+func (inline) getString(d *codec.Decoder) string    { return d.String() }
 
-func (t *SymTab) putString(e *storage.Encoder, s string) { e.Uint64(uint64(t.Intern(s))) }
+func (t *SymTab) putString(e *codec.Encoder, s string) { e.Uint64(uint64(t.Intern(s))) }
 
-func (t *SymTab) getString(d *storage.Decoder) string {
+func (t *SymTab) getString(d *codec.Decoder) string {
 	u := d.Uint64()
 	if n := t.Len(); u >= uint64(n) {
 		d.Fail(fmt.Errorf("%w: symbol %d of %d", ErrDecode, u, n))
@@ -54,7 +54,7 @@ func (t *SymTab) getString(d *storage.Decoder) string {
 }
 
 // EncodeSymTab appends the table's strings in symbol order.
-func EncodeSymTab(e *storage.Encoder, t *SymTab) {
+func EncodeSymTab(e *codec.Encoder, t *SymTab) {
 	strs := t.Strs()
 	e.Int(len(strs))
 	for _, s := range strs {
@@ -63,7 +63,7 @@ func EncodeSymTab(e *storage.Encoder, t *SymTab) {
 }
 
 // DecodeSymTab reads a serialized table back, every string at its symbol.
-func DecodeSymTab(d *storage.Decoder) *SymTab {
+func DecodeSymTab(d *codec.Decoder) *SymTab {
 	strs := make([]string, d.Count())
 	for i := range strs {
 		strs[i] = d.String()
@@ -72,7 +72,7 @@ func DecodeSymTab(d *storage.Decoder) *SymTab {
 }
 
 // EncodeValue appends a typed value.
-func EncodeValue(e *storage.Encoder, strs Strings, v value.Value) {
+func EncodeValue(e *codec.Encoder, strs Strings, v value.Value) {
 	e.Byte(byte(v.Kind()))
 	switch v.Kind() {
 	case value.KindString:
@@ -89,7 +89,7 @@ func EncodeValue(e *storage.Encoder, strs Strings, v value.Value) {
 }
 
 // DecodeValue reads a typed value.
-func DecodeValue(d *storage.Decoder, strs Strings) value.Value {
+func DecodeValue(d *codec.Decoder, strs Strings) value.Value {
 	switch kb := d.Byte(); value.Kind(kb) {
 	case value.KindNone:
 		return value.Undefined
@@ -110,7 +110,7 @@ func DecodeValue(d *storage.Decoder, strs Strings) value.Value {
 }
 
 // EncodeObject appends a full object state.
-func EncodeObject(e *storage.Encoder, strs Strings, o *Object) {
+func EncodeObject(e *codec.Encoder, strs Strings, o *Object) {
 	e.Uint64(uint64(o.ID))
 	strs.putString(e, o.Class.QualifiedName())
 	strs.putString(e, o.Name)
@@ -123,7 +123,7 @@ func EncodeObject(e *storage.Encoder, strs Strings, o *Object) {
 }
 
 // DecodeObject reads an object state, resolving the class against s.
-func DecodeObject(d *storage.Decoder, strs Strings, s *schema.Schema) Object {
+func DecodeObject(d *codec.Decoder, strs Strings, s *schema.Schema) Object {
 	o := Object{ID: ID(d.Uint64())}
 	cls := strs.getString(d)
 	o.Name = strs.getString(d)
@@ -147,7 +147,7 @@ func DecodeObject(d *storage.Decoder, strs Strings, s *schema.Schema) Object {
 
 // EncodeRelationship appends a full relationship state. An inherits
 // relationship has no association; it writes the empty name.
-func EncodeRelationship(e *storage.Encoder, strs Strings, r *Relationship) {
+func EncodeRelationship(e *codec.Encoder, strs Strings, r *Relationship) {
 	e.Uint64(uint64(r.ID))
 	e.Bool(r.Inherits)
 	if r.Inherits {
@@ -162,7 +162,7 @@ func EncodeRelationship(e *storage.Encoder, strs Strings, r *Relationship) {
 
 // DecodeRelationship reads a relationship state, resolving the association
 // against s.
-func DecodeRelationship(d *storage.Decoder, strs Strings, s *schema.Schema) Relationship {
+func DecodeRelationship(d *codec.Decoder, strs Strings, s *schema.Schema) Relationship {
 	r := Relationship{ID: ID(d.Uint64()), Inherits: d.Bool()}
 	name := strs.getString(d)
 	r.Ends = DecodeEnds(d, strs)
@@ -184,7 +184,7 @@ func DecodeRelationship(d *storage.Decoder, strs Strings, s *schema.Schema) Rela
 
 // EncodeEnds appends a relationship's end list: the count, then role and
 // object per end.
-func EncodeEnds(e *storage.Encoder, strs Strings, ends []End) {
+func EncodeEnds(e *codec.Encoder, strs Strings, ends []End) {
 	e.Int(len(ends))
 	for _, end := range ends {
 		strs.putString(e, end.Role)
@@ -197,7 +197,7 @@ const maxEnds = 64
 
 // DecodeEnds reads an end list written by EncodeEnds; more than maxEnds
 // ends is corrupt.
-func DecodeEnds(d *storage.Decoder, strs Strings) []End {
+func DecodeEnds(d *codec.Decoder, strs Strings) []End {
 	n := d.Count()
 	if n > maxEnds {
 		d.Fail(fmt.Errorf("%w: %d ends", ErrDecode, n))

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/item"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -30,38 +30,38 @@ func FuzzDecodeItem(f *testing.F) {
 			Index: item.NoIndex, Value: value.NewDate(time.Date(1986, 2, 5, 0, 0, 0, 0, time.UTC))}
 		r := item.Relationship{ID: 7, Assoc: sch.MustAssociation("Write"),
 			Ends: []item.End{{Role: "by", Object: 2}, {Role: "from", Object: 1}}}
-		for _, enc := range []func(*storage.Encoder){
-			func(e *storage.Encoder) { item.EncodeValue(e, strs, value.NewString("Alarms")) },
-			func(e *storage.Encoder) { item.EncodeObject(e, strs, &o) },
-			func(e *storage.Encoder) { item.EncodeRelationship(e, strs, &r) },
+		for _, enc := range []func(*codec.Encoder){
+			func(e *codec.Encoder) { item.EncodeValue(e, strs, value.NewString("Alarms")) },
+			func(e *codec.Encoder) { item.EncodeObject(e, strs, &o) },
+			func(e *codec.Encoder) { item.EncodeRelationship(e, strs, &r) },
 		} {
-			e := storage.NewEncoder(nil)
+			e := codec.NewEncoder(nil)
 			enc(e)
 			f.Add(e.Bytes())
 		}
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	item.EncodeSymTab(e, tab)
 	f.Add(e.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for mode, strs := range modes {
-			stable(t, mode+" value", data, func(d *storage.Decoder) func(*storage.Encoder) {
+			stable(t, mode+" value", data, func(d *codec.Decoder) func(*codec.Encoder) {
 				v := item.DecodeValue(d, strs)
-				return func(e *storage.Encoder) { item.EncodeValue(e, strs, v) }
+				return func(e *codec.Encoder) { item.EncodeValue(e, strs, v) }
 			})
-			stable(t, mode+" object", data, func(d *storage.Decoder) func(*storage.Encoder) {
+			stable(t, mode+" object", data, func(d *codec.Decoder) func(*codec.Encoder) {
 				o := item.DecodeObject(d, strs, sch)
-				return func(e *storage.Encoder) { item.EncodeObject(e, strs, &o) }
+				return func(e *codec.Encoder) { item.EncodeObject(e, strs, &o) }
 			})
-			stable(t, mode+" relationship", data, func(d *storage.Decoder) func(*storage.Encoder) {
+			stable(t, mode+" relationship", data, func(d *codec.Decoder) func(*codec.Encoder) {
 				r := item.DecodeRelationship(d, strs, sch)
-				return func(e *storage.Encoder) { item.EncodeRelationship(e, strs, &r) }
+				return func(e *codec.Encoder) { item.EncodeRelationship(e, strs, &r) }
 			})
 		}
-		stable(t, "symbol table", data, func(d *storage.Decoder) func(*storage.Encoder) {
+		stable(t, "symbol table", data, func(d *codec.Decoder) func(*codec.Encoder) {
 			got := item.DecodeSymTab(d)
-			return func(e *storage.Encoder) { item.EncodeSymTab(e, got) }
+			return func(e *codec.Encoder) { item.EncodeSymTab(e, got) }
 		})
 	})
 }
@@ -69,21 +69,21 @@ func FuzzDecodeItem(f *testing.F) {
 // stable decodes data with decode; if that succeeds, it encodes the result,
 // decodes the encoding again and requires the second encoding to match the
 // first.
-func stable(t *testing.T, what string, data []byte, decode func(*storage.Decoder) func(*storage.Encoder)) {
+func stable(t *testing.T, what string, data []byte, decode func(*codec.Decoder) func(*codec.Encoder)) {
 	t.Helper()
-	d := storage.NewDecoder(data)
+	d := codec.NewDecoder(data)
 	encode := decode(d)
 	if d.Err() != nil {
 		return
 	}
-	first := storage.NewEncoder(nil)
+	first := codec.NewEncoder(nil)
 	encode(first)
-	d = storage.NewDecoder(first.Bytes())
+	d = codec.NewDecoder(first.Bytes())
 	encode = decode(d)
 	if d.Err() != nil {
 		t.Fatalf("%s: re-encoding refused: %v", what, d.Err())
 	}
-	second := storage.NewEncoder(nil)
+	second := codec.NewEncoder(nil)
 	encode(second)
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("%s: changed across encode and decode", what)

@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/item"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -77,9 +77,9 @@ func TestCodecObjectRoundTrip(t *testing.T) {
 	}
 	for mode, strs := range stringModes() {
 		for _, o := range cases {
-			e := storage.NewEncoder(nil)
+			e := codec.NewEncoder(nil)
 			item.EncodeObject(e, strs, &o)
-			d := storage.NewDecoder(e.Bytes())
+			d := codec.NewDecoder(e.Bytes())
 			got := item.DecodeObject(d, strs, sch)
 			if d.Err() != nil {
 				t.Fatalf("%s: decode %v: %v", mode, o.ID, d.Err())
@@ -109,10 +109,10 @@ func TestCodecRelationshipRoundTrip(t *testing.T) {
 		},
 	}
 	for mode, strs := range stringModes() {
-		e := storage.NewEncoder(nil)
+		e := codec.NewEncoder(nil)
 		item.EncodeRelationship(e, strs, &r)
 		item.EncodeRelationship(e, strs, &ir)
-		d := storage.NewDecoder(e.Bytes())
+		d := codec.NewDecoder(e.Bytes())
 		got := item.DecodeRelationship(d, strs, sch)
 		gotIr := item.DecodeRelationship(d, strs, sch)
 		if d.Err() != nil {
@@ -134,9 +134,9 @@ func TestCodecValueQuick(t *testing.T) {
 				value.NewInteger(i), value.NewString(s), value.NewBoolean(b),
 				value.NewReal(fl), value.Undefined,
 			} {
-				e := storage.NewEncoder(nil)
+				e := codec.NewEncoder(nil)
 				item.EncodeValue(e, strs, v)
-				d := storage.NewDecoder(e.Bytes())
+				d := codec.NewDecoder(e.Bytes())
 				got := item.DecodeValue(d, strs)
 				if d.Err() != nil {
 					return false
@@ -159,16 +159,16 @@ func TestCodecValueQuick(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	sch := schema.Figure3()
 	// Truncated buffer.
-	d := storage.NewDecoder([]byte{1})
-	if item.DecodeObject(d, item.Inline, sch); !errors.Is(d.Err(), storage.ErrShortBuffer) {
+	d := codec.NewDecoder([]byte{1})
+	if item.DecodeObject(d, item.Inline, sch); !errors.Is(d.Err(), codec.ErrShortBuffer) {
 		t.Errorf("truncated object: %v", d.Err())
 	}
 	// Unknown class.
 	other := schema.Figure2() // has Data, but lacks e.g. Thing
 	o := item.Object{ID: 2, Class: sch.MustClass("Thing"), Name: "Y", Index: item.NoIndex}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	item.EncodeObject(e, item.Inline, &o)
-	d = storage.NewDecoder(e.Bytes())
+	d = codec.NewDecoder(e.Bytes())
 	if item.DecodeObject(d, item.Inline, other); !errors.Is(d.Err(), item.ErrDecode) {
 		t.Errorf("object with unknown class: %v", d.Err())
 	}
@@ -176,7 +176,7 @@ func TestDecodeErrors(t *testing.T) {
 	e.Reset()
 	e.Byte(byte(value.KindString))
 	e.Uint64(5)
-	d = storage.NewDecoder(e.Bytes())
+	d = codec.NewDecoder(e.Bytes())
 	if item.DecodeValue(d, item.NewSymTab()); !errors.Is(d.Err(), item.ErrDecode) {
 		t.Errorf("unknown symbol: %v", d.Err())
 	}
@@ -185,7 +185,7 @@ func TestDecodeErrors(t *testing.T) {
 		e.Reset()
 		e.Int(n)
 		e.Blob(make([]byte, 200))
-		d = storage.NewDecoder(e.Bytes())
+		d = codec.NewDecoder(e.Bytes())
 		if item.DecodeEnds(d, item.Inline); d.Err() == nil {
 			t.Errorf("%d ends decoded", n)
 		}
@@ -197,9 +197,9 @@ func TestSymTabRoundTrip(t *testing.T) {
 	for _, s := range []string{"Data", "Alarms", "Data"} {
 		tab.Intern(s)
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	item.EncodeSymTab(e, tab)
-	d := storage.NewDecoder(e.Bytes())
+	d := codec.NewDecoder(e.Bytes())
 	got := item.DecodeSymTab(d)
 	if d.Err() != nil || got.Len() != tab.Len() {
 		t.Fatalf("decoded %d symbols, want %d (%v)", got.Len(), tab.Len(), d.Err())

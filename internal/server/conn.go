@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -165,9 +166,11 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // readLoop pulls frames until the client goes away, admits each and hands
-// it to dispatch. A frame of a retired protocol — a hello announcing less
-// than v2, any other request without a Seq — is answered once with an
-// error naming it and ends the loop with rejected set.
+// it to dispatch. A frame of a retired protocol — a hello announcing
+// another version, any other request without a Seq — is answered once with
+// an error naming it and ends the loop with rejected set. A payload that
+// does not decode (a protocol-2 JSON frame, say) cannot be answered in a
+// form its sender reads: it is logged and ends the loop unanswered.
 func (c *conn) readLoop() (rejected bool) {
 	s := c.s
 	rd := wire.NewReader(bufio.NewReader(c.nc))
@@ -177,6 +180,9 @@ func (c *conn) readLoop() (rejected bool) {
 		}
 		req := &wire.Request{}
 		if err := rd.Read(req); err != nil {
+			if errors.Is(err, wire.ErrBadFrame) {
+				s.event(c.id, "protocol-reject", "reason", err.Error())
+			}
 			return false // disconnect, protocol error, or idle timeout
 		}
 		if reason := unsupportedProto(req); reason != "" {
@@ -214,15 +220,16 @@ func (c *conn) readLoop() (rejected bool) {
 	}
 }
 
-// unsupportedProto names what makes a frame one of a retired protocol — a
-// hello announcing less than v2, or any other request without the
-// correlation id v2 requires (the v1 lockstep form); "" for a servable frame.
+// unsupportedProto names what makes a frame one of another protocol — a
+// hello announcing a version other than wire.Proto, or any other request
+// without the correlation id the protocol requires (the v1 lockstep form);
+// "" for a servable frame.
 func unsupportedProto(req *wire.Request) string {
 	switch {
-	case req.Op == wire.OpHello && req.Proto < wire.ProtoV2:
-		return fmt.Sprintf("server: unsupported protocol %d: hello must announce proto >= %d", req.Proto, wire.ProtoV2)
+	case req.Op == wire.OpHello && req.Proto != wire.Proto:
+		return fmt.Sprintf("server: unsupported protocol %d: hello must announce proto %d", req.Proto, wire.Proto)
 	case req.Op != wire.OpHello && req.Seq == 0:
-		return fmt.Sprintf("server: unsupported protocol: %s request without a seq; protocol %d correlates every request", req.Op, wire.ProtoV2)
+		return fmt.Sprintf("server: unsupported protocol: %s request without a seq; protocol %d correlates every request", req.Op, wire.Proto)
 	}
 	return ""
 }
@@ -321,13 +328,24 @@ func (c *conn) writeLoop() {
 	}
 	bw := bufio.NewWriterSize(c.nc, 32<<10)
 	w := wire.NewWriter(bw)
+	// The deadline is armed once the frame is encoded, just before its
+	// bytes go to bufio (which writes a full buffer or a large frame
+	// through to the socket): encoding time is not a stalled write.
+	write := func(resp *wire.Response) error {
+		frame, err := w.Encode(resp)
+		if err != nil {
+			return err
+		}
+		arm()
+		_, err = bw.Write(frame)
+		return err
+	}
 	broken := false
 	for resp := range c.writeCh {
 		if broken {
 			continue
 		}
-		arm()
-		err := w.Write(resp)
+		err := write(resp)
 	burst:
 		for err == nil {
 			select {
@@ -335,8 +353,7 @@ func (c *conn) writeLoop() {
 				if !ok {
 					break burst // closed mid-burst: flush, then the range ends
 				}
-				arm()
-				err = w.Write(more)
+				err = write(more)
 			default:
 				break burst
 			}

@@ -36,7 +36,7 @@ func TestWriteTimeoutReleasesLocks(t *testing.T) {
 	}
 
 	r := dialRaw(t, addr)
-	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.Proto})
 	r.send(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}})
 	// Flood fat gets and never read a byte: the writer must hit its write
 	// deadline on the full TCP window and reap the connection.

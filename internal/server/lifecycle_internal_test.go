@@ -72,7 +72,7 @@ func callRoute(c *client.Client, op wire.Op, name string) (err error) {
 		}
 	default:
 		var p *client.Pending
-		if p, err = c.Send(&wire.Request{Op: op, Proto: wire.ProtoV2, Names: []string{name}, Query: &wire.Query{Class: "Data"}}); err == nil {
+		if p, err = c.Send(&wire.Request{Op: op, Proto: wire.Proto, Names: []string{name}, Query: &wire.Query{Class: "Data"}}); err == nil {
 			_, err = p.Await()
 		}
 	}

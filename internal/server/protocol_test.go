@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -86,8 +87,8 @@ func TestRawFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := dialRaw(t, addr)
-	hello := r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
-	if hello.Err != "" || hello.ClientID == "" || hello.Proto != wire.ProtoV2 {
+	hello := r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.Proto})
+	if hello.Err != "" || hello.ClientID == "" || hello.Proto != wire.Proto {
 		t.Errorf("hello = %+v", hello)
 	}
 	if resp := r.roundTrip(&wire.Request{Op: wire.OpGet, Seq: 7, Names: []string{"Alarms"}}); resp.Err != "" || resp.Seq != 7 {
@@ -107,12 +108,22 @@ func TestRawFrames(t *testing.T) {
 	}
 }
 
-// TestRetiredProtocolRejected: the v1 lockstep protocol is gone. A hello
-// that announces less than v2 and a request without a Seq each get exactly
-// one error naming the unsupported protocol, then the connection closes
-// with the usual teardown — locks the client held are released.
+// TestRetiredProtocolRejected: the v1 lockstep and v2 JSON protocols are
+// gone. A hello that announces another version than wire.Proto and a
+// request without a Seq each get exactly one error naming the unsupported
+// protocol, then the connection closes with the usual teardown — locks the
+// client held are released. A protocol-2 JSON frame does not decode: it is
+// logged as a protocol-reject and the connection closes unanswered.
 func TestRetiredProtocolRejected(t *testing.T) {
-	_, addr, db := startServer(t)
+	var logMu sync.Mutex
+	var logs strings.Builder
+	_, addr, db := startServer(t, func(s *server.Server) {
+		s.SetLogger(func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		})
+	})
 	if _, err := db.CreateObject("Data", "Alarms"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +142,33 @@ func TestRetiredProtocolRejected(t *testing.T) {
 
 	t.Run("proto-less hello", func(t *testing.T) {
 		rejected(t, dialRaw(t, addr), &wire.Request{Op: wire.OpHello})
-		dial(t, addr) // the server keeps serving v2 clients
+		dial(t, addr) // the server keeps serving current clients
+	})
+	t.Run("proto-2 hello", func(t *testing.T) {
+		rejected(t, dialRaw(t, addr), &wire.Request{Op: wire.OpHello, Proto: 2})
+	})
+	t.Run("json hello", func(t *testing.T) {
+		r := dialRaw(t, addr)
+		payload := `{"op":"hello","proto":2}`
+		if _, err := r.conn.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+			t.Fatal(err)
+		}
+		_ = r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := r.conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Errorf("after a JSON hello: %d bytes, %v; want the connection closed unanswered", n, err)
+		}
+		// The reader logs the rejection before it closes the connection.
+		logMu.Lock()
+		got := logs.String()
+		logMu.Unlock()
+		if !strings.Contains(got, "event=protocol-reject") || !strings.Contains(got, "malformed frame") {
+			t.Errorf("no protocol-reject logged for the JSON hello:\n%s", got)
+		}
+		dial(t, addr)
 	})
 	t.Run("seq-less request", func(t *testing.T) {
 		r := dialRaw(t, addr)
-		r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+		r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.Proto})
 		if resp := r.roundTrip(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Alarms"}}); resp.Err != "" {
 			t.Fatalf("checkout = %+v", resp)
 		}
@@ -397,7 +430,7 @@ func TestStalledClientReleasesLocks(t *testing.T) {
 	}
 
 	r := dialRaw(t, addr)
-	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.Proto})
 	r.send(&wire.Request{Op: wire.OpCheckout, Seq: 1, Names: []string{"Root"}})
 	// Flood pipelined gets of the fat object — deeper than the dispatch
 	// semaphore plus the write channel together, so the reader ends up

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -73,7 +72,8 @@ func (s *Server) handleQuery(_ *conn, req *wire.Request) *wire.Response {
 			continue
 		}
 		w := wireObject(v, o)
-		size += len(w.Class) + len(w.Name) + len(w.Path) + len(w.Value) + 96
+		// Six fields, each at least one byte beside its string bytes.
+		size += len(w.Class) + len(w.Name) + len(w.Path) + len(w.Value) + 6
 		objs = append(objs, w)
 	}
 	resp := &wire.Response{Objects: objs, Total: total, Plan: &wire.QueryPlan{
@@ -87,12 +87,14 @@ func (s *Server) handleQuery(_ *conn, req *wire.Request) *wire.Response {
 	}}
 	// A result that cannot fit one frame must be paged, not kill the
 	// connection (the per-connection writer treats an oversized frame as a
-	// transport failure). The running size is a cheap lower bound; only a
-	// result near the limit pays for the exact encoding check — a second
-	// encode of an up-to-8 MiB payload, accepted for keeping the writer
-	// path oblivious to response sizes.
+	// transport failure). The running size is a cheap lower bound: an
+	// object's fields add at most 27 bytes of varints to its strings, so
+	// below MaxFrame/8 the frame cannot reach MaxFrame. Only a result above
+	// it pays for the exact check — a second encode of an up-to-8 MiB
+	// payload, accepted for keeping the writer path oblivious to response
+	// sizes.
 	if size > wire.MaxFrame/8 {
-		if payload, err := json.Marshal(resp); err != nil || len(payload) > wire.MaxFrame {
+		if _, err := wire.NewWriter(nil).Encode(resp); err != nil {
 			return fail(fmt.Errorf("server: query result (%d objects) exceeds the %d-byte frame limit; page it with limit/offset", len(objs), wire.MaxFrame))
 		}
 	}
@@ -170,10 +172,10 @@ func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 		if !ok || r.Inherits {
 			continue
 		}
-		wr := wire.Relationship{ID: uint64(rid), Assoc: r.Assoc.Name(), Ends: map[string]string{}}
-		for _, e := range r.Ends {
+		wr := wire.Relationship{ID: uint64(rid), Assoc: r.Assoc.Name(), Ends: make([]wire.End, 0, len(r.Ends))}
+		for _, e := range r.Ends { // stored in role order
 			if p, ok := seedPath(v, e.Object); ok {
-				wr.Ends[e.Role] = p
+				wr.Ends = append(wr.Ends, wire.End{Role: e.Role, Path: p})
 			}
 		}
 		snap.Rels = append(snap.Rels, wr)

@@ -19,7 +19,7 @@ import (
 	"repro/seed"
 )
 
-// Server serves one SEED database to many clients over wire protocol v2:
+// Server serves one SEED database to many clients over the wire protocol:
 // each connection (conn) runs a reader goroutine, a serialized writer
 // goroutine, and per-request dispatch on the lane the op table (routes)
 // names, so one connection can have many requests in flight — retrieval
@@ -322,9 +322,9 @@ func codeOf(err error) string {
 }
 
 // handleHello answers the handshake; readLoop has already refused one
-// announcing less than v2.
+// announcing another version than wire.Proto.
 func (s *Server) handleHello(c *conn, _ *wire.Request) *wire.Response {
-	return &wire.Response{ClientID: c.id, Proto: wire.ProtoV2}
+	return &wire.Response{ClientID: c.id, Proto: wire.Proto}
 }
 
 func (s *Server) handleCheckout(c *conn, req *wire.Request) *wire.Response {
@@ -512,8 +512,8 @@ func updateRoots(u wire.Update, created map[string]bool) []string {
 		return nil
 	case wire.UpdateCreateRel:
 		roots := make([]string, 0, len(u.Ends))
-		for _, p := range u.Ends {
-			roots = append(roots, rootOfPath(p))
+		for _, end := range u.Ends {
+			roots = append(roots, rootOfPath(end.Path))
 		}
 		return roots
 	default:
@@ -563,12 +563,15 @@ func applyUpdate(tx *seed.Tx, u wire.Update) error {
 		return tx.SetValue(id, val)
 	case wire.UpdateCreateRel:
 		ends := make(map[string]seed.ID, len(u.Ends))
-		for role, p := range u.Ends {
-			id, err := tx.ResolvePath(p)
+		for _, end := range u.Ends {
+			if _, dup := ends[end.Role]; dup {
+				return fmt.Errorf("server: relationship end %q given twice", end.Role)
+			}
+			id, err := tx.ResolvePath(end.Path)
 			if err != nil {
 				return err
 			}
-			ends[role] = id
+			ends[end.Role] = id
 		}
 		_, err := tx.CreateRelationship(u.Assoc, ends)
 		return err

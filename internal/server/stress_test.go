@@ -278,7 +278,7 @@ func TestListStableOnWire(t *testing.T) {
 		}
 	}
 	r := dialRaw(t, addr)
-	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.ProtoV2})
+	r.roundTrip(&wire.Request{Op: wire.OpHello, Proto: wire.Proto})
 	for i := 0; i < 3; i++ {
 		resp := r.roundTrip(&wire.Request{Op: wire.OpList, Seq: uint64(i + 1)})
 		if resp.Err != "" {

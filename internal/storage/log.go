@@ -1,3 +1,14 @@
+// Package storage implements the persistence substrate of SEED: a
+// segmented append-only write-ahead log with per-record CRC-32 checksums,
+// torn-write recovery and group-committed fsyncs, and a directory-level
+// store that combines a snapshot with the log and supports incremental
+// compaction (sealed segments are deleted; the live tail is never
+// rewritten). Record payloads are written with internal/codec.
+//
+// The storage layer deals in opaque record payloads; the engine above it
+// decides what a record means. This keeps recovery logic (checksums,
+// truncated tails, seal markers, atomic snapshot replacement) independent
+// of the data model.
 package storage
 
 import (
@@ -13,6 +24,7 @@ var (
 	ErrBadMagic  = errors.New("storage: bad log magic")
 	ErrCorrupt   = errors.New("storage: corrupt record")
 	ErrLogClosed = errors.New("storage: log closed")
+	ErrOversize  = errors.New("storage: record exceeds size limit")
 )
 
 // WAL is a segmented, append-only write-ahead log: records append to

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/ident"
 	"repro/internal/item"
 	"repro/internal/schema"
-	"repro/internal/storage"
 )
 
 // Binary encoding of the whole version tree, used by database snapshots.
@@ -16,7 +16,7 @@ import (
 // interpretable after schema evolution.
 
 // Encode appends the version tree to an encoder.
-func (m *Manager) Encode(e *storage.Encoder) {
+func (m *Manager) Encode(e *codec.Encoder) {
 	// Encode by path depth, then number, so parents decode before children.
 	byDepth := m.List()
 	sort.SliceStable(byDepth, func(i, j int) bool { return len(byDepth[i].Path()) < len(byDepth[j].Path()) })
@@ -54,7 +54,7 @@ func (m *Manager) Encode(e *storage.Encoder) {
 // recorded schema version number. Decode reads each node whole and checks
 // the decoder before it resolves the node's schema or links it into the
 // tree, so a short or corrupt encoding reports the decoder's first error.
-func Decode(d *storage.Decoder, schemaFor func(ver int) (*schema.Schema, error)) (*Manager, error) {
+func Decode(d *codec.Decoder, schemaFor func(ver int) (*schema.Schema, error)) (*Manager, error) {
 	m := NewManager()
 	count := d.Count()
 	for i := 0; i < count; i++ {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/schema"
-	"repro/internal/storage"
 )
 
 // FuzzDecodeVersionTree feeds arbitrary bytes to Decode, the version-tree
@@ -15,10 +15,10 @@ import (
 func FuzzDecodeVersionTree(f *testing.F) {
 	sch := schema.Figure2()
 	m, _, _ := codecTree(sch)
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	m.Encode(e)
 	f.Add(e.Bytes())
-	e = storage.NewEncoder(nil)
+	e = codec.NewEncoder(nil)
 	NewManager().Encode(e)
 	f.Add(e.Bytes())
 	schemaFor := func(ver int) (*schema.Schema, error) {
@@ -28,17 +28,17 @@ func FuzzDecodeVersionTree(f *testing.F) {
 		return sch, nil
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(storage.NewDecoder(data), schemaFor)
+		m, err := Decode(codec.NewDecoder(data), schemaFor)
 		if err != nil {
 			return
 		}
-		first := storage.NewEncoder(nil)
+		first := codec.NewEncoder(nil)
 		m.Encode(first)
-		m2, err := Decode(storage.NewDecoder(first.Bytes()), schemaFor)
+		m2, err := Decode(codec.NewDecoder(first.Bytes()), schemaFor)
 		if err != nil {
 			t.Fatalf("re-encoded tree refused: %v", err)
 		}
-		second := storage.NewEncoder(nil)
+		second := codec.NewEncoder(nil)
 		m2.Encode(second)
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("tree changed across encode and decode")

@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/item"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -207,9 +207,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	sch := schema.Figure2()
 	m, n1, alt := codecTree(sch)
 
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	m.Encode(e)
-	d := storage.NewDecoder(e.Bytes())
+	d := codec.NewDecoder(e.Bytes())
 	m2, err := Decode(d, func(ver int) (*schema.Schema, error) { return sch, nil })
 	if err != nil {
 		t.Fatal(err)

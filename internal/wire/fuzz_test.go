@@ -3,24 +3,24 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // writeFrame is the reference encoder Writer is held to: a little-endian
-// length header, then the json.Marshal payload.
+// length header, then the payload encoded into a fresh buffer.
 func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	e := codec.NewEncoder(nil)
+	if err := encodeFrame(e, v); err != nil {
 		return err
 	}
-	if len(payload) > MaxFrame {
+	if e.Len() > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	_, err = w.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+	_, err := w.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(e.Len())), e.Bytes()...))
 	return err
 }
 
@@ -39,10 +39,7 @@ func readFrame(r io.Reader, v any) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return err
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	return nil
+	return decodeFrame(payload, v)
 }
 
 // frameBytes encodes v as one frame for seeding the corpus.
@@ -55,10 +52,8 @@ func frameBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes through the frame decoder: it must
-// never panic, and every input it accepts as a Request must survive a
-// re-encode/re-decode round trip unchanged — the property that keeps server
-// and client in agreement about what a frame means.
+// FuzzDecodeFrame feeds arbitrary bytes through the binary frame decoder as
+// a Request and as a Response (checkFrame).
 func FuzzDecodeFrame(f *testing.F) {
 	seedT := &testing.T{}
 	f.Add(frameBytes(seedT, &Request{Op: OpHello}))
@@ -70,13 +65,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		Updates: []Update{
 			{Kind: UpdateCreateObject, Class: "Data", Name: "New"},
 			{Kind: UpdateSetValue, Path: "Doc.Text[0].Body", ValueKind: 2, Value: "v"},
-			{Kind: UpdateCreateRel, Assoc: "Read", Ends: map[string]string{"from": "Doc", "by": "H"}},
+			{Kind: UpdateCreateRel, Assoc: "Read", Ends: []End{{Role: "by", Path: "H"}, {Role: "from", Path: "Doc"}}},
 		},
 	}))
 	f.Add(frameBytes(seedT, &Response{Err: "boom", Code: "conflict"}))
-	// v2 correlated frames: hello negotiation, pipelined Seq ids, the query
+	// Correlated frames: hello negotiation, pipelined Seq ids, the query
 	// wire form with every clause populated, and structured stats.
-	f.Add(frameBytes(seedT, &Request{Op: OpHello, Proto: ProtoV2}))
+	f.Add(frameBytes(seedT, &Request{Op: OpHello, Proto: Proto}))
 	f.Add(frameBytes(seedT, &Request{Op: OpGet, Seq: 17, Names: []string{"Doc"}}))
 	f.Add(frameBytes(seedT, &Request{Op: OpQuery, Seq: 9, Query: &Query{
 		Class: "Data", Specs: true, NameGlob: "Al*",
@@ -88,12 +83,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		{ID: 3, Class: "Data", Name: "A", Path: "A"},
 		{ID: 4, Class: "Data.Text", Path: "A.Text[0]", ValueKind: 2, Value: "v"},
 	}}))
-	f.Add(frameBytes(seedT, &Response{Seq: 1, Proto: ProtoV2, ClientID: "client-1"}))
+	f.Add(frameBytes(seedT, &Response{Seq: 1, Proto: Proto, ClientID: "client-1"}))
 	f.Add(frameBytes(seedT, &Response{Stats: "objects=1", StatsV2: &Stats{
 		Objects: 1, Relationships: 2, Generation: 9, OpenTxs: 1, WALSegments: 3, WALBytes: 4096,
 	}}))
 	// Typed Where predicates across every value kind and operator class,
-	// and plan-bearing query responses (the v2 explain surface).
+	// and plan-bearing query responses (the explain surface).
 	f.Add(frameBytes(seedT, &Request{Op: OpQuery, Query: &Query{
 		Class: "Thing", Specs: true,
 		Where: []Where{
@@ -127,56 +122,62 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(seedT, &Response{Names: []string{"A"}, Snapshots: []Snapshot{{
 		Root:    "A",
 		Objects: []Object{{ID: 1, Class: "Data", Name: "A", ValueKind: 2, Value: "x"}},
-		Rels:    []Relationship{{ID: 2, Assoc: "Read", Ends: map[string]string{"by": "B"}}},
+		Rels:    []Relationship{{ID: 2, Assoc: "Read", Ends: []End{{Role: "by", Path: "B"}}}},
 	}}}))
-	// Malformed shapes: truncated header, absurd length, bad JSON.
+	// Replication stream chunks: the snapshot and records ride as blobs.
+	f.Add(frameBytes(seedT, &Response{Seq: 4, Log: &LogChunk{Kind: LogSnapshot, Snapshot: []byte{1, 2, 3}, Gen: 7}}))
+	f.Add(frameBytes(seedT, &Response{Seq: 4, Log: &LogChunk{Kind: LogRecords, Records: [][]byte{{9}, {8, 7}}, Seg: 2, Gen: 8}}))
+	// Malformed shapes: truncated header, absurd length, bad JSON, and a
+	// protocol-2 JSON hello.
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 4), '{', '}', '}', '{'))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 24), `{"op":"hello","proto":2}`...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := readFrame(bytes.NewReader(data), &req); err != nil {
-			return // rejection is fine; panics and hangs are not
-		}
-		// Round trip: what decoded must re-encode to an equivalent frame.
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, &req); err != nil {
-			t.Fatalf("re-encoding accepted request: %v", err)
-		}
-		var again Request
-		if err := readFrame(bytes.NewReader(buf.Bytes()), &again); err != nil {
-			t.Fatalf("re-decoding own encoding: %v", err)
-		}
-		if !reflect.DeepEqual(req, again) {
-			t.Fatalf("round trip diverged:\n first %#v\nsecond %#v", req, again)
-		}
-		// The buffer-reusing Reader and Writer must agree with the
-		// reference functions byte for byte: same acceptance, same
-		// decoding, same encoding.
-		var viaReader Request
-		if err := (NewReader(bytes.NewReader(data))).Read(&viaReader); err != nil {
-			t.Fatalf("Reader rejects what readFrame accepted: %v", err)
-		}
-		if !reflect.DeepEqual(req, viaReader) {
-			t.Fatalf("Reader decoded differently:\n readFrame %#v\n Reader    %#v", req, viaReader)
-		}
-		var wbuf bytes.Buffer
-		if err := NewWriter(&wbuf).Write(&req); err != nil {
-			t.Fatalf("Writer rejects what writeFrame accepted: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), wbuf.Bytes()) {
-			t.Fatalf("Writer encoded differently:\n writeFrame %q\n Writer     %q", buf.Bytes(), wbuf.Bytes())
-		}
-		// The same bytes must also decode as a Response without panicking
-		// (the two frame types share the transport).
-		var resp Response
-		if err := readFrame(bytes.NewReader(data), &resp); err == nil {
-			var rbuf bytes.Buffer
-			if err := writeFrame(&rbuf, &resp); err != nil {
-				t.Fatalf("re-encoding accepted response: %v", err)
-			}
-		}
+		// Both frame types share the transport: the same bytes go through
+		// each decoder.
+		checkFrame[Request](t, data)
+		checkFrame[Response](t, data)
 	})
+}
+
+// checkFrame decodes data as one T frame. Rejection is fine; a panic is
+// not, and every frame it accepts must survive a re-encode/re-decode round
+// trip unchanged — the property that keeps server and client in agreement
+// about what a frame means.
+func checkFrame[T Request | Response](t *testing.T, data []byte) {
+	var v T
+	if err := readFrame(bytes.NewReader(data), &v); err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &v); err != nil {
+		t.Fatalf("re-encoding accepted %T: %v", v, err)
+	}
+	var again T
+	if err := readFrame(bytes.NewReader(buf.Bytes()), &again); err != nil {
+		t.Fatalf("re-decoding own encoding: %v", err)
+	}
+	if !reflect.DeepEqual(v, again) {
+		t.Fatalf("round trip diverged:\n first %#v\nsecond %#v", v, again)
+	}
+	// The buffer-reusing Reader and Writer must agree with the reference
+	// functions byte for byte: same acceptance, same decoding, same
+	// encoding.
+	var viaReader T
+	if err := NewReader(bytes.NewReader(data)).Read(&viaReader); err != nil {
+		t.Fatalf("Reader rejects what readFrame accepted: %v", err)
+	}
+	if !reflect.DeepEqual(v, viaReader) {
+		t.Fatalf("Reader decoded differently:\n readFrame %#v\n Reader    %#v", v, viaReader)
+	}
+	var wbuf bytes.Buffer
+	if err := NewWriter(&wbuf).Write(&v); err != nil {
+		t.Fatalf("Writer rejects what writeFrame accepted: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), wbuf.Bytes()) {
+		t.Fatalf("Writer encoded differently:\n writeFrame %q\n Writer     %q", buf.Bytes(), wbuf.Bytes())
+	}
 }

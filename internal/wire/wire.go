@@ -6,33 +6,44 @@
 // client sends the updated copy back, the server puts it into the central
 // database in a single transaction.
 //
-// Messages are length-prefixed JSON frames over any byte stream.
+// Messages are length-prefixed binary frames over any byte stream: a
+// 4-byte little-endian payload length, then the payload in internal/codec's
+// encoding — a tag byte naming the frame type (Request or Response), then
+// the type's fields. A type's strings are one codec.Strings group; slices
+// are a count and their elements, pointers a presence flag and their value,
+// byte slices length-prefixed. The same codec writes the log records and
+// snapshots, so a follower's log chunks carry record bytes as they are.
 //
-// Frames are correlated and pipelined (protocol v2): every request carries a
-// nonzero Seq, which the server echoes in the matching response, so one
-// connection can have many requests in flight and receive retrieval
-// responses out of order. Mutating operations keep per-client FIFO order.
-// The version is announced at hello: the client sends Proto >= 2 and is
-// answered with the server's protocol version. A hello announcing less, or
-// any later frame without a Seq, is answered with one error naming the
-// unsupported protocol and the connection is closed.
+// Frames are correlated and pipelined: every request carries a nonzero Seq,
+// which the server echoes in the matching response, so one connection can
+// have many requests in flight and receive retrieval responses out of order.
+// Mutating operations keep per-client FIFO order. The version is announced
+// at hello: the client sends Proto and is answered with the server's. A
+// hello announcing another version, or any later frame without a Seq, is
+// answered with one error naming the unsupported protocol and the
+// connection is closed; a payload that does not decode (a JSON frame of
+// protocol 2, say) closes the connection unanswered.
+//
+// The JSON struct tags are not the wire format. They keep a frame's JSON
+// rendering stable for the tools that print or hash one (seedmark's op
+// digest hashes each request's JSON form).
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
+
+	"repro/internal/codec"
 )
 
 // MaxFrame bounds one protocol frame (8 MiB).
 const MaxFrame = 8 << 20
 
-// ProtoV2 is the protocol version announced at hello: Seq correlation
-// (pipelining) and the query operation. It is the only one served.
-const ProtoV2 = 2
+// Proto is the protocol version announced at hello: binary frames, Seq
+// correlation (pipelining) and the query operation. It is the only one
+// served.
+const Proto = 3
 
 // Frame errors.
 var (
@@ -55,8 +66,8 @@ const (
 	OpVersions     Op = "versions"     // list versions
 	OpCompleteness Op = "completeness" // run the completeness check
 	OpStats        Op = "stats"
-	OpQuery        Op = "query"         // server-side query on the indexed snapshot (v2)
-	OpSubscribeLog Op = "subscribe-log" // follower replication stream: snapshot, sealed segments, live batches (v2)
+	OpQuery        Op = "query"         // server-side query on the indexed snapshot
+	OpSubscribeLog Op = "subscribe-log" // follower replication stream: snapshot, sealed segments, live batches
 )
 
 // Object is the wire form of one object.
@@ -69,11 +80,19 @@ type Object struct {
 	Value     string `json:"value,omitempty"`
 }
 
-// Relationship is the wire form of one relationship; ends are object paths.
+// End is one end of a relationship: the role and the path of the object
+// filling it.
+type End struct {
+	Role string `json:"role"`
+	Path string `json:"path"`
+}
+
+// Relationship is the wire form of one relationship. Its ends are in role
+// order.
 type Relationship struct {
-	ID    uint64            `json:"id"`
-	Assoc string            `json:"assoc"`
-	Ends  map[string]string `json:"ends"`
+	ID    uint64 `json:"id"`
+	Assoc string `json:"assoc"`
+	Ends  []End  `json:"ends"`
 }
 
 // Snapshot is the copy of an object subtree a checkout returns.
@@ -87,15 +106,15 @@ type Snapshot struct {
 // addressed by qualified path, so updates compose without knowing the
 // server's item IDs.
 type Update struct {
-	Kind      string            `json:"kind"` // create-object, create-sub, set-value, create-rel, delete, reclassify, describe
-	Class     string            `json:"class,omitempty"`
-	Name      string            `json:"name,omitempty"`
-	Path      string            `json:"path,omitempty"`
-	Role      string            `json:"role,omitempty"`
-	Assoc     string            `json:"assoc,omitempty"`
-	Ends      map[string]string `json:"ends,omitempty"`
-	ValueKind uint8             `json:"vkind,omitempty"`
-	Value     string            `json:"value,omitempty"`
+	Kind      string `json:"kind"` // create-object, create-sub, set-value, create-rel, delete, reclassify, describe
+	Class     string `json:"class,omitempty"`
+	Name      string `json:"name,omitempty"`
+	Path      string `json:"path,omitempty"`
+	Role      string `json:"role,omitempty"`
+	Assoc     string `json:"assoc,omitempty"`
+	Ends      []End  `json:"ends,omitempty"` // create-rel, in role order
+	ValueKind uint8  `json:"vkind,omitempty"`
+	Value     string `json:"value,omitempty"`
 }
 
 // Update kinds.
@@ -371,8 +390,8 @@ type Response struct {
 }
 
 // Reader decodes frames from one connection, reusing a growable payload
-// buffer across frames instead of allocating one per frame. Decoded values
-// never alias the buffer (encoding/json copies what it keeps), so a frame's
+// buffer across frames instead of allocating one per frame. Decoded strings
+// and byte slices are copies, never aliases of the buffer, so a frame's
 // result stays valid after the next Read. Not safe for concurrent use; a
 // connection has exactly one reading goroutine.
 type Reader struct {
@@ -384,7 +403,8 @@ type Reader struct {
 // NewReader returns a frame reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Read decodes the next frame into v.
+// Read decodes the next frame into v, a *Request or a *Response; a payload
+// that is not exactly one value of that type is ErrBadFrame.
 func (rd *Reader) Read(v any) error {
 	if _, err := io.ReadFull(rd.r, rd.header[:]); err != nil {
 		return err
@@ -409,10 +429,7 @@ func (rd *Reader) Read(v any) error {
 	if cap(rd.buf) > 1<<20 && n < cap(rd.buf)/8 {
 		rd.buf = nil
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	return nil
+	return decodeFrame(payload, v)
 }
 
 // Writer encodes frames onto one connection, reusing an internal buffer and
@@ -420,35 +437,38 @@ func (rd *Reader) Read(v any) error {
 // use; serialize writers externally (the server funnels all responses
 // through one writer goroutine, the client serializes sends with a mutex).
 type Writer struct {
-	w   io.Writer
-	buf bytes.Buffer
-	enc *json.Encoder
+	w io.Writer
+	e *codec.Encoder
 }
 
 // NewWriter returns a frame writer over w.
-func NewWriter(w io.Writer) *Writer {
-	wr := &Writer{w: w}
-	wr.enc = json.NewEncoder(&wr.buf)
-	return wr
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w, e: codec.NewEncoder(nil)} }
+
+// Encode encodes v, a *Request or a *Response, as one frame — header and
+// payload — into the writer's buffer and returns it without writing it.
+// The bytes are valid until the next Encode or Write.
+func (wr *Writer) Encode(v any) ([]byte, error) {
+	wr.e.Reset()
+	for range 4 {
+		wr.e.Byte(0) // header placeholder
+	}
+	if err := encodeFrame(wr.e, v); err != nil {
+		return nil, err
+	}
+	frame := wr.e.Bytes()
+	if len(frame)-4 > MaxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
 }
 
-// Write encodes v as one frame.
+// Write encodes v as one frame and writes it.
 func (wr *Writer) Write(v any) error {
-	wr.buf.Reset()
-	wr.buf.Write([]byte{0, 0, 0, 0}) // header placeholder
-	if err := wr.enc.Encode(v); err != nil {
+	frame, err := wr.Encode(v)
+	if err != nil {
 		return err
 	}
-	frame := wr.buf.Bytes()
-	// Encode appends a newline; drop it so the payload is exactly the
-	// JSON value.
-	if frame[len(frame)-1] == '\n' {
-		frame = frame[:len(frame)-1]
-	}
-	if len(frame)-4 > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, err := wr.w.Write(frame)
+	_, err = wr.w.Write(frame)
 	return err
 }

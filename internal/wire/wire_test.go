@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,12 +31,76 @@ func TestFrameRoundTrip(t *testing.T) {
 		Names: []string{"Alarms"},
 		Updates: []Update{
 			{Kind: UpdateSetValue, Path: "Alarms.Description", ValueKind: 1, Value: "x"},
-			{Kind: UpdateCreateRel, Assoc: "Access", Ends: map[string]string{"from": "Alarms", "by": "S"}},
+			{Kind: UpdateCreateRel, Assoc: "Access", Ends: []End{{Role: "by", Path: "S"}, {Role: "from", Path: "Alarms"}}},
 		},
 	}
-	got := roundTrip(t, &req)
-	if got.Op != req.Op || len(got.Updates) != 2 || got.Updates[1].Ends["by"] != "S" {
+	if got := roundTrip(t, &req); !reflect.DeepEqual(got, req) {
 		t.Errorf("round trip changed: %+v", got)
+	}
+}
+
+// fill sets every exported field of v, recursively, to a non-zero value
+// unique to the field (counted by n): slices and maps get two elements,
+// pointers a filled value.
+func fill(t *testing.T, v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint8, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		fill(t, p.Elem(), n)
+		v.Set(p)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := range 2 {
+			fill(t, s.Index(i), n)
+		}
+		v.Set(s)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for range 2 {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(t, k, n)
+			fill(t, e, n)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i), n)
+			}
+		}
+	default:
+		t.Fatalf("fill: no value for a %s field", v.Type())
+	}
+}
+
+// TestFrameRoundTripEveryField fills every exported field of a Request and
+// a Response, recursively, and requires both to come back equal: a field
+// added to a wire type but not to its codec fails here.
+func TestFrameRoundTripEveryField(t *testing.T) {
+	n := 0
+	for _, v := range []any{&Request{}, &Response{}} {
+		fill(t, reflect.ValueOf(v).Elem(), &n)
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).Write(v); err != nil {
+			t.Fatal(err)
+		}
+		got := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+		if err := NewReader(&buf).Read(got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("round trip changed a field:\n sent %+v\n got  %+v", v, got)
+		}
 	}
 }
 
@@ -63,44 +130,45 @@ func TestMultipleFramesSequential(t *testing.T) {
 
 // TestReaderWriterReuse drives the buffer-reusing Reader and Writer across
 // frames of shrinking and growing sizes: every frame must round-trip
-// exactly, interoperate with the reference encoder, and — the
-// property the reuse depends on — a decoded value must stay intact after
-// the next frame overwrites the shared buffer.
+// exactly, interoperate with the reference encoder, and — the property the
+// reuse depends on — a decoded value must stay intact after the next frame
+// overwrites the shared buffer. Each frame repeats its own byte, so a
+// string aliasing the buffer shows up as the next frame's bytes.
 func TestReaderWriterReuse(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	sizes := []int{2000, 3, 500, 1, 4000}
-	for i, n := range sizes {
+	content := func(i int) string { return strings.Repeat(string(rune('a'+i)), sizes[i]) }
+	for i := range sizes {
 		if i%2 == 0 {
-			if err := w.Write(&Response{Stats: strings.Repeat("s", n)}); err != nil {
+			if err := w.Write(&Response{Stats: content(i)}); err != nil {
 				t.Fatal(err)
 			}
-		} else if err := writeFrame(&buf, &Response{Stats: strings.Repeat("s", n)}); err != nil {
+		} else if err := writeFrame(&buf, &Response{Stats: content(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rd := NewReader(&buf)
 	var prev *Response
-	prevSize := 0
-	for i, n := range sizes {
+	for i := range sizes {
 		r := &Response{}
 		if err := rd.Read(r); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if len(r.Stats) != n {
-			t.Fatalf("frame %d: got %d bytes, want %d", i, len(r.Stats), n)
+		if r.Stats != content(i) {
+			t.Fatalf("frame %d: got %.10q (%d bytes), want %d bytes of %q", i, r.Stats, len(r.Stats), sizes[i], 'a'+i)
 		}
-		if prev != nil && len(prev.Stats) != prevSize {
-			t.Fatalf("frame %d corrupted the previous frame's decoded value", i)
+		if prev != nil && prev.Stats != content(i-1) {
+			t.Fatalf("frame %d changed the previous frame's decoded value to %.10q", i, prev.Stats)
 		}
-		prev, prevSize = r, n
+		prev = r
 	}
 	if err := rd.Read(&Response{}); err != io.EOF {
 		t.Errorf("read past end: %v", err)
 	}
 }
 
-// TestQueryFrame round-trips the v2 query request and its response.
+// TestQueryFrame round-trips the query request.
 func TestQueryFrame(t *testing.T) {
 	req := Request{Op: OpQuery, Seq: 5, Query: &Query{
 		Class: "Data", Specs: true, NameGlob: "A*",
@@ -130,13 +198,39 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
+// TestBadJSON: a JSON payload — malformed, or a protocol-2 hello — is not
+// a frame of this protocol, for either frame type.
 func TestBadJSON(t *testing.T) {
+	for _, payload := range []string{"{{{", `{"op":"hello","proto":2}`} {
+		for _, v := range []any{&Request{}, &Response{}} {
+			var buf bytes.Buffer
+			buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))))
+			buf.WriteString(payload)
+			if err := NewReader(&buf).Read(v); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s as %T: %v, want ErrBadFrame", payload, v, err)
+			}
+		}
+	}
+}
+
+// TestFrameTypeAndTrailingBytes: a frame tagged as the other type is
+// refused even when its fields would parse, and so is a payload with bytes
+// after its value.
+func TestFrameTypeAndTrailingBytes(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{3, 0, 0, 0})
-	buf.WriteString("{{{")
-	var r Response
-	if err := NewReader(&buf).Read(&r); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("bad json: %v", err)
+	if err := NewWriter(&buf).Write(&Request{Op: OpGet, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	retagged := append([]byte(nil), frame...)
+	retagged[4] = tagResponse
+	if err := NewReader(bytes.NewReader(retagged)).Read(&Request{}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("request fields under a response tag: %v", err)
+	}
+	long := binary.LittleEndian.AppendUint32(nil, uint32(len(frame)-4+1))
+	long = append(append(long, frame[4:]...), 0)
+	if err := NewReader(bytes.NewReader(long)).Read(&Request{}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("frame with a trailing byte: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/storage"
 )
 
@@ -522,7 +523,7 @@ func TestSnapshotFormat1Rejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Uint64(1) // format word
 	e.Uint64(1) // nextID
 	if err := st.Compact(e.Bytes()); err != nil {

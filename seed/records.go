@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/sdl"
-	"repro/internal/storage"
 )
 
 // Database-level journal records. Tags below 16 belong to the engine
@@ -36,21 +36,21 @@ const (
 func encTxBoundary(tag byte) []byte { return []byte{tag} }
 
 // newRecordEncoder starts an encoder with the record tag written.
-func newRecordEncoder(tag byte) *storage.Encoder {
-	e := storage.NewEncoder(nil)
+func newRecordEncoder(tag byte) *codec.Encoder {
+	e := codec.NewEncoder(nil)
 	e.Byte(tag)
 	return e
 }
 
 func encSchemaRecord(text string) []byte {
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(recSchema)
 	e.String(text)
 	return e.Bytes()
 }
 
 func encSaveVersion(note string, at time.Time, num VersionNumber) []byte {
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(recSaveVersion)
 	e.String(note)
 	e.Time(at)
@@ -59,14 +59,14 @@ func encSaveVersion(note string, at time.Time, num VersionNumber) []byte {
 }
 
 func encSelectVersion(num VersionNumber) []byte {
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(recSelectVersion)
 	e.Ints(num)
 	return e.Bytes()
 }
 
 func encDeleteVersion(num VersionNumber) []byte {
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Byte(recDeleteVersion)
 	e.Ints(num)
 	return e.Bytes()
@@ -130,7 +130,7 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 		// healed fragment; nothing to do.
 		return nil
 	}
-	d := storage.NewDecoder(payload[1:])
+	d := codec.NewDecoder(payload[1:])
 	switch tag {
 	case recSchema:
 		text := d.String()

@@ -3,11 +3,11 @@ package seed
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/item"
 	"repro/internal/schema"
 	"repro/internal/sdl"
-	"repro/internal/storage"
 	"repro/internal/version"
 )
 
@@ -26,7 +26,7 @@ import (
 // Items and version deltas share one codec (internal/item) with two string
 // modes: the items blob writes each string as a uvarint symbol of the
 // table ahead of it, version deltas write strings inline. Decoding follows
-// storage.Decoder's contract: the first failure is kept, every count is
+// codec.Decoder's contract: the first failure is kept, every count is
 // bounded by the bytes left, and loadSnapshot checks the decoder before it
 // builds anything from what it read.
 
@@ -86,7 +86,7 @@ func (db *Database) SymbolCount() int {
 //
 // seed:locked-caller
 func (db *Database) encodeSnapshot() ([]byte, error) {
-	e := storage.NewEncoder(nil)
+	e := codec.NewEncoder(nil)
 	e.Uint64(snapshotFormat)
 	e.Uint64(uint64(db.engine.NextID()))
 	e.Int(len(db.schemas))
@@ -97,7 +97,7 @@ func (db *Database) encodeSnapshot() ([]byte, error) {
 	// populate can be serialized ahead of them.
 	objs, rels := db.engine.CaptureAll()
 	tab := item.NewSymTab()
-	be := storage.NewEncoder(nil)
+	be := codec.NewEncoder(nil)
 	be.Int(len(objs))
 	for i := range objs {
 		item.EncodeObject(be, tab, &objs[i])
@@ -124,7 +124,7 @@ func (db *Database) encodeSnapshot() ([]byte, error) {
 //
 // seed:locked-caller — called during pre-publication recovery.
 func (db *Database) loadSnapshot(payload []byte) error {
-	d := storage.NewDecoder(payload)
+	d := codec.NewDecoder(payload)
 	format := d.Uint64()
 	if err := d.Err(); err != nil {
 		return err
@@ -180,9 +180,9 @@ func (db *Database) loadSnapshot(payload []byte) error {
 
 // decodeItems reads the item sections: the symbol table, then the items
 // blob, symbol-coded against the latest schema. A failure is kept in d.
-func decodeItems(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship) {
+func decodeItems(d *codec.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship) {
 	tab := item.DecodeSymTab(d)
-	bd := storage.NewDecoder(d.Blob())
+	bd := codec.NewDecoder(d.Blob())
 	objs := make([]item.Object, bd.Count())
 	for i := range objs {
 		objs[i] = item.DecodeObject(bd, tab, latest)
