@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/client"
+	"repro/internal/server"
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
 	"repro/seed"
@@ -569,6 +571,63 @@ func BenchmarkTx_Checkin(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ---- Server get: one remote get of a root and its subtree ----
+
+// BenchmarkServer_GetSubtree times one get over a loopback connection of a
+// root shaped like seedmark's editable roots — Description, Revised and
+// Text[0]{Body, Selector} — holding keywords Text[0].Body.Keywords entries
+// at depth 4, with two relationships. The server renders the subtree in one
+// top-down walk, so ns/op and allocs/op grow with the object count, not
+// with objects times depth.
+func BenchmarkServer_GetSubtree(b *testing.B) {
+	must := func(id seed.ID, err error) seed.ID {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return id
+	}
+	for _, keywords := range []int{0, 49} {
+		b.Run(fmt.Sprintf("keywords=%d", keywords), func(b *testing.B) {
+			db := mustMem(b, seed.Figure3Schema())
+			defer db.Close()
+			root := must(db.CreateObject("Data", "Doc"))
+			must(db.CreateValueObject(root, "Description", seed.NewString("doc")))
+			must(db.CreateValueObject(root, "Revised", seed.NewDate(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))))
+			text := must(db.CreateSubObject(root, "Text"))
+			body := must(db.CreateSubObject(text, "Body"))
+			for k := 0; k < keywords; k++ {
+				must(db.CreateValueObject(body, "Keywords", seed.NewString(fmt.Sprintf("kw%d", k))))
+			}
+			must(db.CreateValueObject(text, "Selector", seed.NewString("sel")))
+			for _, name := range []string{"A0", "A1"} {
+				act := must(db.CreateObject("Action", name))
+				must(db.CreateRelationship("Access", map[string]seed.ID{"from": root, "by": act}))
+			}
+			srv := server.New(db)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := client.Dial(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			want := 6 + keywords
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snaps, err := c.Get("Doc")
+				if err != nil || len(snaps) != 1 || len(snaps[0].Objects) != want || len(snaps[0].Rels) != 2 {
+					b.Fatalf("get Doc: %d snapshots, %v", len(snaps), err)
+				}
+			}
+		})
 	}
 }
 

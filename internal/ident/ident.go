@@ -74,9 +74,21 @@ func (c Component) HasIndex() bool { return c.Index != NoIndex }
 // String renders the component in SEED surface syntax, e.g. "Keywords[1]".
 func (c Component) String() string {
 	if c.HasIndex() {
-		return c.Name + "[" + strconv.Itoa(c.Index) + "]"
+		var buf [32]byte
+		return string(c.Append(buf[:0]))
 	}
 	return c.Name
+}
+
+// Append appends the component's surface syntax to b, as String renders it.
+func (c Component) Append(b []byte) []byte {
+	b = append(b, c.Name...)
+	if c.HasIndex() {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(c.Index), 10)
+		b = append(b, ']')
+	}
+	return b
 }
 
 // Path is a qualified hierarchical name. The first component names an
@@ -131,14 +143,14 @@ func parseComponent(s string) (Component, error) {
 
 // String renders the path in SEED surface syntax with dot separators.
 func (p Path) String() string {
-	var b strings.Builder
+	var b []byte
 	for i, c := range p {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(c.String())
+		b = c.Append(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // IsRoot reports whether the path names an independent object.

@@ -11,6 +11,7 @@
 package item
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ident"
@@ -269,32 +270,29 @@ type PathMatcher interface {
 	MatchPath(roles []string, match func(value.Value) bool) func(root ID) bool
 }
 
-// PathOf reconstructs the qualified name of an object by walking parents.
-// Objects hanging off relationships (relationship attributes) yield a path
-// rooted at a synthetic component naming the association.
+// PathOf reconstructs the qualified name of an object by walking parents,
+// decoding each ancestor once. Objects hanging off relationships
+// (relationship attributes) yield a path rooted at the attribute root's own
+// component.
 func PathOf(v View, id ID) (ident.Path, bool) {
-	var parts []ident.Component
-	cur := id
+	o, ok := v.Object(id)
+	if !ok {
+		return nil, false
+	}
+	var p ident.Path
 	for steps := 0; steps < 1_000_000; steps++ { // cycle guard
-		o, ok := v.Object(cur)
-		if !ok {
-			return nil, false
-		}
-		parts = append(parts, o.Component())
+		p = append(p, o.Component())
 		if o.Independent() {
 			break
 		}
-		if _, isObj := v.Object(o.Parent); !isObj {
+		parent, isObj := v.Object(o.Parent)
+		if !isObj {
 			// Parent is a relationship: stop at the attribute root.
 			break
 		}
-		cur = o.Parent
+		o = parent
 	}
-	// Reverse.
-	p := make(ident.Path, len(parts))
-	for i, c := range parts {
-		p[len(parts)-1-i] = c
-	}
+	slices.Reverse(p)
 	return p, true
 }
 

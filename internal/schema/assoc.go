@@ -159,6 +159,7 @@ func (a *Association) AddChild(name string, card Cardinality, kind value.Kind) (
 	}
 	child := &Class{
 		name:        name,
+		qualified:   a.name + "." + name,
 		schema:      a.schema,
 		owner:       a,
 		card:        card,

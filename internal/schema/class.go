@@ -12,8 +12,9 @@ import (
 // or an attribute class of an association (such as 'NumberOfWrites' on
 // 'Write' in figure 3).
 type Class struct {
-	name   string
-	schema *Schema
+	name      string
+	qualified string // dotted containment path, fixed when the class is built
+	schema    *Schema
 
 	parent *Class       // containment parent, nil for top-level and attribute classes
 	owner  *Association // owning association for attribute classes, else nil
@@ -46,16 +47,9 @@ func (c *Class) Owner() *Association { return c.owner }
 func (c *Class) Top() bool { return c.parent == nil && c.owner == nil }
 
 // QualifiedName returns the dotted containment path, e.g. "Data.Text.Body"
-// or "Write.NumberOfWrites" for attribute classes.
-func (c *Class) QualifiedName() string {
-	switch {
-	case c.parent != nil:
-		return c.parent.QualifiedName() + "." + c.name
-	case c.owner != nil:
-		return c.owner.Name() + "." + c.name
-	}
-	return c.name
-}
+// or "Write.NumberOfWrites" for attribute classes. A class's name, parent
+// and owner never change after it is built, so the path is stored then.
+func (c *Class) QualifiedName() string { return c.qualified }
 
 // Cardinality returns the containment cardinality of a dependent class
 // within its parent (how many sub-objects of this class a parent item may
@@ -117,6 +111,7 @@ func (c *Class) AddChild(name string, card Cardinality, kind value.Kind) (*Class
 	}
 	child := &Class{
 		name:        name,
+		qualified:   c.qualified + "." + name,
 		schema:      c.schema,
 		parent:      c,
 		card:        card,

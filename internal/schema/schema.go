@@ -147,7 +147,7 @@ func (s *Schema) AddClass(name string) (*Class, error) {
 	if _, dup := s.classes[name]; dup {
 		return nil, fmt.Errorf("%w: class %q", ErrDuplicate, name)
 	}
-	c := &Class{name: name, schema: s, childByName: make(map[string]*Class)}
+	c := &Class{name: name, qualified: name, schema: s, childByName: make(map[string]*Class)}
 	s.classes[name] = c
 	s.tops = append(s.tops, c)
 	return c, nil
@@ -218,6 +218,7 @@ func (s *Schema) clone() *Schema {
 	copyClass = func(c *Class, parent *Class, owner *Association) *Class {
 		d := &Class{
 			name:        c.name,
+			qualified:   c.qualified,
 			schema:      n,
 			parent:      parent,
 			owner:       owner,

@@ -444,3 +444,41 @@ func TestAttachedProcedureNames(t *testing.T) {
 		t.Errorf("Procedures = %v", got)
 	}
 }
+
+// TestQualifiedNameStoredAtBuild requires every class's qualified name —
+// top-level, dependent, attribute, and in an evolved clone — to equal the
+// dotted path of its containment chain, and reading it to allocate nothing.
+func TestQualifiedNameStoredAtBuild(t *testing.T) {
+	s := Figure3()
+	next, err := s.Evolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(c *Class) string {
+		name := c.Name()
+		for ; c.Parent() != nil; c = c.Parent() {
+			name = c.Parent().Name() + "." + name
+		}
+		if c.Owner() != nil {
+			name = c.Owner().Name() + "." + name
+		}
+		return name
+	}
+	for _, sch := range []*Schema{s, next} {
+		for _, name := range sch.ClassNames() {
+			c := sch.MustClass(name)
+			if got := c.QualifiedName(); got != name || got != chain(c) {
+				t.Errorf("v%d: QualifiedName = %q, registered as %q, chain %q", sch.Version(), got, name, chain(c))
+			}
+		}
+	}
+	for _, name := range []string{"Write.NumberOfWrites", "Data.Text.Body.Keywords"} {
+		if _, err := s.Class(name); err != nil {
+			t.Fatalf("figure 3 lacks %s: %v", name, err)
+		}
+	}
+	kw := s.MustClass("Data.Text.Body.Keywords")
+	if n := testing.AllocsPerRun(100, func() { _ = kw.QualifiedName() }); n != 0 {
+		t.Errorf("QualifiedName allocates %.0f times per call, want 0", n)
+	}
+}

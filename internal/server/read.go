@@ -13,7 +13,7 @@ func (s *Server) handleGet(_ *conn, req *wire.Request) *wire.Response {
 	// One snapshot for the whole request: every returned subtree comes
 	// from the same consistent state.
 	v := s.db.View()
-	var snaps []wire.Snapshot
+	snaps := make([]wire.Snapshot, 0, len(req.Names))
 	for _, name := range req.Names {
 		snap, err := snapshotOf(v, name)
 		if err != nil {
@@ -71,7 +71,8 @@ func (s *Server) handleQuery(_ *conn, req *wire.Request) *wire.Response {
 		if !ok {
 			continue
 		}
-		w := wireObject(v, o)
+		path, _ := objectPath(v, o)
+		w := wireObject(o, path)
 		// Six fields, each at least one byte beside its string bytes.
 		size += len(w.Class) + len(w.Name) + len(w.Path) + len(w.Value) + 6
 		objs = append(objs, w)
@@ -143,30 +144,36 @@ func ExecQuery(v seed.View, wq *wire.Query) ([]seed.ID, int, *seed.Plan, error) 
 
 // snapshotOf copies an object subtree plus its relationships into wire
 // form. The view is an immutable snapshot, so the whole walk is consistent
-// and needs no locking.
+// and needs no locking. The walk is top-down and decodes each object once:
+// an object's path is its parent's path, ".", and its own component, so no
+// path is rebuilt by walking back up to the root.
 func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 	root, ok := v.ObjectByName(name)
 	if !ok {
 		return wire.Snapshot{}, fmt.Errorf("server: no object named %q", name)
 	}
 	snap := wire.Snapshot{Root: name}
-	var walk func(id seed.ID) error
-	walk = func(id seed.ID) error {
+	// buf holds the path of the object being rendered; a child appends its
+	// component after the parent's bytes and truncates back on return.
+	var buf []byte
+	var walk func(id seed.ID)
+	walk = func(id seed.ID) {
 		o, ok := v.Object(id)
 		if !ok {
-			return nil
+			return
 		}
-		snap.Objects = append(snap.Objects, wireObject(v, o))
+		n := len(buf)
+		if n > 0 {
+			buf = append(buf, '.')
+		}
+		buf = o.Component().Append(buf)
+		snap.Objects = append(snap.Objects, wireObject(o, string(buf)))
 		for _, ch := range v.Children(id, "") {
-			if err := walk(ch); err != nil {
-				return err
-			}
+			walk(ch)
 		}
-		return nil
+		buf = buf[:n]
 	}
-	if err := walk(root); err != nil {
-		return wire.Snapshot{}, err
-	}
+	walk(root)
 	for _, rid := range v.RelationshipsOf(root) {
 		r, ok := v.Relationship(rid)
 		if !ok || r.Inherits {
@@ -174,7 +181,7 @@ func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 		}
 		wr := wire.Relationship{ID: uint64(rid), Assoc: r.Assoc.Name(), Ends: make([]wire.End, 0, len(r.Ends))}
 		for _, e := range r.Ends { // stored in role order
-			if p, ok := seedPath(v, e.Object); ok {
+			if p, ok := endPath(v, snap.Objects, e.Object); ok {
 				wr.Ends = append(wr.Ends, wire.End{Role: e.Role, Path: p})
 			}
 		}
@@ -183,29 +190,52 @@ func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 	return snap, nil
 }
 
-// wireObject renders one object in wire form — the single shape the get
-// and query paths both ship.
-func wireObject(v seed.View, o seed.Object) wire.Object {
-	w := wire.Object{ID: uint64(o.ID), Class: o.Class.QualifiedName()}
+// endPath renders a relationship end of the subtree rendered as objs: the
+// root and any sub-object of it by the path the walk gave it, any other
+// object through objectPath.
+func endPath(v seed.View, objs []wire.Object, id seed.ID) (string, bool) {
+	if len(objs) > 0 && objs[0].ID == uint64(id) {
+		return objs[0].Path, true // the root, an end of every relationship listed
+	}
+	o, ok := v.Object(id)
+	if !ok {
+		return "", false
+	}
+	if !o.Independent() {
+		for i := range objs {
+			if objs[i].ID == uint64(id) {
+				return objs[i].Path, true
+			}
+		}
+	}
+	return objectPath(v, o)
+}
+
+// objectPath renders the qualified name of an object: an independent
+// object's is its name, a sub-object's is walked up by item.PathOf.
+func objectPath(v seed.View, o seed.Object) (string, bool) {
+	if o.Independent() {
+		return o.Name, true
+	}
+	p, ok := item.PathOf(v, o.ID)
+	if !ok {
+		return "", false
+	}
+	return p.String(), true
+}
+
+// wireObject renders one object at path in wire form — the single shape
+// the get and query paths both ship.
+func wireObject(o seed.Object, path string) wire.Object {
+	w := wire.Object{ID: uint64(o.ID), Class: o.Class.QualifiedName(), Path: path}
 	if o.Independent() {
 		w.Name = o.Name
-	}
-	if p, ok := seedPath(v, o.ID); ok {
-		w.Path = p
 	}
 	if o.Value.IsDefined() {
 		w.ValueKind = uint8(o.Value.Kind())
 		w.Value = o.Value.String()
 	}
 	return w
-}
-
-func seedPath(v seed.View, id seed.ID) (string, bool) {
-	p, ok := item.PathOf(v, id)
-	if !ok {
-		return "", false
-	}
-	return p.String(), true
 }
 
 func (s *Server) handleVersions(_ *conn, _ *wire.Request) *wire.Response {

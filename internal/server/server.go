@@ -348,7 +348,7 @@ func (s *Server) handleCheckout(c *conn, req *wire.Request) *wire.Response {
 	s.mu.Unlock()
 
 	v := s.db.View()
-	var snaps []wire.Snapshot
+	snaps := make([]wire.Snapshot, 0, len(req.Names))
 	for _, name := range req.Names {
 		snap, err := snapshotOf(v, name)
 		if err != nil {
