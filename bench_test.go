@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/client"
+	"repro/internal/item"
 	"repro/internal/server"
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
@@ -708,6 +709,27 @@ func BenchmarkQuery_ClassResidual(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRun_PatchAppend times the index patch every check-in pays on the
+// next freeze: one new ID appended to a 15 000-ID run (a class extent or ID
+// list of seedmark's size). The patch rebuilds only the last chunk, and its
+// cost is the delta's, not the chunk's.
+func BenchmarkRun_PatchAppend(b *testing.B) {
+	ids := make([]item.ID, 15_000)
+	for i := range ids {
+		ids[i] = item.ID(2*i + 1)
+	}
+	run := item.NewRun(ids)
+	add := make([]item.ID, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add[0] = item.ID(2 * len(ids))
+		if next := run.Patch(add, nil); next.Len() != len(ids)+1 {
+			b.Fatalf("patched run holds %d, want %d", next.Len(), len(ids)+1)
+		}
 	}
 }
 

@@ -270,8 +270,10 @@ func (f *colFrozen) attrPostings(root item.ID, roles []string) []item.AttrPostin
 		return nil
 	}
 	var out []item.AttrPosting
-	f.walkPath(root, syms, func(v value.Value) bool {
-		out = append(out, item.AttrPosting{Val: v, ID: root})
+	f.walkPath(root, syms, func(row *objRow) bool {
+		if v := f.dec.decodeVal(row); v.IsDefined() {
+			out = append(out, item.AttrPosting{Val: v, ID: root})
+		}
 		return false
 	})
 	return out
@@ -291,44 +293,42 @@ func (f *colFrozen) roleSyms(roles []string) ([]item.Sym, bool) {
 	return syms, true
 }
 
-// walkPath visits, depth first in child order, the defined values of the
-// live sub-objects reached from id along the role symbols, decoding each
-// value straight off its row — no item.Object materialization. It stops and
-// reports true as soon as visit does.
-func (f *colFrozen) walkPath(id item.ID, syms []item.Sym, visit func(value.Value) bool) bool {
+// walkPath visits, depth first in child order, the rows of the live
+// sub-objects reached from id along the role symbols, in place — no value
+// or item.Object is built. It stops and reports true as soon as visit does.
+// The last step is a loop over its kid list, not one more call per kid.
+func (f *colFrozen) walkPath(id item.ID, syms []item.Sym, visit func(*objRow) bool) bool {
 	if len(syms) == 0 {
-		row, ok := f.objRowOf(id)
-		if !ok {
-			return false
-		}
-		v := f.dec.decodeVal(&row)
-		return v.IsDefined() && visit(v)
+		row := f.liveObjRow(id)
+		return row != nil && visit(row)
 	}
-	kl := f.kidsOf(id)
-	if kl == nil {
+	kids := f.kidsOf(id).withRole(syms[0])
+	if len(syms) == 1 {
+		for _, kid := range kids {
+			if row := f.liveObjRow(kid); row != nil && visit(row) {
+				return true
+			}
+		}
 		return false
 	}
-	for i := range kl.entries {
-		if kl.entries[i].role == syms[0] {
-			for _, kid := range kl.entries[i].ids {
-				if f.walkPath(kid, syms[1:], visit) {
-					return true
-				}
-			}
-			return false
+	for _, kid := range kids {
+		if f.walkPath(kid, syms[1:], visit) {
+			return true
 		}
 	}
 	return false
 }
 
 // MatchPath implements item.PathMatcher over the frozen kid lists: the
-// roles resolve to symbols once, and each test walks the shared path walk.
-func (f *colFrozen) MatchPath(roles []string, match func(value.Value) bool) func(item.ID) bool {
+// roles resolve to symbols and the comparison to a test over the row
+// encoding (rowTest) once, and each candidate walks the shared path walk.
+func (f *colFrozen) MatchPath(roles []string, op value.Op, c value.Value) func(item.ID) bool {
 	syms, ok := f.roleSyms(roles)
 	if !ok {
 		return func(item.ID) bool { return false }
 	}
-	return func(root item.ID) bool { return f.walkPath(root, syms, match) }
+	test := f.dec.rowTest(op, c)
+	return func(root item.ID) bool { return f.walkPath(root, syms, test) }
 }
 
 // PatternFree reports that the generation holds no live pattern item and no
@@ -627,15 +627,24 @@ func (f *colFrozen) Schema() *schema.Schema { return f.sch }
 // objRowOf resolves id to its frozen row, filtering ordinal holes (row.id
 // mismatch) and deleted items.
 func (f *colFrozen) objRowOf(id item.ID) (objRow, bool) {
+	if row := f.liveObjRow(id); row != nil {
+		return *row, true
+	}
+	return objRow{}, false
+}
+
+// liveObjRow is objRowOf without the copy: the row in place in the sealed
+// array, or nil.
+func (f *colFrozen) liveObjRow(id item.ID) *objRow {
 	tag := f.ords.at(int(id))
 	if !tag.Valid() || tag.Kind() != item.KindObject {
-		return objRow{}, false
+		return nil
 	}
-	row := f.objRows.at(int(tag.Ord()))
-	if row.id != id || row.flags&rowDeleted != 0 {
-		return objRow{}, false
+	row := f.objRows.ptr(int(tag.Ord()))
+	if row == nil || row.id != id || row.flags&rowDeleted != 0 {
+		return nil
 	}
-	return row, true
+	return row
 }
 
 func (f *colFrozen) relRowOf(id item.ID) (relRow, bool) {
@@ -721,12 +730,7 @@ func (f *colFrozen) Children(parent item.ID, role string) []item.ID {
 	if !ok {
 		return nil
 	}
-	for i := range kl.entries {
-		if kl.entries[i].role == sym {
-			return kl.entries[i].ids
-		}
-	}
-	return nil
+	return kl.withRole(sym)
 }
 
 func (f *colFrozen) RelationshipsOf(obj item.ID) []item.ID {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/item"
 	"repro/internal/schema"
@@ -139,6 +141,20 @@ type kidList struct {
 	flat    []item.ID
 }
 
+// withRole returns the children playing the role symbol; nil on a nil
+// list.
+func (kl *kidList) withRole(role item.Sym) []item.ID {
+	if kl == nil {
+		return nil
+	}
+	for i := range kl.entries {
+		if kl.entries[i].role == role {
+			return kl.entries[i].ids
+		}
+	}
+	return nil
+}
+
 // newKidList wraps entries (ownership transferred) with the flattened list,
 // or returns nil when there are no children left.
 func newKidList(entries []kidEntry) *kidList {
@@ -267,10 +283,7 @@ func (cs *colStore) encodeVal(row *objRow, v value.Value) {
 func (d *colDecoder) decodeVal(row *objRow) value.Value {
 	switch value.Kind(row.valKind) {
 	case value.KindString:
-		if row.flags&rowLongStr != 0 {
-			return value.NewString(row.valStr)
-		}
-		return value.NewString(d.valSyms.Str(item.Sym(row.valBits)))
+		return value.NewString(d.rowStr(row))
 	case value.KindInteger:
 		return value.NewInteger(int64(row.valBits))
 	case value.KindReal:
@@ -281,6 +294,45 @@ func (d *colDecoder) decodeVal(row *objRow) value.Value {
 		return value.DateOfUnix(int64(row.valBits))
 	}
 	return value.Undefined
+}
+
+// rowStr returns a STRING row's string in place: the interned symbol's or,
+// above valInternMax, the row's own.
+func (d *colDecoder) rowStr(row *objRow) string {
+	if row.flags&rowLongStr != 0 {
+		return row.valStr
+	}
+	return d.valSyms.Str(item.Sym(row.valBits))
+}
+
+// rowTest compiles `v op c`, for the value v a row encodes, into a test
+// that agrees with op.Holds(decodeVal(row), c) on every row. Every test
+// requires the row's kind to be c's, which rejects kind mismatches. The
+// kinds whose decode costs — a DATE's calendar, a string — are tested on
+// the encoding itself: INTEGER and DATE compare valBits as int64, STRING
+// compares the interned or long string in place, and what op accepts of
+// the three-way result is value.Op.OfOrder's. REAL and BOOLEAN decode for
+// free and go through Holds itself.
+func (d *colDecoder) rowTest(op value.Op, c value.Value) func(*objRow) bool {
+	kind := uint8(c.Kind())
+	accepts := [3]bool{op.OfOrder(-1), op.OfOrder(0), op.OfOrder(1)} // by three-way result + 1
+	switch c.Kind() {
+	case value.KindInteger, value.KindDate:
+		// A date is stored as the seconds of its canonical midnight, so the
+		// seconds order is the date order and equal seconds the same date.
+		b := c.Int()
+		if c.Kind() == value.KindDate {
+			b = c.Date().Unix()
+		}
+		return func(r *objRow) bool { return r.valKind == kind && accepts[cmp.Compare(int64(r.valBits), b)+1] }
+	case value.KindString:
+		b := c.Str()
+		if op == value.Contains {
+			return func(r *objRow) bool { return r.valKind == kind && strings.Contains(d.rowStr(r), b) }
+		}
+		return func(r *objRow) bool { return r.valKind == kind && accepts[strings.Compare(d.rowStr(r), b)+1] }
+	}
+	return func(r *objRow) bool { return r.valKind == kind && op.Holds(d.decodeVal(r), c) }
 }
 
 func (d *colDecoder) decodeObj(row *objRow) item.Object {
@@ -597,12 +649,7 @@ func (cs *colStore) children(parent item.ID, role string) []item.ID {
 	if !ok {
 		return nil
 	}
-	for i := range kl.entries {
-		if kl.entries[i].role == sym {
-			return kl.entries[i].ids
-		}
-	}
-	return nil
+	return kl.withRole(sym)
 }
 
 // childrenAll lists all live sub-objects of a parent, role-name order and

@@ -45,14 +45,26 @@ type verArr[T any] struct {
 // at returns the value at index i (the zero value outside the array).
 func (a verArr[T]) at(i int) T { return chunkAt(a.chunks, i) }
 
+// ptr returns the value at index i in place, or nil outside the array. A
+// sealed chunk is never written again, so the pointer stays valid and its
+// target unchanged for the life of the array.
+func (a verArr[T]) ptr(i int) *T { return chunkPtr(a.chunks, i) }
+
 func chunkAt[T any](chunks []*vchunk[T], i int) T {
+	if p := chunkPtr(chunks, i); p != nil {
+		return *p
+	}
 	var zero T
+	return zero
+}
+
+func chunkPtr[T any](chunks []*vchunk[T], i int) *T {
 	if i < 0 {
-		return zero
+		return nil
 	}
 	ci := i >> vchunkShift
 	if ci >= len(chunks) || chunks[ci] == nil {
-		return zero
+		return nil
 	}
 	c := chunks[ci]
 	si := int32(i & vchunkMask)
@@ -66,12 +78,12 @@ func chunkAt[T any](chunks []*vchunk[T], i int) T {
 		}
 	}
 	if lo < len(c.patches) && c.patches[lo].slot == si {
-		return c.patches[lo].val
+		return &c.patches[lo].val
 	}
 	if int(si) < len(c.base) {
-		return c.base[si]
+		return &c.base[si]
 	}
-	return zero
+	return nil
 }
 
 // newVerArr builds a fully materialized array owned by generation gen from a

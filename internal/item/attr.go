@@ -343,12 +343,17 @@ func (x *AttrIdx) Range(lo, hi value.Value, loIncl, hiIncl bool) ([]ID, bool) {
 // Patch derives the next generation: remove holds the previous postings of
 // every affected root, exactly as the previous generation indexed them, and
 // add holds those roots' fresh postings. A posting in both stays. Only the
-// run chunks the postings land in are rebuilt; the rest are shared.
+// run chunks the postings change are rebuilt; the rest are shared, and an
+// unchanged index is x itself.
 func (x *AttrIdx) Patch(remove, add []AttrPosting) *AttrIdx {
 	if len(remove) == 0 && len(add) == 0 {
 		return x
 	}
-	return &AttrIdx{kind: x.kind, run: x.run.Patch(attrEntries(add), attrEntries(remove))}
+	run := x.run.Patch(attrEntries(add), attrEntries(remove))
+	if run == x.run {
+		return x
+	}
+	return &AttrIdx{kind: x.kind, run: run}
 }
 
 // AttrIndexedView is an optional View extension implemented by views that

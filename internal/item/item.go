@@ -261,13 +261,12 @@ type InheritsLister interface {
 // PathMatcher is an optional View extension that compiles a sub-object
 // value test once per query instead of walking Children and decoding whole
 // objects per candidate. The returned test reports whether some sub-object
-// chain below root, following roles, ends in a visible object with a
-// defined value that match accepts. That is the "some path matches"
-// semantics of the generic walk over Children and Object, and a view's
-// tests must agree with that walk over the same view. The test is safe for
-// concurrent use if match is.
+// chain below root, following roles, ends in a visible object whose value v
+// satisfies op.Holds(v, c). That is the "some path matches" semantics of the
+// generic walk over Children and Object, and a view's tests must agree with
+// that walk over the same view. The test is safe for concurrent use.
 type PathMatcher interface {
-	MatchPath(roles []string, match func(value.Value) bool) func(root ID) bool
+	MatchPath(roles []string, op value.Op, c value.Value) func(root ID) bool
 }
 
 // PathOf reconstructs the qualified name of an object by walking parents,

@@ -112,15 +112,14 @@ func (r *Run[T]) Slice() []T {
 // Patch derives the next generation: r minus del plus add. An entry in both
 // add and del stays; a del entry r does not hold is ignored. Both slices
 // are sorted in place and neither is retained. Chunks no entry of the delta
-// lands in are shared with r; an unchanged run is r itself.
+// lands in are shared with r, and so is a chunk the delta leaves as it
+// was; an unchanged run is r itself.
 func (r *Run[T]) Patch(add, del []T) *Run[T] {
 	if len(add) == 0 && len(del) == 0 {
 		return r
 	}
-	order := func(a, b T) int { return a.runCmp(b) }
-	slices.SortFunc(add, order)
-	add = slices.CompactFunc(add, func(a, b T) bool { return a.runCmp(b) == 0 })
-	slices.SortFunc(del, order)
+	slices.SortFunc(add, cmpRun[T])
+	slices.SortFunc(del, cmpRun[T])
 
 	var old []*runChunk[T]
 	if r != nil {
@@ -131,6 +130,7 @@ func (r *Run[T]) Patch(add, del []T) *Run[T] {
 	}
 	out := make([]*runChunk[T], 0, len(old)+2)
 	n := r.Len()
+	changed := false
 	ci := 0 // old chunks before ci are in out already
 	for len(add) > 0 || len(del) > 0 {
 		next := firstOf(add, del)
@@ -150,10 +150,17 @@ func (r *Run[T]) Patch(add, del []T) *Run[T] {
 			na = sort.Search(len(add), func(i int) bool { return add[i].runCmp(bound) >= 0 })
 			nd = sort.Search(len(del), func(i int) bool { return del[i].runCmp(bound) >= 0 })
 		}
-		merged := mergeChunk(old[t].items, add[:na], del[:nd])
-		n += len(merged) - len(old[t].items)
-		out = appendChunk(out, merged)
+		if merged, ok := mergeChunk(old[t].items, add[:na], del[:nd]); ok {
+			n += len(merged) - len(old[t].items)
+			out = appendChunk(out, merged)
+			changed = true
+		} else {
+			out = appendShared(out, old[t:t+1])
+		}
 		add, del, ci = add[na:], del[nd:], t+1
+	}
+	if !changed {
+		return r
 	}
 	out = appendShared(out, old[ci:])
 	if n == 0 {
@@ -161,6 +168,9 @@ func (r *Run[T]) Patch(add, del []T) *Run[T] {
 	}
 	return &Run[T]{chunks: out, n: n}
 }
+
+// cmpRun is runCmp as a function value, for the slices package.
+func cmpRun[T runElem[T]](a, b T) int { return a.runCmp(b) }
 
 // firstOf returns the smaller head of two ascending slices, not both empty.
 func firstOf[T runElem[T]](a, b []T) T {
@@ -174,27 +184,42 @@ func firstOf[T runElem[T]](a, b []T) T {
 }
 
 // mergeChunk returns a fresh chunk holding c minus del plus add (all three
-// ascending).
-func mergeChunk[T runElem[T]](c, add, del []T) []T {
-	out := make([]T, 0, len(c)+len(add))
-	ai, di := 0, 0
-	for _, x := range c {
-		for ai < len(add) && add[ai].runCmp(x) < 0 {
-			out = append(out, add[ai])
-			ai++
+// ascending; add and del may repeat an entry), and false with no chunk
+// when that is c itself. It costs the delta, not the chunk: each delta
+// entry is placed by binary search and the spans of c between them are
+// copied whole.
+func mergeChunk[T runElem[T]](c, add, del []T) ([]T, bool) {
+	var out []T
+	i := 0 // c[:i] is settled: copied into out, or the chunk is unchanged so far
+	for len(add) > 0 || len(del) > 0 {
+		next := firstOf(add, del)
+		adding := len(add) > 0 && add[0].runCmp(next) == 0
+		for len(add) > 0 && add[0].runCmp(next) == 0 {
+			add = add[1:]
 		}
-		for di < len(del) && del[di].runCmp(x) < 0 {
-			di++
+		for len(del) > 0 && del[0].runCmp(next) == 0 {
+			del = del[1:]
 		}
-		switch {
-		case ai < len(add) && add[ai].runCmp(x) == 0:
-			ai++ // re-added: keep one copy
-		case di < len(del) && del[di].runCmp(x) == 0:
-			continue
+		j, held := slices.BinarySearchFunc(c[i:], next, cmpRun[T])
+		j += i
+		if adding == held {
+			continue // re-added, or deleted while absent: nothing moves
 		}
-		out = append(out, x)
+		if out == nil {
+			out = make([]T, 0, len(c)+len(add)+1)
+		}
+		out = append(out, c[i:j]...)
+		if adding {
+			out = append(out, next)
+			i = j
+		} else {
+			i = j + 1 // deleted
+		}
 	}
-	return append(out, add[ai:]...)
+	if out == nil {
+		return nil, false
+	}
+	return append(out, c[i:]...), true
 }
 
 // appendChunk appends c to a chunk table, keeping every chunk within

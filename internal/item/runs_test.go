@@ -163,3 +163,77 @@ func TestRunPatchSharesUntouchedChunks(t *testing.T) {
 		t.Fatalf("%d of %d chunks shared, want all but one", shared, len(base.chunks))
 	}
 }
+
+// TestRunPatchMatchesSortedSet is a differential of Patch against a plain
+// sorted set over random deltas that repeat entries in add and in del, put
+// one entry on both sides, delete entries the run does not hold, land
+// before the first and after the last chunk, and bulk-load one chunk past
+// its bound so it splits. A patch that leaves the content as it was must
+// return the run itself, and neither delta slice may be retained.
+func TestRunPatchMatchesSortedSet(t *testing.T) {
+	_, runChunkMax := chunkBounds[ID]()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var run *Run[ID]
+		var want []ID
+		for step := 0; step < 150; step++ {
+			universe := 3 * runChunkMax * (1 + rng.Intn(3))
+			pick := func() ID {
+				if len(want) > 0 && rng.Intn(2) == 0 {
+					return want[rng.Intn(len(want))]
+				}
+				return ID(rng.Intn(universe + 2)) // may fall past the last entry
+			}
+			var add, del []ID
+			switch rng.Intn(8) {
+			case 0: // empty on one side
+				add = append(add, pick())
+			case 1:
+				del = append(del, pick())
+			case 2: // bulk into one chunk's span: it splits
+				lo := rng.Intn(universe)
+				for i := rng.Intn(2 * runChunkMax); i > 0; i-- {
+					add = append(add, ID(lo+rng.Intn(runChunkMax)))
+				}
+			case 3: // already held or already absent: no change
+				for i := rng.Intn(4) + 1; i > 0 && len(want) > 0; i-- {
+					add = append(add, want[rng.Intn(len(want))])
+				}
+				del = append(del, ID(universe+10))
+			default:
+				for i := rng.Intn(6); i > 0; i-- {
+					x := pick()
+					add = append(add, x)
+					if rng.Intn(3) == 0 {
+						add = append(add, x) // duplicate
+					}
+				}
+				for i := rng.Intn(6); i > 0; i-- {
+					x := pick()
+					del = append(del, x, x) // duplicate
+					if rng.Intn(3) == 0 {
+						add = append(add, x) // both sides: stays
+					}
+				}
+			}
+			if rng.Intn(4) == 0 {
+				add = append(add, 0) // before the first chunk
+			}
+			next := modelPatch(want, add, del)
+			addCopy, delCopy := slices.Clone(add), slices.Clone(del)
+			got := run.Patch(add, del)
+			if err := checkRun(got, next); err != "" {
+				t.Fatalf("seed %d step %d (add %v del %v): %s", seed, step, addCopy, delCopy, err)
+			}
+			if slices.Equal(next, want) && got != run {
+				t.Fatalf("seed %d step %d: an unchanged run is a new run", seed, step)
+			}
+			clear(add) // a retained delta would corrupt the run now
+			clear(del)
+			if err := checkRun(got, next); err != "" {
+				t.Fatalf("seed %d step %d: the run retained a delta slice: %s", seed, step, err)
+			}
+			run, want = got, next
+		}
+	}
+}

@@ -2,8 +2,10 @@ package query_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,7 +130,7 @@ func buildPlannerDataset(t *testing.T, db *seed.Database, seedNum int64) {
 func randomPlannerQuery(rng *rand.Rand) (string, func() *query.Query) {
 	classChoices := []string{"", "Thing", "Data", "InputData", "OutputData", "Action", "NoSuchClass"}
 	globChoices := []string{"", "Obj042", "Obj0*", "NoSuchName"}
-	paths := []string{"Description", "Revised", "Text.Selector"}
+	paths := []string{"Description", "Revised", "Text.Selector", "Weight"}
 	ops := []query.CompareOp{query.Eq, query.Ne, query.Lt, query.Le, query.Gt, query.Ge, query.Contains}
 
 	class := classChoices[rng.Intn(len(classChoices))]
@@ -145,15 +147,21 @@ func randomPlannerQuery(rng *rand.Rand) (string, func() *query.Query) {
 		// Values deliberately include kind mismatches (an integer compared
 		// against a string path): both the index and the scan must agree
 		// that mismatched ordered comparisons match nothing.
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			p.val = seed.NewString(fmt.Sprintf("desc %d", rng.Intn(5)))
 		case 1:
 			p.val = seed.NewString(fmt.Sprintf("sel-%d", rng.Intn(6)))
 		case 2:
 			p.val = seed.NewDate(time.Date(2026, 1, 1+rng.Intn(20), 0, 0, 0, 0, time.UTC))
-		default:
-			p.val = seed.NewInteger(int64(rng.Intn(10)))
+		case 3:
+			p.val = seed.NewString(longDesc(rng.Intn(5)))
+		default: // mostly REAL on the REAL path
+			if p.path == "Weight" {
+				p.val = seed.NewReal(plannerReals[rng.Intn(len(plannerReals))])
+			} else {
+				p.val = seed.NewInteger(int64(rng.Intn(10)))
+			}
 		}
 		preds = append(preds, p)
 	}
@@ -200,6 +208,52 @@ func checkAllPaths(t *testing.T, ctx string, v item.View, mk func() *query.Query
 	}
 }
 
+// plannerReals are the Weight values of the REAL path: signed zeros, NaN
+// and infinities beside plain numbers.
+var plannerReals = []float64{math.Copysign(0, -1), 0, 0.25, 1.5, -0.5, -2, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// longDesc is a Description too long for the store to intern, sharing the
+// "desc n" prefix of the short ones.
+func longDesc(n int) string {
+	return fmt.Sprintf("desc %d %s", n, strings.Repeat("long ", 8))
+}
+
+// addRealAndLongValues evolves Thing by a REAL Weight 0..*, gives a
+// random third of the Thing family a Weight (defined or not) and rewrites a
+// random quarter of the defined Descriptions to longDesc.
+func addRealAndLongValues(t *testing.T, db *seed.Database, rng *rand.Rand) {
+	t.Helper()
+	err := db.EvolveSchema(func(sch *seed.Schema) error {
+		_, err := sch.MustClass("Thing").AddChild("Weight", seed.Any, seed.KindReal)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := query.New().Class("Thing", true).Run(db.RawView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range all {
+		switch rng.Intn(6) {
+		case 0:
+			_, err = db.CreateSubObject(id, "Weight")
+		case 1, 2:
+			_, err = db.CreateValueObject(id, "Weight", seed.NewReal(plannerReals[rng.Intn(len(plannerReals))]))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range db.RawView().Children(id, "Description") {
+			if o, ok := db.RawView().Object(d); ok && o.Value.IsDefined() && rng.Intn(4) == 0 {
+				if err := db.SetValue(d, seed.NewString(longDesc(rng.Intn(5)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // TestPlannerRandomForcedDifferential is the planner's randomized
 // differential: every access path agrees on every random query, over the
 // spliced user view, the raw view (whose residuals run compiled) and the
@@ -214,8 +268,9 @@ func TestPlannerRandomForcedDifferential(t *testing.T) {
 		defer db.Close()
 		registerPlannerIndexes(t, db)
 		buildPlannerDataset(t, db, 31)
-
 		rng := rand.New(rand.NewSource(67))
+		addRealAndLongValues(t, db, rng)
+
 		views := func() map[string]item.View {
 			// generic hides every extension: every path falls back to the
 			// scan with the generic predicate walk, which the compiled

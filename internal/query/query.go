@@ -34,41 +34,22 @@ var (
 	ErrBadQuery = errors.New("query: invalid query")
 )
 
-// CompareOp is a value comparison operator.
-type CompareOp uint8
+// CompareOp is a value comparison operator; its rules live in
+// internal/value (value.Op.Holds), the one definition every view's
+// predicate test agrees with.
+type CompareOp = value.Op
 
 // The comparison operators. Unordered kinds (BOOLEAN) support only Eq and
 // Ne; undefined values match nothing under every operator.
 const (
-	Eq CompareOp = iota + 1
-	Ne
-	Lt
-	Le
-	Gt
-	Ge
-	Contains // substring on STRING values
+	Eq       = value.Eq
+	Ne       = value.Ne
+	Lt       = value.Lt
+	Le       = value.Le
+	Gt       = value.Gt
+	Ge       = value.Ge
+	Contains = value.Contains // substring on STRING values
 )
-
-// String names the operator.
-func (op CompareOp) String() string {
-	switch op {
-	case Eq:
-		return "="
-	case Ne:
-		return "!="
-	case Lt:
-		return "<"
-	case Le:
-		return "<="
-	case Gt:
-		return ">"
-	case Ge:
-		return ">="
-	case Contains:
-		return "contains"
-	}
-	return "?"
-}
 
 // ParseCompareOp parses the surface spelling of a comparison operator —
 // the inverse of CompareOp.String, and the single table the wire protocol
@@ -358,16 +339,16 @@ func passes(id item.ID, tests []func(item.ID) bool, order []int) bool {
 
 // compile builds each predicate's per-candidate test once per run: through
 // the view's item.PathMatcher when it has one, which resolves the role path
-// once and reads leaf values off the view's own rows, and otherwise as the
-// generic evalPredicate walk, which stays the reference the compiled tests
-// are checked against.
+// and fixes the comparison against the view's own row encoding once, and
+// otherwise as the generic evalPredicate walk, which stays the reference the
+// compiled tests are checked against.
 func (q *Query) compile(v item.View) []func(item.ID) bool {
 	tests := make([]func(item.ID) bool, len(q.preds))
 	pm, compiled := v.(item.PathMatcher)
 	for i := range q.preds {
 		p := &q.preds[i]
 		if compiled {
-			tests[i] = pm.MatchPath(p.roles, func(a value.Value) bool { return compare(a, p.op, p.val) })
+			tests[i] = pm.MatchPath(p.roles, p.op, p.val)
 		} else {
 			tests[i] = func(id item.ID) bool { return evalPredicate(v, id, p.roles, p) }
 		}
@@ -382,58 +363,10 @@ func (q *Query) compile(v item.View) []func(item.ID) bool {
 func evalPredicate(v item.View, obj item.ID, roles []string, p *predicate) bool {
 	if len(roles) == 0 {
 		o, ok := v.Object(obj)
-		return ok && compare(o.Value, p.op, p.val)
+		return ok && p.op.Holds(o.Value, p.val)
 	}
 	for _, kid := range v.Children(obj, roles[0]) {
 		if evalPredicate(v, kid, roles[1:], p) {
-			return true
-		}
-	}
-	return false
-}
-
-// compare evaluates `a op b` with undefined-matches-nothing semantics.
-func compare(a value.Value, op CompareOp, b value.Value) bool {
-	if !a.IsDefined() || !b.IsDefined() {
-		return false
-	}
-	switch op {
-	case Eq:
-		return a.Matches(b)
-	case Ne:
-		return a.Kind() == b.Kind() && !a.Matches(b)
-	case Contains:
-		if a.Kind() != value.KindString || b.Kind() != value.KindString {
-			return false
-		}
-		return contains(a.Str(), b.Str())
-	}
-	if a.Kind() != b.Kind() {
-		return false // unordered across kinds; Compare would build an error
-	}
-	c, err := a.Compare(b)
-	if err != nil {
-		return false
-	}
-	switch op {
-	case Lt:
-		return c < 0
-	case Le:
-		return c <= 0
-	case Gt:
-		return c > 0
-	case Ge:
-		return c >= 0
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
 			return true
 		}
 	}

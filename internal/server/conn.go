@@ -16,8 +16,9 @@ import (
 type lane uint8
 
 const (
-	// laneRead: a goroutine of its own, at most perConn per connection,
-	// against a pinned immutable snapshot; answers may overtake each other.
+	// laneRead: one of the connection's read workers, at most perConn of
+	// them, against a pinned immutable snapshot; answers may overtake each
+	// other.
 	laneRead lane = iota
 	// laneFIFO: the connection's one mutation worker, which keeps the
 	// client's order — a check-in pipelined behind its checkout finds the
@@ -95,7 +96,14 @@ type conn struct {
 	done     chan struct{}
 	handlers sync.WaitGroup
 	fifo     chan admitted // the mutation lane, in the client's order
-	sem      chan struct{} // bounds the read lane at perConn in flight
+	// The read lane: reads hands a request to a parked worker. A worker
+	// puts a token in idle before it queues its response, so by the time
+	// a client sees an answer the worker that gave it counts as idle and a
+	// lockstep client is served by one worker throughout. readWorkers is
+	// the number started, read and written by readLoop alone.
+	reads       chan admitted
+	idle        chan struct{} // perConn deep: one token per worker at most
+	readWorkers int
 }
 
 // admitted is one request on the mutation lane, with its route and its
@@ -119,7 +127,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.nextCli++
 	c := &conn{s: s, id: "client-" + strconv.Itoa(s.nextCli), nc: nc, writeBound: s.writeTimeout,
 		writeCh: make(chan *wire.Response, s.perConn*2), done: make(chan struct{}),
-		fifo: make(chan admitted, s.perConn), sem: make(chan struct{}, s.perConn)}
+		fifo: make(chan admitted, s.perConn), reads: make(chan admitted), idle: make(chan struct{}, s.perConn)}
 	s.mu.Unlock()
 	if c.writeBound == 0 {
 		c.writeBound = s.idleTimeout
@@ -160,6 +168,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	close(c.done)
 	close(c.fifo)
+	close(c.reads)
 	c.handlers.Wait()
 	close(c.writeCh)
 	<-writerDone
@@ -245,13 +254,29 @@ func (c *conn) dispatch(rt route, req *wire.Request, release func()) {
 		}
 		c.run(rt, req, nil)
 	case laneRead:
-		c.sem <- struct{}{}
-		c.handlers.Add(1)
-		go func() {
-			defer c.handlers.Done()
-			defer func() { <-c.sem }()
-			c.run(rt, req, release)
-		}()
+		a := admitted{rt, req, release}
+		select {
+		case <-c.idle:
+		default:
+			if c.readWorkers < c.s.perConn {
+				c.readWorkers++
+				c.s.met.readWorkers.Add(1)
+				c.handlers.Add(1)
+				go c.readWorker(a)
+				return
+			}
+			<-c.idle // all perConn busy: wait for the first to finish
+		}
+		c.reads <- a
+	}
+}
+
+// readWorker runs reads until the connection's reader exits and closes
+// reads: a worker's stack, grown by its first request, serves the next.
+func (c *conn) readWorker(a admitted) {
+	defer c.handlers.Done()
+	for ok := true; ok; a, ok = <-c.reads {
+		c.run(a.rt, a.req, a.release)
 	}
 }
 
@@ -294,6 +319,9 @@ func (c *conn) run(rt route, req *wire.Request, release func()) {
 	s.met.observe(req.Op, code, time.Since(start))
 	if release != nil {
 		release()
+	}
+	if rt.lane == laneRead {
+		c.idle <- struct{}{} // never blocks: at most one token per worker
 	}
 	if resp != nil {
 		c.writeCh <- resp

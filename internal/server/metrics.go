@@ -60,10 +60,11 @@ var respCodes = func() []string {
 // metrics is the server's hot-path counter set. All fields are atomics (or
 // written once before serving starts), so handlers never contend on it.
 type metrics struct {
-	start      time.Time
-	connsTotal atomic.Uint64
-	ops        map[wire.Op]*opHist // one per routes row, built by newMetrics
-	codes      map[string]*atomic.Uint64
+	start       time.Time
+	connsTotal  atomic.Uint64
+	readWorkers atomic.Uint64       // read-lane workers started, over all connections
+	ops         map[wire.Op]*opHist // one per routes row, built by newMetrics
+	codes       map[string]*atomic.Uint64
 }
 
 func newMetrics() *metrics {
@@ -156,6 +157,8 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		st.Rejected)
 	fmt.Fprintf(w, "# HELP seed_connections_total Connections accepted since start.\n# TYPE seed_connections_total counter\nseed_connections_total %d\n",
 		m.connsTotal.Load())
+	fmt.Fprintf(w, "# HELP seed_read_workers_started_total Read-lane workers started; a connection reuses its workers, so this grows with concurrency, not requests.\n# TYPE seed_read_workers_started_total counter\nseed_read_workers_started_total %d\n",
+		m.readWorkers.Load())
 
 	// Gauges, from the sample taken at the top of the scrape.
 	draining := 0

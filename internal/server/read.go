@@ -153,6 +153,10 @@ func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 		return wire.Snapshot{}, fmt.Errorf("server: no object named %q", name)
 	}
 	snap := wire.Snapshot{Root: name}
+	rels := v.RelationshipsOf(root)
+	if len(rels) > 0 {
+		snap.Rels = make([]wire.Relationship, 0, len(rels))
+	}
 	// buf holds the path of the object being rendered; a child appends its
 	// component after the parent's bytes and truncates back on return.
 	var buf []byte
@@ -174,7 +178,7 @@ func snapshotOf(v seed.View, name string) (wire.Snapshot, error) {
 		buf = buf[:n]
 	}
 	walk(root)
-	for _, rid := range v.RelationshipsOf(root) {
+	for _, rid := range rels {
 		r, ok := v.Relationship(rid)
 		if !ok || r.Inherits {
 			continue

@@ -273,3 +273,77 @@ func cmpOrdered[T int64 | float64](a, b T) int {
 	}
 	return 0
 }
+
+// Op is a retrieval comparison operator. Its rules are the one definition
+// of "a sub-object value satisfies a selection criterion": the query
+// package's generic walk applies Holds, and a store that compiles a test
+// against its own row encoding must agree with Holds on every decoded
+// value.
+type Op uint8
+
+// The comparison operators. Unordered kinds (BOOLEAN) support only Eq and
+// Ne; undefined values match nothing under every operator.
+const (
+	Eq Op = iota + 1
+	Ne
+	Lt
+	Le
+	Gt
+	Ge
+	Contains // substring on STRING values
+)
+
+var opNames = [...]string{Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Contains: "contains"}
+
+// String names the operator.
+func (op Op) String() string {
+	if op >= Eq && op <= Contains {
+		return opNames[op]
+	}
+	return "?"
+}
+
+// Holds reports whether `a op b` holds. An undefined value on either side
+// matches nothing, and neither do values of different kinds, under every
+// operator. Contains is a substring test on two STRINGs. Eq and Ne are
+// Equal and its negation, so a REAL NaN equals nothing and -0 equals +0.
+// The ordering operators hold as OfOrder says of Compare's result; BOOLEAN
+// has no order, so they never hold on it.
+func (op Op) Holds(a, b Value) bool {
+	if !a.IsDefined() || a.kind != b.kind {
+		return false
+	}
+	switch op {
+	case Eq:
+		return a.Equal(b)
+	case Ne:
+		return !a.Equal(b)
+	case Contains:
+		return a.kind == KindString && strings.Contains(a.s, b.s)
+	}
+	c, err := a.Compare(b)
+	return err == nil && op.OfOrder(c)
+}
+
+// OfOrder reports whether op accepts a three-way comparison result c
+// (negative, zero, positive). Eq and Ne accept a zero and a non-zero c, so
+// on the kinds whose equality is their order's (STRING, INTEGER, DATE) a
+// compiled test may apply OfOrder to every operator but Contains, which
+// accepts no order.
+func (op Op) OfOrder(c int) bool {
+	switch op {
+	case Eq:
+		return c == 0
+	case Ne:
+		return c != 0
+	case Lt:
+		return c < 0
+	case Le:
+		return c <= 0
+	case Gt:
+		return c > 0
+	case Ge:
+		return c >= 0
+	}
+	return false
+}
