@@ -10,7 +10,9 @@ package repro
 // specification tool compares against the plain-struct baseline.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
+	"repro/internal/wire"
 	"repro/seed"
 )
 
@@ -630,6 +633,57 @@ func BenchmarkServer_GetSubtree(b *testing.B) {
 			}
 		})
 	}
+}
+
+// ---- Wire frame: encode and decode of one get response ----
+
+// BenchmarkWire_Frame encodes a get response through a wire.Writer and
+// decodes it through a wire.Reader, without a connection: the response to a
+// get of a root holding Text[0].Body.Keywords[0..48] at depth 4, 54 objects
+// and three relationships. Encode allocates nothing; decode allocates one
+// slice per slice field and one string group per value.
+func BenchmarkWire_Frame(b *testing.B) {
+	objs := []wire.Object{{ID: 1, Class: "Data", Name: "Deep", Path: "Deep"}}
+	add := func(class, path, value string) {
+		objs = append(objs, wire.Object{ID: uint64(len(objs) + 1), Class: "Data." + class, Path: "Deep." + path, ValueKind: 1, Value: value})
+	}
+	add("Description", "Description", "d")
+	add("Text", "Text[0]", "")
+	add("Text.Body", "Text[0].Body", "")
+	for k := range 49 {
+		add("Text.Body.Keywords", fmt.Sprintf("Text[0].Body.Keywords[%d]", k), fmt.Sprint("kw", k))
+	}
+	add("Text.Selector", "Text[0].Selector", "sel")
+	resp := &wire.Response{Seq: 7, Snapshots: []wire.Snapshot{{Root: "Deep", Objects: objs, Rels: []wire.Relationship{
+		{ID: 60, Assoc: "Access", Ends: []wire.End{{Role: "by", Path: "A1"}, {Role: "from", Path: "Deep"}}},
+		{ID: 61, Assoc: "Access", Ends: []wire.End{{Role: "by", Path: "A2"}, {Role: "from", Path: "Deep"}}},
+		{ID: 62, Assoc: "Cites", Ends: []wire.End{{Role: "from", Path: "Deep"}, {Role: "to", Path: "Deep.Text[0].Body.Keywords[7]"}}},
+	}}}}
+	w := wire.NewWriter(io.Discard)
+	frame, err := w.Encode(resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame = bytes.Clone(frame)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Encode(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		src := bytes.NewReader(frame)
+		rd, got := wire.NewReader(src), new(wire.Response)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src.Reset(frame)
+			if err := rd.Read(got); err != nil || len(got.Snapshots[0].Objects) != len(objs) {
+				b.Fatalf("decode: %v", err)
+			}
+		}
+	})
 }
 
 // ---- Infrastructure benches: storage and query ----

@@ -7,6 +7,12 @@
 // The Decoder's contract: it keeps its first failure, every count is bounded
 // by the bytes left, a length never exceeds MaxBlob, and what String and
 // Blob return is copied, never an alias of the input buffer.
+//
+// A Coder runs one method per type in both directions: over an Encoder it
+// writes the fields it is pointed at, over a Decoder it fills them, under
+// the same contract. The wire frames are written this way; the journal's,
+// the snapshot's and the version tree's codecs use the Encoder and the
+// Decoder directly.
 package codec
 
 import (
@@ -80,17 +86,6 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Strings appends a group of at most maxGroup strings: every length, then
-// all their bytes. Decoder.Strings reads the group with one allocation.
-func (e *Encoder) Strings(ss ...string) {
-	for _, s := range ss {
-		e.Uint64(uint64(len(s)))
-	}
-	for _, s := range ss {
-		e.buf = append(e.buf, s...)
-	}
-}
-
 // Blob appends a length-prefixed byte slice.
 func (e *Encoder) Blob(b []byte) {
 	e.Uint64(uint64(len(b)))
@@ -121,6 +116,9 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Reset starts the decoder over buf, keeping no failure of a previous input.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -238,7 +236,7 @@ func (d *Decoder) String() string { return string(d.bytes("string")) }
 // maxGroup bounds a Strings group.
 const maxGroup = 8
 
-// Strings reads a group written by Encoder.Strings into dst, which must
+// Strings reads a group written by Coder.Strings into dst, which must
 // name as many strings as were written. The strings share one copy of
 // their bytes — one allocation for the group, never an alias of the
 // buffer — so a kept string keeps its group's bytes alive, and nothing
@@ -312,4 +310,143 @@ func (d *Decoder) Ints() []int {
 		return nil
 	}
 	return out
+}
+
+// Coder states a type's encoding once, for both directions: it wraps an
+// Encoder (E set) or a Decoder (D set), and each method takes a pointer to
+// the value it codes. Encoding reads through the pointer; decoding writes
+// through it, under the Decoder's contract — the first failure is kept (and
+// every later value decodes as its zero), every count is bounded by the
+// bytes left before it sizes an allocation, and nothing decoded aliases the
+// buffer. One method per type therefore writes and reads the same fields in
+// the same order.
+type Coder struct {
+	E *Encoder
+	D *Decoder
+}
+
+// Uint64 codes an unsigned varint.
+func (c *Coder) Uint64(p *uint64) {
+	if c.E != nil {
+		c.E.Uint64(*p)
+	} else {
+		*p = c.D.Uint64()
+	}
+}
+
+// Int64 codes a signed varint.
+func (c *Coder) Int64(p *int64) {
+	if c.E != nil {
+		c.E.Int64(*p)
+	} else {
+		*p = c.D.Int64()
+	}
+}
+
+// Int codes an int as a signed varint.
+func (c *Coder) Int(p *int) {
+	if c.E != nil {
+		c.E.Int(*p)
+	} else {
+		*p = c.D.Int()
+	}
+}
+
+// Byte codes one raw byte.
+func (c *Coder) Byte(p *byte) {
+	if c.E != nil {
+		c.E.Byte(*p)
+	} else {
+		*p = c.D.Byte()
+	}
+}
+
+// Bool codes a boolean as one byte.
+func (c *Coder) Bool(p *bool) {
+	if c.E != nil {
+		c.E.Bool(*p)
+	} else {
+		*p = c.D.Bool()
+	}
+}
+
+// String codes a length-prefixed string.
+func (c *Coder) String(p *string) {
+	if c.E != nil {
+		c.E.String(*p)
+	} else {
+		*p = c.D.String()
+	}
+}
+
+// Strings codes a group of at most maxGroup strings: every length, then all
+// their bytes, so a decoded group costs one allocation (Decoder.Strings).
+func (c *Coder) Strings(ps ...*string) {
+	if c.E == nil {
+		c.D.Strings(ps...)
+		return
+	}
+	buf := c.E.buf
+	for _, p := range ps {
+		buf = binary.AppendUvarint(buf, uint64(len(*p)))
+	}
+	for _, p := range ps {
+		buf = append(buf, *p...)
+	}
+	c.E.buf = buf
+}
+
+// Blob codes a length-prefixed byte slice; an empty one decodes as nil.
+func (c *Coder) Blob(p *[]byte) {
+	if c.E != nil {
+		c.E.Blob(*p)
+	} else if b := c.D.Blob(); len(b) > 0 {
+		*p = b
+	} else {
+		*p = nil
+	}
+}
+
+// Slice codes a count, then each element with fn; an empty slice decodes
+// as nil. Every element encodes to at least minSize bytes, so a count the
+// bytes left cannot hold fails with ErrBadCount before it sizes an
+// allocation.
+func Slice[T any](c *Coder, p *[]T, minSize int, fn func(*T, *Coder)) {
+	if c.E != nil {
+		c.E.Int(len(*p))
+		for i := range *p {
+			fn(&(*p)[i], c)
+		}
+		return
+	}
+	d := c.D
+	n := d.Count()
+	if n > d.Remaining()/minSize {
+		d.Fail(fmt.Errorf("%w: %d elements of at least %d bytes with %d left", ErrBadCount, n, minSize, d.Remaining()))
+		n = 0
+	}
+	if n == 0 {
+		*p = nil
+		return
+	}
+	s := make([]T, n)
+	for i := range s {
+		fn(&s[i], c)
+	}
+	*p = s
+}
+
+// Ptr codes a presence flag, then the value with fn if there is one.
+func Ptr[T any](c *Coder, p **T, fn func(*T, *Coder)) {
+	present := *p != nil
+	if c.Bool(&present); !present {
+		if c.D != nil {
+			*p = nil
+		}
+		return
+	}
+	if c.D != nil {
+		*p = new(T)
+	}
+	fn(*p, c)
 }

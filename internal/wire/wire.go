@@ -9,10 +9,12 @@
 // Messages are length-prefixed binary frames over any byte stream: a
 // 4-byte little-endian payload length, then the payload in internal/codec's
 // encoding — a tag byte naming the frame type (Request or Response), then
-// the type's fields. A type's strings are one codec.Strings group; slices
-// are a count and their elements, pointers a presence flag and their value,
-// byte slices length-prefixed. The same codec writes the log records and
-// snapshots, so a follower's log chunks carry record bytes as they are.
+// the type's fields. Each type states its encoding once, in one code method
+// over a codec.Coder that both encodes and decodes: its strings are one
+// Strings group; slices are a count and their elements, pointers a presence
+// flag and their value, byte slices length-prefixed. The same codec writes
+// the log records and snapshots, so a follower's log chunks carry record
+// bytes as they are.
 //
 // Frames are correlated and pipelined: every request carries a nonzero Seq,
 // which the server echoes in the matching response, so one connection can
@@ -398,10 +400,11 @@ type Reader struct {
 	r      io.Reader
 	header [4]byte
 	buf    []byte
+	c      codec.Coder
 }
 
 // NewReader returns a frame reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{r: r, c: codec.Coder{D: new(codec.Decoder)}} }
 
 // Read decodes the next frame into v, a *Request or a *Response; a payload
 // that is not exactly one value of that type is ErrBadFrame.
@@ -429,7 +432,7 @@ func (rd *Reader) Read(v any) error {
 	if cap(rd.buf) > 1<<20 && n < cap(rd.buf)/8 {
 		rd.buf = nil
 	}
-	return decodeFrame(payload, v)
+	return decodeFrame(&rd.c, payload, v)
 }
 
 // Writer encodes frames onto one connection, reusing an internal buffer and
@@ -438,24 +441,25 @@ func (rd *Reader) Read(v any) error {
 // through one writer goroutine, the client serializes sends with a mutex).
 type Writer struct {
 	w io.Writer
-	e *codec.Encoder
+	c codec.Coder
 }
 
 // NewWriter returns a frame writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w, e: codec.NewEncoder(nil)} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w, c: codec.Coder{E: codec.NewEncoder(nil)}} }
 
 // Encode encodes v, a *Request or a *Response, as one frame — header and
 // payload — into the writer's buffer and returns it without writing it.
 // The bytes are valid until the next Encode or Write.
 func (wr *Writer) Encode(v any) ([]byte, error) {
-	wr.e.Reset()
+	e := wr.c.E
+	e.Reset()
 	for range 4 {
-		wr.e.Byte(0) // header placeholder
+		e.Byte(0) // header placeholder
 	}
-	if err := encodeFrame(wr.e, v); err != nil {
+	if err := codeFrame(&wr.c, v); err != nil {
 		return nil, err
 	}
-	frame := wr.e.Bytes()
+	frame := e.Bytes()
 	if len(frame)-4 > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -83,13 +85,22 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 	}
 }
 
+// everyField returns a Request and a Response with every exported field
+// filled, in that order, sharing one fill counter.
+func everyField(t *testing.T) []any {
+	n := 0
+	vs := []any{&Request{}, &Response{}}
+	for _, v := range vs {
+		fill(t, reflect.ValueOf(v).Elem(), &n)
+	}
+	return vs
+}
+
 // TestFrameRoundTripEveryField fills every exported field of a Request and
 // a Response, recursively, and requires both to come back equal: a field
 // added to a wire type but not to its codec fails here.
 func TestFrameRoundTripEveryField(t *testing.T) {
-	n := 0
-	for _, v := range []any{&Request{}, &Response{}} {
-		fill(t, reflect.ValueOf(v).Elem(), &n)
+	for _, v := range everyField(t) {
 		var buf bytes.Buffer
 		if err := NewWriter(&buf).Write(v); err != nil {
 			t.Fatal(err)
@@ -101,6 +112,83 @@ func TestFrameRoundTripEveryField(t *testing.T) {
 		if !reflect.DeepEqual(got, v) {
 			t.Errorf("round trip changed a field:\n sent %+v\n got  %+v", v, got)
 		}
+	}
+}
+
+// TestGoldenFrameBytes pins the sha256 of the Writer's bytes for the
+// every-field Request frame followed by the every-field Response frame. A
+// round trip cannot see a codec that writes two fields in another order; a
+// moved wire byte fails here.
+func TestGoldenFrameBytes(t *testing.T) {
+	const want = "9cb463f8c8cbf3eca69e4dbaad09018010c0afc03d27a4e8c9136a4bb5199a5f"
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, v := range everyField(t) {
+		if err := w.Write(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("frame bytes sha256 %x, want %s", sum, want)
+	}
+}
+
+// getResponse is the response to a get of a root holding
+// Text[0].Body.Keywords[0..48] at depth 4: 54 objects and three
+// relationships, the shape the server's TestSnapshotDecodesEachObjectOnce
+// renders.
+func getResponse() *Response {
+	obj := func(class, path string, kind uint8, value string) Object {
+		return Object{ID: uint64(len(path)), Class: "Data" + class, Path: "Deep" + path, ValueKind: kind, Value: value}
+	}
+	objs := []Object{
+		{ID: 1, Class: "Data", Name: "Deep", Path: "Deep"},
+		obj(".Description", ".Description", 1, "d"),
+		obj(".Text", ".Text[0]", 0, ""),
+		obj(".Text.Body", ".Text[0].Body", 0, ""),
+	}
+	for k := range 49 {
+		objs = append(objs, obj(".Text.Body.Keywords", fmt.Sprintf(".Text[0].Body.Keywords[%d]", k), 1, fmt.Sprint("kw", k)))
+	}
+	objs = append(objs, obj(".Text.Selector", ".Text[0].Selector", 1, "sel"))
+	rel := func(id uint64, assoc string, ends ...End) Relationship {
+		return Relationship{ID: id, Assoc: assoc, Ends: ends}
+	}
+	return &Response{Seq: 7, Snapshots: []Snapshot{{Root: "Deep", Objects: objs, Rels: []Relationship{
+		rel(60, "Access", End{"by", "A1"}, End{"from", "Deep"}),
+		rel(61, "Access", End{"by", "A2"}, End{"from", "Deep"}),
+		rel(62, "Cites", End{"from", "Deep"}, End{"to", "Deep.Text[0].Body.Keywords[7]"}),
+	}}}}
+}
+
+// TestFrameAllocs guards the frame path's allocations on a get response:
+// Writer.Encode allocates nothing, and Reader.Read allocates one slice per
+// slice field and one string group per value (70), no more than the 71 it
+// did when each frame built its own decoder.
+func TestFrameAllocs(t *testing.T) {
+	const maxRead = 71
+	resp := getResponse()
+	w := NewWriter(io.Discard)
+	frame, err := w.Encode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame = bytes.Clone(frame)
+	if n := testing.AllocsPerRun(100, func() { w.Encode(resp) }); n != 0 {
+		t.Errorf("Writer.Encode: %v allocs per frame, want 0", n)
+	}
+	src := bytes.NewReader(frame)
+	rd, got := NewReader(src), new(Response)
+	if n := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		if err := rd.Read(got); err != nil {
+			t.Fatal(err)
+		}
+	}); n > maxRead {
+		t.Errorf("Reader.Read: %v allocs per frame, want at most %d", n, maxRead)
+	}
+	if !reflect.DeepEqual(got, resp) {
+		t.Errorf("get response changed in a round trip")
 	}
 }
 

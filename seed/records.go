@@ -43,31 +43,23 @@ func newRecordEncoder(tag byte) *codec.Encoder {
 }
 
 func encSchemaRecord(text string) []byte {
-	e := codec.NewEncoder(nil)
-	e.Byte(recSchema)
+	e := newRecordEncoder(recSchema)
 	e.String(text)
 	return e.Bytes()
 }
 
 func encSaveVersion(note string, at time.Time, num VersionNumber) []byte {
-	e := codec.NewEncoder(nil)
-	e.Byte(recSaveVersion)
+	e := newRecordEncoder(recSaveVersion)
 	e.String(note)
 	e.Time(at)
 	e.Ints(num)
 	return e.Bytes()
 }
 
-func encSelectVersion(num VersionNumber) []byte {
-	e := codec.NewEncoder(nil)
-	e.Byte(recSelectVersion)
-	e.Ints(num)
-	return e.Bytes()
-}
-
-func encDeleteVersion(num VersionNumber) []byte {
-	e := codec.NewEncoder(nil)
-	e.Byte(recDeleteVersion)
+// encVersionRecord encodes a record whose one field is a version number:
+// recSelectVersion or recDeleteVersion.
+func encVersionRecord(tag byte, num VersionNumber) []byte {
+	e := newRecordEncoder(tag)
 	e.Ints(num)
 	return e.Bytes()
 }

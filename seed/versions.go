@@ -123,7 +123,7 @@ func (db *Database) selectVersionJournaled(num VersionNumber) error {
 	}
 	// selectVersionLocked already bumped the generation.
 	if db.store != nil {
-		if err := db.store.Append(encSelectVersion(num)); err != nil {
+		if err := db.store.Append(encVersionRecord(recSelectVersion, num)); err != nil {
 			return err
 		}
 		return db.store.Sync()
@@ -168,7 +168,7 @@ func (db *Database) DeleteVersion(num VersionNumber) error {
 	}
 	db.gen++
 	if db.store != nil {
-		if err := db.store.Append(encDeleteVersion(num)); err != nil {
+		if err := db.store.Append(encVersionRecord(recDeleteVersion, num)); err != nil {
 			return err
 		}
 		return db.store.Sync()
