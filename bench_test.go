@@ -737,8 +737,40 @@ func BenchmarkQuery_ValuePredicate(b *testing.B) {
 // BenchmarkQuery_ClassResidual times seedmark's by-class query shape: a class
 // extent filtered on an unindexed `Revised >=` residual, over objs objects
 // in roots of three (the root, its Description and its Revised). Every
-// odd root passes. ns/op grows with the extent; allocs/op should not.
+// odd root passes. ns/op grows with the extent; allocs/op should not. The
+// objs=100k-depth3 cell filters on `Text.Body.Keywords` Contains instead,
+// so each candidate's walk goes three levels down (roots of six: the root,
+// its Description, Text, Body and two Keywords).
 func BenchmarkQuery_ClassResidual(b *testing.B) {
+	b.Run("objs=100k-depth3", func(b *testing.B) {
+		roots := 100_000 / 6
+		db := mustMem(b, seed.Figure3Schema())
+		defer db.Close()
+		for i, id := range populate(b, db, roots) {
+			text, err := db.CreateSubObject(id, "Text")
+			if err != nil {
+				b.Fatal(err)
+			}
+			body, err := db.CreateSubObject(text, "Body")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, kw := range []string{"plain", fmt.Sprintf("kw-%d", i%2)} {
+				if _, err := db.CreateValueObject(body, "Keywords", seed.NewString(kw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		v := db.View()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ids, err := seed.NewQuery().Class("Data", false).Where("Text.Body.Keywords", seed.Contains, seed.NewString("kw-1")).Run(v)
+			if err != nil || len(ids) != roots/2 {
+				b.Fatalf("%d ids, %v", len(ids), err)
+			}
+		}
+	})
 	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, objs := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("objs=%dk", objs/1000), func(b *testing.B) {

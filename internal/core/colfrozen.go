@@ -10,8 +10,9 @@ import (
 	"repro/internal/value"
 )
 
-// Frozen generations of the columnar store. The store versions its row and
-// adjacency arrays as chunked verArrs (verarr.go) and the live state itself
+// Frozen generations of the columnar store. The store versions its rows as
+// chunked verArrs (verarr.go) and its adjacency as chunked adjArrs
+// (adjarr.go), and the live state itself
 // is the builders of the next generation: freezing seals the builders
 // — no row is copied, every untouched 1024-entry chunk is shared with the
 // previous generation structurally — and restarts them over the sealed
@@ -23,7 +24,7 @@ import (
 // builds the generation the other way around: builders over the *previous
 // frozen* arrays, patched with exactly the dirty (committed) items.
 
-// colFrozen is one immutable generation: the sealed verArrs of the row and
+// colFrozen is one immutable generation: the sealed arrays of the row and
 // adjacency tables, the dense indexes, and a snapshot of the decoder side
 // tables (the symbol tables themselves are append-only and shared with the
 // live store). All methods are safe for concurrent readers.
@@ -35,10 +36,10 @@ type colFrozen struct {
 	objRows verArr[objRow]
 	relRows verArr[relRow]
 
-	objKidsF verArr[*kidList]  // by object ordinal; nil = no live children
-	relKidsF verArr[*kidList]  // by relationship ordinal
-	relsOfF  verArr[[]item.ID] // by object ordinal; nil = no live relationships
-	nameToID verArr[item.ID]   // by name symbol; NoID = name unbound
+	objKidsF adjArr[kidRef]   // by object ordinal: live children
+	relKidsF adjArr[kidRef]   // by relationship ordinal
+	relsOfF  adjArr[struct{}] // by object ordinal: live relationships
+	nameToID verArr[item.ID]  // by name symbol; NoID = name unbound
 
 	// ID lists and class extents, as chunked sorted runs (item.Run) that
 	// share every untouched chunk with the previous generation.
@@ -296,23 +297,37 @@ func (f *colFrozen) roleSyms(roles []string) ([]item.Sym, bool) {
 // walkPath visits, depth first in child order, the rows of the live
 // sub-objects reached from id along the role symbols, in place — no value
 // or item.Object is built. It stops and reports true as soon as visit does.
-// The last step is a loop over its kid list, not one more call per kid.
+// Only the root's ID is resolved to an ordinal: below it, each kid list
+// names its children's ordinals, so a step reads the list's two arrays in
+// order and goes straight to each child's row.
 func (f *colFrozen) walkPath(id item.ID, syms []item.Sym, visit func(*objRow) bool) bool {
 	if len(syms) == 0 {
 		row := f.liveObjRow(id)
 		return row != nil && visit(row)
 	}
-	kids := f.kidsOf(id).withRole(syms[0])
-	if len(syms) == 1 {
-		for _, kid := range kids {
-			if row := f.liveObjRow(kid); row != nil && visit(row) {
+	ids, refs := f.kidsOf(id)
+	return f.walkKids(ids, refs, syms, visit)
+}
+
+// walkKids continues walkPath over one parent's kid list. A child's row is
+// used only if it still holds the child (row.id) and is live: a purged
+// hole, a tail ordinal an undo popped and a later insert reused, and a
+// staged child a committed parent's list names in a staged-path freeze all
+// fail that check.
+func (f *colFrozen) walkKids(ids []item.ID, refs []kidRef, syms []item.Sym, visit func(*objRow) bool) bool {
+	for i, ref := range refs {
+		if ref.role != syms[0] {
+			continue
+		}
+		row := f.objRows.ptr(int(ref.ord))
+		if row == nil || row.id != ids[i] || row.flags&rowDeleted != 0 {
+			continue
+		}
+		if len(syms) == 1 {
+			if visit(row) {
 				return true
 			}
-		}
-		return false
-	}
-	for _, kid := range kids {
-		if f.walkPath(kid, syms[1:], visit) {
+		} else if kids, krefs := f.objKidsF.at(int(ref.ord)); f.walkKids(kids, krefs, syms[1:], visit) {
 			return true
 		}
 	}
@@ -423,8 +438,8 @@ func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 // deltaFreeze builds a generation over prev's arrays, patching in exactly
 // the dirty committed items — the staged-transaction path, where the live
 // builders hold uncommitted rows and must not be sealed. Adjacency and name
-// entries are shared pointer-wise with the live state (both sides are
-// immutable values). Added items set their own adjacency entries explicitly:
+// entries are shared with the live state (both sides are immutable
+// values). Added items set their own adjacency entries explicitly:
 // a popped tail ordinal can be reused by a later insert, and the stale
 // frozen entry at that ordinal must not survive into the new occupant's
 // generation.
@@ -458,8 +473,8 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 				if !had {
 					continue // created and deleted within the delta
 				}
-				bObjKids.set(ord, nil)
-				bRelsOf.set(ord, nil)
+				bObjKids.set(ord, nil, nil)
+				bRelsOf.set(ord, nil, nil)
 				if prevRow.parent == item.NoID {
 					touchedNames[prevRow.nameSym] = true
 				} else {
@@ -469,8 +484,8 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 			}
 			if !had {
 				// The new occupant owns its ordinal's adjacency entries now.
-				bObjKids.set(ord, cs.objKids.at(ord))
-				bRelsOf.set(ord, cs.relsOfA.at(ord))
+				bObjKids.share(ord, cs.objKids)
+				bRelsOf.share(ord, cs.relsOfA)
 				if row.parent == item.NoID {
 					touchedNames[row.nameSym] = true
 				} else {
@@ -488,14 +503,14 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 				if !had {
 					continue
 				}
-				bRelKids.set(ord, nil) // attribute sub-objects die with it
+				bRelKids.set(ord, nil, nil) // attribute sub-objects die with it
 				for _, e := range row.ends {
 					touchedRelsOf[e.Object] = true
 				}
 				continue
 			}
 			if !had {
-				bRelKids.set(ord, cs.relKids.at(ord))
+				bRelKids.share(ord, cs.relKids)
 				for _, e := range row.ends {
 					touchedRelsOf[e.Object] = true
 				}
@@ -509,8 +524,8 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 			bOrds.set(int(id), 0)
 			if prevRow, had := prev.objRowOf(id); had {
 				oldTag := prev.ords.at(int(id))
-				bObjKids.set(int(oldTag.Ord()), nil)
-				bRelsOf.set(int(oldTag.Ord()), nil)
+				bObjKids.set(int(oldTag.Ord()), nil, nil)
+				bRelsOf.set(int(oldTag.Ord()), nil, nil)
 				if prevRow.parent == item.NoID {
 					touchedNames[prevRow.nameSym] = true
 				} else {
@@ -518,7 +533,7 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 				}
 			} else if prevRow, had := prev.relRowOf(id); had {
 				oldTag := prev.ords.at(int(id))
-				bRelKids.set(int(oldTag.Ord()), nil)
+				bRelKids.set(int(oldTag.Ord()), nil, nil)
 				for _, e := range prevRow.ends {
 					touchedRelsOf[e.Object] = true
 				}
@@ -527,21 +542,21 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 	}
 
 	// Refresh the touched adjacency and name entries from the live state —
-	// pointer shares, kid lists and relationship lists are immutable values.
+	// shared, kid lists and relationship lists are immutable values.
 	for parent := range touchedParents {
 		tag := cs.ords.at(int(parent))
 		if !tag.Valid() {
 			continue // parent vanished; its entries were tombstoned above
 		}
 		if tag.Kind() == item.KindObject {
-			bObjKids.set(int(tag.Ord()), cs.objKids.at(int(tag.Ord())))
+			bObjKids.share(int(tag.Ord()), cs.objKids)
 		} else {
-			bRelKids.set(int(tag.Ord()), cs.relKids.at(int(tag.Ord())))
+			bRelKids.share(int(tag.Ord()), cs.relKids)
 		}
 	}
 	for obj := range touchedRelsOf {
 		if ord, ok := cs.objOrd(obj); ok {
-			bRelsOf.set(ord, cs.relsOfA.at(ord))
+			bRelsOf.share(ord, cs.relsOfA)
 		}
 	}
 	for sym := range touchedNames {
@@ -577,25 +592,19 @@ func (cs *colStore) fullFreeze(sch *schema.Schema) *colFrozen {
 	f.ords = newVerArr(ords, gen)
 
 	objRows := make([]objRow, cs.objLen)
-	objKids := make([]*kidList, cs.objLen)
-	relsOf := make([][]item.ID, cs.objLen)
 	for ord := range objRows {
 		objRows[ord] = cs.objRows.at(ord)
-		objKids[ord] = cloneKids(cs.objKids.at(ord))
-		relsOf[ord] = copyIDs(cs.relsOfA.at(ord))
 	}
 	f.objRows = newVerArr(objRows, gen)
-	f.objKidsF = newVerArr(objKids, gen)
-	f.relsOfF = newVerArr(relsOf, gen)
+	f.objKidsF = packAdj(gen, cs.objLen, cs.objKids.at)
+	f.relsOfF = packAdj(gen, cs.objLen, cs.relsOfA.at)
 
 	relRows := make([]relRow, cs.relLen)
-	relKids := make([]*kidList, cs.relLen)
 	for ord := range relRows {
 		relRows[ord] = cs.relRows.at(ord)
-		relKids[ord] = cloneKids(cs.relKids.at(ord))
 	}
 	f.relRows = newVerArr(relRows, gen)
-	f.relKidsF = newVerArr(relKids, gen)
+	f.relKidsF = packAdj(gen, cs.relLen, cs.relKids.at)
 
 	names := make([]item.ID, cs.names.size())
 	for i := range names {
@@ -605,19 +614,6 @@ func (cs *colStore) fullFreeze(sch *schema.Schema) *colFrozen {
 
 	cs.scanIndexes(f)
 	return f
-}
-
-// cloneKids deep-copies a kid list (the share-nothing freeze path).
-func cloneKids(kl *kidList) *kidList {
-	if kl == nil {
-		return nil
-	}
-	entries := make([]kidEntry, len(kl.entries))
-	copy(entries, kl.entries)
-	for i := range entries {
-		entries[i].ids = copyIDs(entries[i].ids)
-	}
-	return newKidList(entries)
 }
 
 // ---- item.View ----
@@ -705,10 +701,10 @@ func (f *colFrozen) ObjectByName(name string) (item.ID, bool) {
 	return id, true
 }
 
-func (f *colFrozen) kidsOf(parent item.ID) *kidList {
+func (f *colFrozen) kidsOf(parent item.ID) ([]item.ID, []kidRef) {
 	tag := f.ords.at(int(parent))
 	if !tag.Valid() {
-		return nil
+		return nil, nil
 	}
 	if tag.Kind() == item.KindObject {
 		return f.objKidsF.at(int(tag.Ord()))
@@ -716,21 +712,18 @@ func (f *colFrozen) kidsOf(parent item.ID) *kidList {
 	return f.relKidsF.at(int(tag.Ord()))
 }
 
-// Children returns shared immutable slices; the empty role uses the
-// flattened list precomputed at link time.
+// Children returns shared immutable slices: a parent's whole kid list for
+// the empty role, one role's run of it otherwise.
 func (f *colFrozen) Children(parent item.ID, role string) []item.ID {
-	kl := f.kidsOf(parent)
-	if kl == nil {
-		return nil
-	}
-	if role == "" {
-		return kl.flat
+	ids, refs := f.kidsOf(parent)
+	if ids == nil || role == "" {
+		return ids
 	}
 	sym, ok := f.dec.schemaSyms.Lookup(role)
 	if !ok {
 		return nil
 	}
-	return kl.withRole(sym)
+	return roleKids(ids, refs, sym)
 }
 
 func (f *colFrozen) RelationshipsOf(obj item.ID) []item.ID {
@@ -738,7 +731,8 @@ func (f *colFrozen) RelationshipsOf(obj item.ID) []item.ID {
 	if !tag.Valid() || tag.Kind() != item.KindObject {
 		return nil
 	}
-	return f.relsOfF.at(int(tag.Ord()))
+	ids, _ := f.relsOfF.at(int(tag.Ord()))
+	return ids
 }
 
 // Objects returns the live objects, ascending, as a shared immutable slice

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,14 +27,15 @@ import (
 // lineage. Freezing seals the builders — O(touched chunks), no row copying —
 // and restarts them on a fresh generation over the sealed arrays, so live
 // and frozen state share every untouched 1024-row chunk structurally.
-// Adjacency values (*kidList, []item.ID) are immutable once stored: every
-// mutation builds a fresh list, which is what lets generations share them
-// pointer-wise instead of deep-copying at freeze time.
+// Adjacency lives in packed adjArrs (adjarr.go) whose lists are immutable
+// once stored: every mutation stores a fresh list for its parent, which is
+// what lets generations share them instead of deep-copying at freeze time.
 //
 // Ordinals are append-only: an item keeps its ordinal for life, undoing an
 // insert pops the tail row, and a purge leaves a hole (row.id == NoID) that
 // is never reused — so a row ordinal means the same item in every frozen
-// generation, which is what lets generations share chunks.
+// generation, which is what lets generations share chunks, and what lets a
+// kid list name its children by ordinal.
 type colStore struct {
 	colDecoder
 
@@ -42,9 +44,9 @@ type colStore struct {
 	ords    *verBuilder[item.TaggedOrd] // by ID: tagged ordinal
 	objRows *verBuilder[objRow]         // by object ordinal; id == NoID marks a purged hole
 	relRows *verBuilder[relRow]         // by relationship ordinal
-	objKids *verBuilder[*kidList]       // by object ordinal: live children, role-name order
-	relKids *verBuilder[*kidList]       // by relationship ordinal (attribute sub-objects)
-	relsOfA *verBuilder[[]item.ID]      // by object ordinal: live relationships, ID order
+	objKids *adjBuilder[kidRef]         // by object ordinal: live children, role-name order
+	relKids *adjBuilder[kidRef]         // by relationship ordinal (attribute sub-objects)
+	relsOfA *adjBuilder[struct{}]       // by object ordinal: live relationships, ID order
 	names   *verBuilder[item.ID]        // by name symbol; NoID = name not bound
 
 	objLen, relLen int // row array lengths (holes included)
@@ -124,54 +126,6 @@ type relRow struct {
 	flags    uint8
 }
 
-// kidEntry is one containment role's children in index order. Entries within
-// a parent are kept in role-name order so the flattened list is a plain
-// concatenation.
-type kidEntry struct {
-	role item.Sym // role name in schemaSyms
-	ids  []item.ID
-}
-
-// kidList is one parent's child lists: the per-role entries in role-name
-// order plus the flattened all-roles list. A kidList and every slice inside
-// it are immutable once stored — mutations build a fresh list — so live
-// state and any number of frozen generations share them.
-type kidList struct {
-	entries []kidEntry
-	flat    []item.ID
-}
-
-// withRole returns the children playing the role symbol; nil on a nil
-// list.
-func (kl *kidList) withRole(role item.Sym) []item.ID {
-	if kl == nil {
-		return nil
-	}
-	for i := range kl.entries {
-		if kl.entries[i].role == role {
-			return kl.entries[i].ids
-		}
-	}
-	return nil
-}
-
-// newKidList wraps entries (ownership transferred) with the flattened list,
-// or returns nil when there are no children left.
-func newKidList(entries []kidEntry) *kidList {
-	total := 0
-	for i := range entries {
-		total += len(entries[i].ids)
-	}
-	if total == 0 {
-		return nil
-	}
-	flat := make([]item.ID, 0, total)
-	for i := range entries {
-		flat = append(flat, entries[i].ids...)
-	}
-	return &kidList{entries: entries, flat: flat}
-}
-
 // colDecoder turns rows back into item values: the symbol tables plus the
 // dense symbol->schema-element side tables. The live store owns a mutable
 // copy; every frozen generation snapshots the side tables (the symbol
@@ -200,9 +154,9 @@ func newColStore(attrSpecs []item.AttrSpec) *colStore {
 	cs.ords = verArr[item.TaggedOrd]{}.builder(1)
 	cs.objRows = verArr[objRow]{}.builder(1)
 	cs.relRows = verArr[relRow]{}.builder(1)
-	cs.objKids = verArr[*kidList]{}.builder(1)
-	cs.relKids = verArr[*kidList]{}.builder(1)
-	cs.relsOfA = verArr[[]item.ID]{}.builder(1)
+	cs.objKids = adjArr[kidRef]{}.builder(1)
+	cs.relKids = adjArr[kidRef]{}.builder(1)
+	cs.relsOfA = adjArr[struct{}]{}.builder(1)
 	cs.names = verArr[item.ID]{}.builder(1)
 	return cs
 }
@@ -472,8 +426,8 @@ func (cs *colStore) removeObject(id item.ID) {
 	}
 	cs.ords.set(int(id), 0)
 	cs.objRows.set(ord, objRow{})
-	cs.objKids.set(ord, nil)
-	cs.relsOfA.set(ord, nil)
+	cs.objKids.set(ord, nil, nil)
+	cs.relsOfA.set(ord, nil, nil)
 	cs.nObjs--
 	if ord == cs.objLen-1 {
 		cs.objLen-- // undo of an insert pops the tail; the slot can be reused
@@ -509,7 +463,7 @@ func (cs *colStore) removeRel(id item.ID) {
 	}
 	cs.ords.set(int(id), 0)
 	cs.relRows.set(ord, relRow{})
-	cs.relKids.set(ord, nil)
+	cs.relKids.set(ord, nil, nil)
 	cs.nRels--
 	if ord == cs.relLen-1 {
 		cs.relLen--
@@ -622,7 +576,7 @@ func (cs *colStore) delName(name string) {
 // kidSlot returns the builder and ordinal holding the parent's kid list
 // (objects and relationships both own sub-objects), or nil for unknown
 // parents.
-func (cs *colStore) kidSlot(parent item.ID) (*verBuilder[*kidList], int) {
+func (cs *colStore) kidSlot(parent item.ID) (*adjBuilder[kidRef], int) {
 	tag := cs.ords.at(int(parent))
 	if !tag.Valid() {
 		return nil, 0
@@ -633,6 +587,23 @@ func (cs *colStore) kidSlot(parent item.ID) (*verBuilder[*kidList], int) {
 	return cs.relKids, int(tag.Ord())
 }
 
+// roleKids returns the children in a kid list playing the role symbol:
+// one contiguous run, since a kid list is kept in role-name order.
+func roleKids(ids []item.ID, refs []kidRef, role item.Sym) []item.ID {
+	lo := 0
+	for lo < len(refs) && refs[lo].role != role {
+		lo++
+	}
+	hi := lo
+	for hi < len(refs) && refs[hi].role == role {
+		hi++
+	}
+	if lo == hi {
+		return nil
+	}
+	return ids[lo:hi:hi]
+}
+
 // children lists the live sub-objects of a parent in one role, index order.
 //
 //seedlint:frozen
@@ -641,15 +612,15 @@ func (cs *colStore) children(parent item.ID, role string) []item.ID {
 	if b == nil {
 		return nil
 	}
-	kl := b.at(ord)
-	if kl == nil {
+	ids, refs := b.at(ord)
+	if ids == nil {
 		return nil
 	}
 	sym, ok := cs.schemaSyms.Lookup(role)
 	if !ok {
 		return nil
 	}
-	return kl.withRole(sym)
+	return roleKids(ids, refs, sym)
 }
 
 // childrenAll lists all live sub-objects of a parent, role-name order and
@@ -661,61 +632,38 @@ func (cs *colStore) childrenAll(parent item.ID) []item.ID {
 	if b == nil {
 		return nil
 	}
-	kl := b.at(ord)
-	if kl == nil {
-		return nil
-	}
-	return kl.flat
+	ids, _ := b.at(ord)
+	return ids
 }
 
-func (cs *colStore) childIndex(id item.ID) int {
-	ord, _ := cs.objOrd(id)
-	return int(cs.objRows.at(ord).index)
-}
-
-// linkChild inserts a child into its parent's role list keeping index
-// order; index is the child's own positional index. Siblings with equal
-// indexes (index-less ones under a pattern, which cardinality checks exempt)
-// order by ID, so the list is a function of the state, not of its history.
+// linkChild inserts a child into its parent's kid list, keeping role-name
+// order and, within a role, the children's own positional index order.
+// Siblings with equal indexes (index-less ones under a pattern, which
+// cardinality checks exempt) order by ID, so the list is a function of the
+// state, not of its history.
 func (cs *colStore) linkChild(parent item.ID, role string, child item.ID, index int) {
 	cs.reopen()
-	b, ord := cs.kidSlot(parent)
-	if b == nil {
+	b, pord := cs.kidSlot(parent)
+	cord, ok := cs.objOrd(child)
+	if b == nil || !ok {
 		return
 	}
 	sym := cs.schemaSyms.Intern(role)
-	var entries []kidEntry
-	if old := b.at(ord); old != nil {
-		entries = old.entries
-	}
-	pos := sort.Search(len(entries), func(i int) bool {
-		return cs.schemaSyms.Str(entries[i].role) >= role
+	ids, refs := b.at(pord)
+	pos := sort.Search(len(ids), func(i int) bool {
+		if r := refs[i]; r.role != sym {
+			return cs.schemaSyms.Str(r.role) > role
+		}
+		x := int(chunkPtr(cs.objRows.chunks, int(refs[i].ord)).index)
+		return x > index || x == index && ids[i] > child
 	})
-	var ne []kidEntry
-	if pos < len(entries) && entries[pos].role == sym {
-		ne = append(make([]kidEntry, 0, len(entries)), entries...)
-		ids := entries[pos].ids
-		ipos := sort.Search(len(ids), func(i int) bool {
-			x := cs.childIndex(ids[i])
-			return x > index || x == index && ids[i] > child
-		})
-		nids := make([]item.ID, 0, len(ids)+1)
-		nids = append(nids, ids[:ipos]...)
-		nids = append(nids, child)
-		nids = append(nids, ids[ipos:]...)
-		ne[pos].ids = nids
-	} else {
-		ne = make([]kidEntry, 0, len(entries)+1)
-		ne = append(ne, entries[:pos]...)
-		ne = append(ne, kidEntry{role: sym, ids: []item.ID{child}})
-		ne = append(ne, entries[pos:]...)
-	}
-	b.set(ord, newKidList(ne))
+	ids, refs = inserted(ids, refs, pos, child, kidRef{ord: int32(cord), role: sym})
+	b.set(pord, ids, refs)
 }
 
 func (cs *colStore) unlinkChild(parent item.ID, role string, child item.ID) {
 	cs.reopen()
-	b, ord := cs.kidSlot(parent)
+	b, pord := cs.kidSlot(parent)
 	if b == nil {
 		return
 	}
@@ -723,32 +671,13 @@ func (cs *colStore) unlinkChild(parent item.ID, role string, child item.ID) {
 	if !ok {
 		return
 	}
-	old := b.at(ord)
-	if old == nil {
-		return
-	}
-	for i := range old.entries {
-		if old.entries[i].role != sym {
-			continue
-		}
-		ids := old.entries[i].ids
-		for j := range ids {
-			if ids[j] != child {
-				continue
-			}
-			ne := append([]kidEntry(nil), old.entries...)
-			if len(ids) == 1 {
-				ne = append(ne[:i], ne[i+1:]...) // role emptied; drop the entry
-			} else {
-				nids := make([]item.ID, 0, len(ids)-1)
-				nids = append(nids, ids[:j]...)
-				nids = append(nids, ids[j+1:]...)
-				ne[i].ids = nids
-			}
-			b.set(ord, newKidList(ne))
+	ids, refs := b.at(pord)
+	for i, id := range ids {
+		if id == child && refs[i].role == sym {
+			ids, refs = removed(ids, refs, i)
+			b.set(pord, ids, refs)
 			return
 		}
-		return
 	}
 }
 
@@ -762,7 +691,8 @@ func (cs *colStore) relsOf(obj item.ID) []item.ID {
 	if !ok {
 		return nil
 	}
-	return cs.relsOfA.at(ord)
+	ids, _ := cs.relsOfA.at(ord)
+	return ids
 }
 
 func (cs *colStore) linkRel(obj, rel item.ID) {
@@ -771,16 +701,13 @@ func (cs *colStore) linkRel(obj, rel item.ID) {
 	if !ok {
 		return // bogus end; the mutation validates and rolls back after linking
 	}
-	ids := cs.relsOfA.at(ord)
-	pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= rel })
-	if pos < len(ids) && ids[pos] == rel {
+	ids, refs := cs.relsOfA.at(ord)
+	pos, found := slices.BinarySearch(ids, rel)
+	if found {
 		return // same object in several roles is linked once
 	}
-	nids := make([]item.ID, 0, len(ids)+1)
-	nids = append(nids, ids[:pos]...)
-	nids = append(nids, rel)
-	nids = append(nids, ids[pos:]...)
-	cs.relsOfA.set(ord, nids)
+	ids, refs = inserted(ids, refs, pos, rel, struct{}{})
+	cs.relsOfA.set(ord, ids, refs)
 }
 
 func (cs *colStore) unlinkRel(obj, rel item.ID) {
@@ -789,19 +716,9 @@ func (cs *colStore) unlinkRel(obj, rel item.ID) {
 	if !ok {
 		return
 	}
-	ids := cs.relsOfA.at(ord)
-	for i := range ids {
-		if ids[i] != rel {
-			continue
-		}
-		if len(ids) == 1 {
-			cs.relsOfA.set(ord, nil)
-			return
-		}
-		nids := make([]item.ID, 0, len(ids)-1)
-		nids = append(nids, ids[:i]...)
-		nids = append(nids, ids[i+1:]...)
-		cs.relsOfA.set(ord, nids)
-		return
+	ids, refs := cs.relsOfA.at(ord)
+	if i, found := slices.BinarySearch(ids, rel); found {
+		ids, refs = removed(ids, refs, i)
+		cs.relsOfA.set(ord, ids, refs)
 	}
 }

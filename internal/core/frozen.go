@@ -78,12 +78,3 @@ func (en *Engine) invalidateFrozen() {
 func sortIDs(ids []item.ID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
-
-func copyIDs(ids []item.ID) []item.ID {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]item.ID, len(ids))
-	copy(out, ids)
-	return out
-}

@@ -36,6 +36,42 @@ type vchunk[T any] struct {
 	patches []slotPatch[T]
 }
 
+func (c *vchunk[T]) owner() uint64 { return c.gen }
+
+func (c *vchunk[T]) cloneFor(gen uint64) *vchunk[T] {
+	if c == nil {
+		return &vchunk[T]{gen: gen}
+	}
+	return &vchunk[T]{gen: gen, base: c.base, patches: append(make([]slotPatch[T], 0, len(c.patches)+1), c.patches...)}
+}
+
+// cowChunk is the chunk type of a versioned array (vchunk, adjChunk):
+// owner names the generation that created the chunk, and cloneFor returns
+// a copy that generation gen may write — sharing the immutable base,
+// copying the patch list — or, called on nil, a fresh empty chunk.
+type cowChunk[C any] interface {
+	*C
+	owner() uint64
+	cloneFor(gen uint64) *C
+}
+
+// ownChunk returns chunk ci of *chunks for generation gen to write,
+// growing the table as needed. A chunk gen created is written in place
+// (no generation sealed before gen can reference it); any other is cloned
+// first and the clone takes its place in the table, so sealed generations
+// never see the write.
+func ownChunk[C any, P cowChunk[C]](chunks *[]*C, ci int, gen uint64) *C {
+	for ci >= len(*chunks) {
+		*chunks = append(*chunks, nil)
+	}
+	c := (*chunks)[ci]
+	if c == nil || P(c).owner() != gen {
+		c = P(c).cloneFor(gen)
+		(*chunks)[ci] = c
+	}
+	return c
+}
+
 // verArr is an immutable chunked array. The zero verArr is empty; every
 // index reads as the zero value of T.
 type verArr[T any] struct {
@@ -130,21 +166,7 @@ func (a verArr[T]) builder(gen uint64) *verBuilder[T] {
 
 // set writes the value at index i, growing the array as needed.
 func (b *verBuilder[T]) set(i int, v T) {
-	ci := i >> vchunkShift
-	for ci >= len(b.chunks) {
-		b.chunks = append(b.chunks, nil)
-	}
-	c := b.chunks[ci]
-	switch {
-	case c == nil:
-		c = &vchunk[T]{gen: b.gen}
-		b.chunks[ci] = c
-	case c.gen != b.gen:
-		nc := &vchunk[T]{gen: b.gen, base: c.base}
-		nc.patches = append(make([]slotPatch[T], 0, len(c.patches)+1), c.patches...)
-		c = nc
-		b.chunks[ci] = c
-	}
+	c := ownChunk(&b.chunks, i>>vchunkShift, b.gen)
 	si := int32(i & vchunkMask)
 	if len(c.patches) == 0 && int(si) == len(c.base) {
 		// Sequential fill (bulk load, restore): plain append instead of 16
