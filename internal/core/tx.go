@@ -93,6 +93,12 @@ func (en *Engine) CommitTx(tx *Tx) ([][]byte, error) {
 	return records, nil
 }
 
+// Records returns the journal records tx has staged so far, in application
+// order, without ending it; the caller must not modify them. A caller whose
+// log bounds a record sizes the write set from them before CommitTx
+// publishes it.
+func (tx *Tx) Records() [][]byte { return tx.pending }
+
 // RollbackTx undoes every operation of tx and discards its records.
 func (en *Engine) RollbackTx(tx *Tx) error {
 	if tx == nil || !en.open[tx] {

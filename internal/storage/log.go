@@ -227,20 +227,6 @@ func (w *WAL) Append(payload []byte) error {
 	return w.appendLocked(payload)
 }
 
-// AppendBatch buffers several records contiguously: no record from another
-// appender can land between them, which is what lets a committed
-// transaction's batch stay atomic in the log.
-func (w *WAL) AppendBatch(payloads [][]byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, p := range payloads {
-		if err := w.appendLocked(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // appendLocked stages one record at the tail.
 //
 // seed:locked-caller
@@ -304,23 +290,19 @@ func (w *WAL) rotateLocked() error {
 // Commit appends one record and blocks until it is durable. Concurrent
 // commits are coalesced: the pipeline goroutine writes the whole batch and
 // fsyncs once, then releases every committer in the batch.
-func (w *WAL) Commit(payload []byte) error {
-	return w.CommitBatchAsync([][]byte{payload})()
-}
+func (w *WAL) Commit(payload []byte) error { return w.CommitAsync(payload)() }
 
-// CommitBatchAsync stages several records as one contiguous group-commit
-// unit and returns a wait function that blocks until they are durable (or
-// the shared fsync fails). Staging and waiting are split so a caller can
-// stage under its own mutex — fixing the records' position in the log
-// relative to other committers — and pay the fsync latency after releasing
-// it; that is how concurrent check-in commits coalesce into shared fsyncs
-// without serializing on the database write lock.
-func (w *WAL) CommitBatchAsync(payloads [][]byte) func() error {
-	for _, p := range payloads {
-		if len(p) > MaxRecord {
-			err := fmt.Errorf("%w: record of %d bytes", ErrOversize, len(p))
-			return func() error { return err }
-		}
+// CommitAsync stages one record in the current group-commit batch and
+// returns a wait function that blocks until it is durable (or the shared
+// fsync fails). Staging and waiting are split so a caller can stage under
+// its own mutex — fixing the record's position in the log relative to
+// other committers — and pay the fsync latency after releasing it; that is
+// how concurrent check-in commits coalesce into shared fsyncs without
+// serializing on the database write lock.
+func (w *WAL) CommitAsync(payload []byte) func() error {
+	if len(payload) > MaxRecord {
+		err := fmt.Errorf("%w: record of %d bytes", ErrOversize, len(payload))
+		return func() error { return err }
 	}
 	w.batchMu.Lock()
 	if w.stopping {
@@ -336,7 +318,7 @@ func (w *WAL) CommitBatchAsync(payloads [][]byte) func() error {
 		default:
 		}
 	}
-	b.payloads = append(b.payloads, payloads...)
+	b.payloads = append(b.payloads, payload)
 	w.batchMu.Unlock()
 
 	return func() error {
@@ -388,7 +370,7 @@ func (w *WAL) flushBatch() {
 }
 
 // Sync flushes buffered records and fsyncs the tail segment (sealed
-// segments are already durable). Records staged by CommitBatchAsync but not
+// segments are already durable). Records staged by CommitAsync but not
 // yet picked up by the pipeline are drained first, so Sync's durability
 // promise covers everything staged before the call.
 func (w *WAL) Sync() error {

@@ -64,7 +64,7 @@ type Subscription struct {
 // Subscribe captures a consistent replication view: the current snapshot,
 // the sealed segments it does not cover, and a live tap for everything
 // after. Like Compact, the caller must serialize Subscribe against its own
-// Append/Commit calls (seed.Database holds its mutex across the call) so
+// Append/AppendAsync calls (seed.Database holds its mutex across the call) so
 // the cut point is exact: a record staged concurrently could otherwise
 // land on either side of the rotation without being in the snapshot.
 func (s *Store) Subscribe() (*Subscription, error) {

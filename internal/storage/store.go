@@ -85,28 +85,26 @@ func (s *Store) Dir() string { return s.dir }
 // buffered under SyncOnRequest, durable (group-committed) under
 // SyncGroupCommit.
 func (s *Store) Append(payload []byte) error {
-	if s.opts.SyncPolicy == SyncGroupCommit {
-		return s.wal.Commit(payload)
+	wait, err := s.AppendAsync(payload)
+	if err == nil && wait != nil {
+		err = wait()
 	}
-	return s.wal.Append(payload)
+	return err
 }
 
-// Commit writes one record and blocks until it is durable, sharing the
-// fsync with concurrent committers (group commit).
-func (s *Store) Commit(payload []byte) error { return s.wal.Commit(payload) }
-
-// AppendBatch writes several records contiguously (no other appender's
-// record can land between them) under the configured sync policy. Under
-// SyncGroupCommit the batch is staged as one group-commit unit and the
-// returned wait function blocks until it is durable — callers stage under
-// their own lock and wait after releasing it, so concurrent committers
-// coalesce into shared fsyncs. Under SyncOnRequest the records are buffered
-// and the wait function is nil.
-func (s *Store) AppendBatch(payloads [][]byte) (wait func() error, err error) {
+// AppendAsync writes one record under the configured sync policy, split
+// for callers that fix the record's place in the log under their own lock
+// and wait for durability after releasing it. Under SyncGroupCommit the
+// record is staged in the current group-commit batch and the returned wait
+// function blocks until it is durable, so concurrent committers coalesce
+// into shared fsyncs. Under SyncOnRequest the record is buffered and the
+// wait function is nil. A record over MaxRecord is refused with
+// ErrOversize before anything is written.
+func (s *Store) AppendAsync(payload []byte) (wait func() error, err error) {
 	if s.opts.SyncPolicy == SyncGroupCommit {
-		return s.wal.CommitBatchAsync(payloads), nil
+		return s.wal.CommitAsync(payload), nil
 	}
-	return nil, s.wal.AppendBatch(payloads)
+	return nil, s.wal.Append(payload)
 }
 
 // Sync makes all appended records durable.
@@ -135,7 +133,7 @@ func (s *Store) Segments() int { return s.wal.SegmentCount() }
 // the new state intact; only sealed segments are deleted, so the live tail
 // is never rewritten.
 //
-// The caller must serialize Compact against its own Append/Commit calls:
+// The caller must serialize Compact against its own Append/AppendAsync calls:
 // snapshot has to cover every record appended before Compact is invoked,
 // because everything below the rotation cut point is deleted. A record
 // committed between capturing the snapshot and calling Compact would be

@@ -564,7 +564,7 @@ func TestSegmentFileNames(t *testing.T) {
 	}
 }
 
-// TestRotateDrainsStagedBatches: records staged by CommitBatchAsync before
+// TestRotateDrainsStagedBatches: records staged by CommitAsync before
 // a Rotate must land below the rotation cut — a compaction snapshot taken
 // after the rotate covers their effects, so a record surviving above the
 // cut would be double-applied on recovery. The flush mutex makes the drain
@@ -575,13 +575,13 @@ func TestRotateDrainsStagedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batches = 8
+	const committers = 16
 	var want []string
 	var waits []func() error
-	for i := 0; i < batches; i++ {
-		a, b := fmt.Sprintf("b%d-1", i), fmt.Sprintf("b%d-2", i)
-		want = append(want, a, b)
-		waits = append(waits, w.CommitBatchAsync([][]byte{[]byte(a), []byte(b)}))
+	for i := 0; i < committers; i++ {
+		rec := fmt.Sprintf("c%02d", i)
+		want = append(want, rec)
+		waits = append(waits, w.CommitAsync([]byte(rec)))
 	}
 	if _, err := w.Rotate(); err != nil {
 		t.Fatal(err)
@@ -595,7 +595,7 @@ func TestRotateDrainsStagedBatches(t *testing.T) {
 	}
 	for i, wait := range waits {
 		if err := wait(); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
+			t.Fatalf("committer %d: %v", i, err)
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -615,7 +615,7 @@ func TestRotateDrainsStagedBatches(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("record %d = %q, want %q (batch order broken)", i, got[i], want[i])
+			t.Fatalf("record %d = %q, want %q (staging order broken)", i, got[i], want[i])
 		}
 	}
 }

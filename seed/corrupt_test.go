@@ -128,12 +128,14 @@ func TestCorruptSnapshotCountsRefused(t *testing.T) {
 	}
 }
 
-// TestCorruptBatchRefusedWhole feeds a follower a transaction batch whose
-// middle record is bad — truncated, naming an unknown class, setting a value
-// on an unknown object — and the same faults as a lone record and as a
-// batch opened twice. Each must be refused with core.ErrBadRecord and leave
-// the follower's state digest and raw view as they were; the intact batch
-// then applies and converges with the primary.
+// TestCorruptBatchRefusedWhole feeds a follower batch records whose
+// inner records are bad — a truncated middle record, one naming an unknown
+// class, one setting a value on an unknown object, a batch nested in a
+// batch — and batch records whose own layout is bad: a count past the
+// payload, a count one past the records it holds, trailing bytes after the
+// last record. Each must be refused with core.ErrBadRecord and leave the
+// follower's state digest and raw view as they were; the intact batch then
+// applies and converges with the primary.
 func TestCorruptBatchRefusedWhole(t *testing.T) {
 	db := openDB(t, filepath.Join(t.TempDir(), "db"), Options{Schema: Figure3Schema(), Clock: fixedClock()})
 	defer db.Close()
@@ -154,10 +156,15 @@ func TestCorruptBatchRefusedWhole(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// recTxBegin, create "New", create its Description, set its value, recTxEnd.
-	batch := drainTap(t, sub, 5)
-	if len(batch) != 5 || batch[0][0] != recTxBegin || batch[4][0] != recTxEnd {
-		t.Fatalf("unexpected batch shape: %d records", len(batch))
+	// One batch record: create "New", create its Description, set its value.
+	tap := drainTap(t, sub, 1)
+	if len(tap) != 1 || tap[0][0] != recBatch {
+		t.Fatalf("unexpected commit shape: %d records", len(tap))
+	}
+	batch := tap[0]
+	inner, err := splitBatch(batch[1:])
+	if err != nil || len(inner) != 3 {
+		t.Fatalf("batch holds %d records (%v), want 3", len(inner), err)
 	}
 	unknownClass := newRecordEncoder(core.RecCreateObject)
 	unknownClass.Uint64(uint64(newID) + 10)
@@ -167,12 +174,18 @@ func TestCorruptBatchRefusedWhole(t *testing.T) {
 	unknownObject := newRecordEncoder(core.RecSetValue)
 	unknownObject.Uint64(1 << 20)
 	item.EncodeValue(unknownObject, item.Inline, NewString("lost"))
-	withMiddle := func(rec []byte) [][]byte {
-		out := slices.Clone(batch)
-		out[2] = rec
-		return out
+	withMiddle := func(rec []byte) []byte {
+		out := slices.Clone(inner)
+		out[1] = rec
+		return encBatch(out)
 	}
-	truncSet := batch[3][:len(batch[3])-1]
+	truncSet := inner[2][:len(inner[2])-1]
+	// withCount rewrites the batch's record count.
+	withCount := func(n uint64) []byte {
+		_, k := binary.Uvarint(batch[1:])
+		out := binary.AppendUvarint([]byte{recBatch}, n)
+		return append(out, batch[1+k:]...)
+	}
 
 	before, err := rep.StateDigest()
 	if err != nil {
@@ -180,30 +193,33 @@ func TestCorruptBatchRefusedWhole(t *testing.T) {
 	}
 	objs, rels := rep.RawView().Objects(), rep.RawView().Relationships()
 	for _, tc := range []struct {
-		name    string
-		records [][]byte
+		name   string
+		record []byte
 	}{
-		{"middle record truncated", withMiddle(batch[2][:len(batch[2])-1])},
+		{"middle record truncated", withMiddle(inner[1][:len(inner[1])-1])},
 		{"middle record names an unknown class", withMiddle(unknownClass.Bytes())},
 		{"middle record sets a value on an unknown object", withMiddle(unknownObject.Bytes())},
-		{"create then truncated set value", [][]byte{batch[0], batch[1], truncSet, batch[4]}},
-		{"lone truncated record", [][]byte{truncSet}},
-		{"lone record naming an unknown class", [][]byte{unknownClass.Bytes()}},
-		{"batch begun inside a batch", [][]byte{batch[0], batch[1], batch[0]}},
+		{"create then truncated set value", encBatch([][]byte{inner[0], inner[1], truncSet})},
+		{"lone truncated record", encBatch([][]byte{truncSet})},
+		{"batch nested in a batch", encBatch([][]byte{inner[0], batch})},
+		{"count past the payload", withCount(uint64(len(batch)))},
+		{"count one past the records", withCount(uint64(len(inner) + 1))},
+		{"zero count", withCount(0)},
+		{"trailing bytes after the last record", append(slices.Clip(batch), 0)},
 	} {
-		err := rep.ApplyLogRecords(tc.records)
+		err := rep.ApplyLogRecords([][]byte{tc.record})
 		if !errors.Is(err, core.ErrBadRecord) {
 			t.Errorf("%s: got %v, want ErrBadRecord", tc.name, err)
 		}
 		if after, _ := rep.StateDigest(); after != before {
-			t.Errorf("%s: refused records changed the follower's state digest", tc.name)
+			t.Errorf("%s: refused record changed the follower's state digest", tc.name)
 		}
 		v := rep.RawView()
 		if _, ok := v.ObjectByName("New"); ok || !slices.Equal(v.Objects(), objs) || !slices.Equal(v.Relationships(), rels) {
-			t.Errorf("%s: refused records changed the follower's raw view", tc.name)
+			t.Errorf("%s: refused record changed the follower's raw view", tc.name)
 		}
 	}
-	if err := rep.ApplyLogRecords(batch); err != nil {
+	if err := rep.ApplyLogRecords(tap); err != nil {
 		t.Fatalf("intact batch after the refusals: %v", err)
 	}
 	digestsEqual(t, db, rep, "after the intact batch")

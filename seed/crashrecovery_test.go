@@ -120,8 +120,8 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	}
 
 	// Every committed unit (a one-operation write or a transaction: one
-	// journal record, or one framed batch) captures the canonical state it
-	// leaves behind; a recovered database must land exactly on one of these.
+	// batch record either way) captures the canonical state it leaves
+	// behind; a recovered database must land exactly on one of these.
 	var states []string
 	capture := func() { states = append(states, dumpState(db)) }
 	capture() // fresh: schema record only
@@ -145,8 +145,8 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	capture()
-	// A one-operation CreateValueObject is a two-record batch: no
-	// truncation may recover the sub-object without its value.
+	// A one-operation CreateValueObject is a batch of two engine records:
+	// no truncation may recover the sub-object without its value.
 	if _, err := db.CreateValueObject(o2, "Description", NewString("o2d")); err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	capture()
 	sizeAfter := db.Stats().LogBytes
 
-	// A single-record transaction (no framing) and two interleaved
-	// disjoint transactions committed back to back.
+	// A single-record transaction and two interleaved disjoint
+	// transactions committed back to back.
 	tx2, err := db.BeginTx()
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +277,9 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 		}
 	}
 
-	// A database reopened over a torn batch keeps working: the fragment is
-	// neutralized durably, later appends replay cleanly.
+	// A database reopened over a torn batch keeps working: recovery cuts
+	// the torn record off and appends nothing of its own, and later appends
+	// replay cleanly.
 	cp := truncatedCopy(t, dir, segName, (sizeBefore+sizeAfter)/2)
 	re, err := Open(cp, Options{Schema: Figure3Schema()})
 	if err != nil {
@@ -286,6 +287,9 @@ func TestCrashRecoveryCommittedPrefix(t *testing.T) {
 	}
 	if got := dumpState(re); got != preBatch {
 		t.Fatalf("torn-batch reopen: wrong base state:\n%s", got)
+	}
+	if got := re.Stats().LogBytes; got != sizeBefore {
+		t.Errorf("torn-batch reopen: log holds %d bytes, want the %d before the batch", got, sizeBefore)
 	}
 	if _, err := re.CreateObject("Data", "AfterTear"); err != nil {
 		t.Fatal(err)

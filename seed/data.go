@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/item"
 	"repro/internal/pattern"
+	"repro/internal/storage"
 )
 
 // Data manipulation: thin, write-locked wrappers over the engine's
@@ -242,32 +243,57 @@ func (tx *Tx) ResolvePath(path string) (ID, error) {
 
 // Commit makes the staged batch permanent: it publishes atomically into a
 // new snapshot generation (the mutation generation advances once for the
-// whole batch) and appends the batch contiguously to the write-ahead log.
+// whole batch) and appends the batch to the write-ahead log as one record.
 // Under SyncGroupCommit the durability wait happens after the database
-// lock is released, so concurrent commits coalesce into shared fsyncs.
+// lock is released, so concurrent commits coalesce into shared fsyncs. A
+// batch too large for one log record (storage.ErrOversize) is rolled back
+// instead: nothing of it publishes.
 func (tx *Tx) Commit() error {
+	wait, err := tx.commit()
+	if err != nil || wait == nil {
+		return err
+	}
+	return wait()
+}
+
+// commit publishes the batch and stages its log record under the write
+// lock, returning the durability wait (nil when there is nothing to wait
+// for).
+func (tx *Tx) commit() (func() error, error) {
 	db := tx.db
 	db.mu.Lock()
-	if tx.done {
-		db.mu.Unlock()
-		return ErrTxDone
-	}
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+	defer db.mu.Unlock()
+	switch {
+	case tx.done:
+		return nil, ErrTxDone
+	case db.closed:
+		return nil, ErrClosed
 	}
 	tx.done = true
-	records, err := db.engine.CommitTx(tx.core)
-	if err != nil {
-		db.mu.Unlock()
-		return err
+	var rec []byte
+	if records := tx.core.Records(); db.store != nil && len(records) > 0 {
+		// Sized before anything publishes: the log refuses the record whole.
+		if rec = encBatch(records); len(rec) > storage.MaxRecord {
+			if err := db.engine.RollbackTx(tx.core); err != nil {
+				return nil, err
+			}
+			db.gen++
+			return nil, fmt.Errorf("seed: transaction record of %d bytes: %w", len(rec), storage.ErrOversize)
+		}
+	}
+	if _, err := db.engine.CommitTx(tx.core); err != nil {
+		return nil, err
 	}
 	// The batch is applied in memory: advance the generation even if
 	// journaling fails below, so the snapshot cache cannot keep serving
 	// the pre-transaction state.
 	db.gen++
-	wait, jerr := db.journalBatchLocked(records)
-	if jerr == nil {
+	var wait func() error
+	var err error
+	if rec != nil {
+		wait, err = db.store.AppendAsync(rec)
+	}
+	if err == nil {
 		// Compaction deferred by in-transaction operations runs now that
 		// the batch is in the log — best-effort: the batch IS committed,
 		// so a compaction failure (which leaves the log intact and retries
@@ -275,14 +301,7 @@ func (tx *Tx) Commit() error {
 		// callers would re-apply an already-applied batch.
 		_ = db.maybeCompact()
 	}
-	db.mu.Unlock()
-	if jerr != nil {
-		return jerr
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	return wait, err
 }
 
 // Rollback undoes the staged batch. Rolling back a finished transaction is

@@ -110,11 +110,7 @@ type Database struct {
 
 	// Follower replication (replica.go). replica marks a read-only
 	// follower — every mutation entry point refuses with ErrNotPrimary.
-	// rep is the follower's recovery dispatch: it persists transaction
-	// batch framing across ApplyLogRecords calls, so a batch split over
-	// stream chunks still applies atomically.
-	replica bool      // immutable after construction
-	rep     *recovery // seed:guarded-by(mu) — follower apply state
+	replica bool // immutable after construction
 
 	transitions map[string]TransitionRule // seed:guarded-by(mu) — history-sensitive consistency rules
 
@@ -135,8 +131,7 @@ func Open(dir string, opts Options) (*Database, error) {
 		db.clock = time.Now
 	}
 	db.vers = version.NewManager()
-	rec := &recovery{db: db}
-	st, err := storage.Open(dir, rec, storage.Options{SegmentSize: opts.SegmentSize, SyncPolicy: opts.SyncPolicy})
+	st, err := storage.Open(dir, recovery{db}, storage.Options{SegmentSize: opts.SegmentSize, SyncPolicy: opts.SyncPolicy})
 	if err != nil {
 		return nil, err
 	}
@@ -148,20 +143,6 @@ func Open(dir string, opts Options) (*Database, error) {
 			return nil, ErrNoSchema
 		}
 		if err := db.initFresh(opts.Schema); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
-	if rec.inBatch {
-		// The log ends in a torn transaction batch (crash mid-append). Its
-		// buffered records were dropped; neutralize the fragment durably so
-		// records appended from now on are never mistaken for its
-		// continuation.
-		if err := st.Append(encTxBoundary(recTxAbort)); err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := st.Sync(); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -417,36 +398,10 @@ func (db *Database) Stats() Stats {
 
 // journalOneOp is the engine's journal sink for one-operation
 // transactions. It runs under db.mu and, under SyncGroupCommit, waits for
-// durability there: the engine rolls the operation back if this fails.
+// durability there: the engine rolls the operation back if this fails —
+// a record the log refuses as oversize included, as nothing was written.
 func (db *Database) journalOneOp(records [][]byte) error {
-	wait, err := db.journalBatchLocked(records)
-	if err == nil && wait != nil {
-		err = wait()
-	}
-	return err
-}
-
-// journalBatchLocked is the one place engine records reach the log: it
-// appends a committed transaction's records — a Tx batch or a
-// one-operation transaction — as one atomic, contiguous batch (framed with
-// recTxBegin/recTxEnd when it holds more than one record; a single record
-// is atomic by construction). The records' position in the log is fixed
-// while db.mu is held, matching commit order; the returned wait function
-// (nil under SyncOnRequest) reports durability, and Tx.Commit calls it
-// after releasing the lock, so concurrent committers coalesce into shared
-// fsyncs instead of serializing on db.mu.
-func (db *Database) journalBatchLocked(records [][]byte) (func() error, error) {
-	if db.store == nil || len(records) == 0 {
-		return nil, nil
-	}
-	payloads := records
-	if len(records) > 1 {
-		payloads = make([][]byte, 0, len(records)+2)
-		payloads = append(payloads, encTxBoundary(recTxBegin))
-		payloads = append(payloads, records...)
-		payloads = append(payloads, encTxBoundary(recTxEnd))
-	}
-	return db.store.AppendBatch(payloads)
+	return db.store.Append(encBatch(records))
 }
 
 // maybeCompact runs auto-compaction when the log grows past the threshold.

@@ -18,13 +18,13 @@ import (
 // untouched. Regenerate only with a deliberate, versioned format change.
 const (
 	goldenSnapshotDigest = "7468f71e4bdb6a6586081f041cb89d4c0c851b08f8310ebfad7dee5e9d38cda8"
-	goldenJournalDigest  = "61920d04ae76408a670648b9404601cdfb4147d7a077c6e7ef75ca70c170d466"
+	goldenJournalDigest  = "9f9ff0a5709f5e99e04973be9feb87a482d783be4248a0bc5d9f782a5e51b7e7"
 )
 
 // goldenDB builds the fixed database: objects, sub-objects, every value kind,
 // relationships, a pattern with an inheritor, a multi-record transaction,
 // reclassify, delete, two saved versions with deltas, and an evolved schema.
-func goldenDB(t *testing.T, dir string) *Database {
+func goldenDB(t testing.TB, dir string) *Database {
 	t.Helper()
 	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
 	must := func(id ID, err error) ID {
@@ -146,13 +146,25 @@ func TestGoldenPersistentBytes(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The tags of the top-level records and of the engine records inside
+	// each batch record.
 	tags := map[byte]bool{}
 	for _, r := range recs {
 		tags[r[0]] = true
+		if r[0] != recBatch {
+			continue
+		}
+		inner, err := splitBatch(r[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inner {
+			tags[in[0]] = true
+		}
 	}
 	for _, tag := range []byte{
 		core.RecCreateObject, core.RecCreateSub, core.RecSetValue, core.RecCreateRel,
-		core.RecInherit, core.RecDelete, core.RecReclassify, core.RecSetPattern, recSchema, recSaveVersion, recTxBegin, recTxEnd} {
+		core.RecInherit, core.RecDelete, core.RecReclassify, core.RecSetPattern, recSchema, recSaveVersion, recBatch} {
 		if !tags[tag] {
 			t.Errorf("journal has no record with tag %d", tag)
 		}

@@ -22,7 +22,7 @@ func fixedClock() func() time.Time {
 	}
 }
 
-func openDB(t *testing.T, dir string, opts Options) *Database {
+func openDB(t testing.TB, dir string, opts Options) *Database {
 	t.Helper()
 	db, err := Open(dir, opts)
 	if err != nil {

@@ -1,6 +1,8 @@
 package seed
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,8 +12,9 @@ import (
 )
 
 // Database-level journal records. Tags below 16 belong to the engine
-// (core); tags here cover schema and version operations so that a replayed
-// log reproduces the complete database including its version tree.
+// (core) and appear only inside a recBatch; tags here cover committed
+// write sets and schema and version operations, so that a replayed log
+// reproduces the complete database including its version tree.
 const (
 	recSchema        byte = 16 // SDL text of a schema version
 	recSaveVersion   byte = 17 // note, timestamp, expected number
@@ -19,21 +22,60 @@ const (
 	recDeleteVersion byte = 19 // version number
 	recVacuum        byte = 20 // purge unreferenced tombstones (no payload)
 
-	// Transaction batch framing. A committed multi-record transaction is
-	// appended as recTxBegin, the data records, recTxEnd — contiguously, so
-	// recovery applies the whole batch or none of it. A crash can tear the
-	// tail mid-batch: replay then buffers records that never see their end
-	// marker and drops them, and the next open neutralizes the fragment
-	// durably with recTxAbort before it appends anything, so later appends
-	// are never mistaken for its continuation. Single-record commits skip
-	// the framing (one record is one batch).
-	recTxBegin byte = 21 // start of a committed transaction batch
-	recTxEnd   byte = 22 // end of a committed transaction batch
-	recTxAbort byte = 23 // torn batch fragment precedes; discard it
+	// recBatch is one committed engine write set — a one-operation write or
+	// a Tx — as one record: the count, then each engine record
+	// length-prefixed. The segment CRC that guards any record is the
+	// batch's atomicity: it cannot be half-appended, torn at a record
+	// boundary, or split by a segment rotation or a stream chunk. Tags 21-23
+	// held the retired begin/end/abort framing of multi-record batches.
+	recBatch byte = 24
 )
 
-// encTxBoundary encodes one of the single-byte batch framing records.
-func encTxBoundary(tag byte) []byte { return []byte{tag} }
+// errRetiredFraming refuses a log written before one-record commits: its
+// transactions are begin/end/abort records around bare engine records,
+// which this version does not read.
+var errRetiredFraming = errors.New("seed: retired per-record transaction framing (a log from before one-record commits)")
+
+// encBatch encodes a committed write set's engine records as one recBatch
+// record.
+func encBatch(records [][]byte) []byte {
+	size := 1 + binary.MaxVarintLen64
+	for _, r := range records {
+		size += binary.MaxVarintLen64 + len(r)
+	}
+	buf := append(make([]byte, 0, size), recBatch)
+	buf = binary.AppendUvarint(buf, uint64(len(records)))
+	for _, r := range records {
+		buf = binary.AppendUvarint(buf, uint64(len(r)))
+		buf = append(buf, r...)
+	}
+	return buf
+}
+
+// splitBatch splits a recBatch body into its engine records, which alias
+// body. The layout is codec's (a uvarint count, uvarint-prefixed runs), cut
+// without a copy and bounded by the body rather than codec.MaxBlob, as the
+// log bounds the whole record. There is at least one record, no length
+// overruns the body, and nothing follows the last record.
+func splitBatch(body []byte) ([][]byte, error) {
+	n, k := binary.Uvarint(body)
+	if k <= 0 || n == 0 || n > uint64(len(body)-k) {
+		return nil, fmt.Errorf("%w: batch count", core.ErrBadRecord)
+	}
+	body = body[k:]
+	records := make([][]byte, n)
+	for i := range records {
+		size, k := binary.Uvarint(body)
+		if k <= 0 || size > uint64(len(body)-k) {
+			return nil, fmt.Errorf("%w: batch record %d of %d overruns the record", core.ErrBadRecord, i+1, n)
+		}
+		records[i], body = body[k:k+int(size)], body[k+int(size):]
+	}
+	if len(body) > 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the batch's last record", core.ErrBadRecord, len(body))
+	}
+	return records, nil
+}
 
 // newRecordEncoder starts an encoder with the record tag written.
 func newRecordEncoder(tag byte) *codec.Encoder {
@@ -64,66 +106,41 @@ func encVersionRecord(tag byte, num VersionNumber) []byte {
 	return e.Bytes()
 }
 
-// recovery adapts the database to storage.RecoveryHandler. Transaction
-// batches (recTxBegin ... recTxEnd) are buffered and applied only when
-// their end marker arrives, as one engine transaction (core ApplyRecords):
-// a batch torn by a crash mid-append, or refused for a bad record, never
-// surfaces half-applied.
-type recovery struct {
-	db      *Database
-	batch   [][]byte // buffered data records of an open batch
-	inBatch bool
-}
+// recovery adapts the database to storage.RecoveryHandler. Recovery runs
+// from Open before the *Database value is published, so no other goroutine
+// can reach the state it replays into.
+type recovery struct{ db *Database }
 
 // LoadSnapshot restores the full state written by Compact.
-//
-// seed:locked-caller — recovery runs from newDatabase before the
-// *Database value is published; no concurrent access is possible.
-func (r *recovery) LoadSnapshot(payload []byte) error {
-	return r.db.loadSnapshot(payload)
-}
+func (r recovery) LoadSnapshot(payload []byte) error { return r.db.loadSnapshot(payload) }
 
-// ApplyRecord dispatches one write-ahead log record.
+// ApplyRecord replays one write-ahead log record.
+func (r recovery) ApplyRecord(payload []byte) error { return r.db.applyRecord(payload) }
+
+// applyRecord is the one dispatch of a top-level log record, for crash
+// recovery and a follower's stream alike: a committed write set applies as
+// one engine transaction (core ApplyRecords), so a refused one changes
+// nothing; schema and version records evolve their planes. Every record
+// but a schema record needs the engine a schema record creates.
 //
-// seed:locked-caller — recovery runs from newDatabase before the
-// *Database value is published; no concurrent access is possible.
-func (r *recovery) ApplyRecord(payload []byte) error {
+// seed:locked-caller
+func (db *Database) applyRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return core.ErrBadRecord
 	}
-	db := r.db
 	tag := payload[0]
-	if r.inBatch {
-		if tag <= core.RecDataMax {
-			// The scan loop reuses its record buffer; keep a copy.
-			r.batch = append(r.batch, append([]byte(nil), payload...))
-			return nil
-		}
-		batch := r.batch
-		r.inBatch, r.batch = false, r.batch[:0]
-		switch tag {
-		case recTxEnd:
-			return r.applyData(batch)
-		case recTxAbort:
-			return nil
-		}
-		return fmt.Errorf("%w: tag %d inside a transaction batch", core.ErrBadRecord, tag)
-	}
-	if tag <= core.RecDataMax {
-		return r.applyData([][]byte{payload})
-	}
-	switch tag {
-	case recTxBegin:
-		r.inBatch = true
-		r.batch = r.batch[:0]
-		return nil
-	case recTxEnd, recTxAbort:
-		// An end or abort without an open batch is the benign residue of a
-		// healed fragment; nothing to do.
-		return nil
+	if db.engine == nil && tag != recSchema {
+		return fmt.Errorf("%w: tag %d before the schema record", core.ErrBadRecord, tag)
 	}
 	d := codec.NewDecoder(payload[1:])
 	switch tag {
+	case recBatch:
+		records, err := splitBatch(payload[1:])
+		if err != nil {
+			return err
+		}
+		return db.engine.ApplyRecords(records)
+
 	case recSchema:
 		text := d.String()
 		if err := core.RecordErr(d); err != nil {
@@ -189,15 +206,8 @@ func (r *recovery) ApplyRecord(payload []byte) error {
 		_, err := db.vacuumLocked()
 		return err
 	}
-	return fmt.Errorf("%w: tag %d", core.ErrBadRecord, tag)
-}
-
-// applyData applies a batch of engine records as one engine transaction.
-//
-// seed:locked-caller — called from ApplyRecord.
-func (r *recovery) applyData(batch [][]byte) error {
-	if r.db.engine == nil {
-		return fmt.Errorf("%w: data record before schema record", core.ErrBadRecord)
+	if tag >= core.RecCreateObject && tag <= core.RecDataMax || tag > recVacuum && tag < recBatch {
+		return fmt.Errorf("%w: %w: tag %d", core.ErrBadRecord, errRetiredFraming, tag)
 	}
-	return r.db.engine.ApplyRecords(batch)
+	return fmt.Errorf("%w: tag %d", core.ErrBadRecord, tag)
 }

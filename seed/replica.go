@@ -15,7 +15,8 @@ import (
 // WAL segments) plus a live tap of every record appended after. The
 // follower side is a Database built by NewFollower that applies the stream
 // through the same recovery dispatch a crash restart uses — snapshot, then
-// records in order, transaction batches surfacing whole or not at all — and
+// records in order, each committed write set one record that applies whole
+// or not at all — and
 // serves the entire read surface from its own COW generations. Mutations on
 // a follower are refused with ErrNotPrimary at every entry point.
 
@@ -66,12 +67,11 @@ func (db *Database) SubscribeLog() (*storage.Subscription, uint64, error) {
 // follower via ReplicaAdopt); reads are meaningful only after the first
 // complete bootstrap, which the serving layer gates on. Mutations are
 // refused with ErrNotPrimary for the follower's whole life. Each shipped
-// batch applies as one engine transaction, and a refused batch changes
-// nothing; the follower journals nothing.
+// write set is one record that applies as one engine transaction, and a
+// refused one changes nothing; the follower journals nothing.
 func NewFollower() *Database {
 	db := &Database{replica: true, clock: time.Now}
 	db.vers = version.NewManager()
-	db.rep = &recovery{db: db}
 	return db
 }
 
@@ -92,17 +92,14 @@ func (db *Database) Generation() uint64 {
 // ApplyLogSnapshot resets the follower to a bootstrap snapshot payload. A
 // nil payload means the primary had no snapshot on disk: the follower
 // resets to empty and the record stream rebuilds everything (its first
-// record is the primary's initial schema record). Any half-buffered
-// transaction batch from a previous stream is dropped — the stream starts
-// over from a consistent base.
+// record is the primary's initial schema record). The follower holds
+// nothing between records, so the stream starts over from this base.
 func (db *Database) ApplyLogSnapshot(payload []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.guardReplicaApply(); err != nil {
 		return err
 	}
-	db.rep.inBatch = false
-	db.rep.batch = db.rep.batch[:0]
 	if payload == nil {
 		db.engine = nil
 		db.schemas = nil
@@ -116,13 +113,13 @@ func (db *Database) ApplyLogSnapshot(payload []byte) error {
 }
 
 // ApplyLogRecords applies a run of shipped WAL records in log order through
-// the recovery dispatch: engine records mutate state, schema and version
-// records evolve their planes, and recTxBegin/recTxEnd framing buffers a
-// transaction batch until its end marker arrives — possibly in a later
-// call, so a batch split across stream chunks still surfaces atomically.
-// A batch with a bad record is refused whole, and the records after it are
-// not applied. Readers pinned to earlier generations are unaffected; the
-// generation bump publishes what applied to new reads.
+// the recovery dispatch: a batch record (one committed write set) applies
+// as one engine transaction, and schema and version records evolve their
+// planes. A record is never split across calls or stream chunks, so each
+// call applies whole records. A batch with a bad inner record is refused
+// whole, and the records after it are not applied. Readers pinned to
+// earlier generations are unaffected; the generation bump publishes what
+// applied to new reads.
 func (db *Database) ApplyLogRecords(records [][]byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -131,7 +128,7 @@ func (db *Database) ApplyLogRecords(records [][]byte) error {
 	}
 	db.gen++ // under the write lock, so no read sees the records half-applied
 	for _, rec := range records {
-		if err := db.rep.ApplyRecord(rec); err != nil {
+		if err := db.applyRecord(rec); err != nil {
 			return err
 		}
 	}
@@ -175,8 +172,6 @@ func (db *Database) ReplicaAdopt(staging *Database) error {
 	db.engine = en
 	db.schemas = schemas
 	db.vers = vers
-	db.rep.inBatch = false
-	db.rep.batch = db.rep.batch[:0]
 	for _, spec := range specs {
 		_ = db.engine.CreateAttrIndex(spec)
 	}

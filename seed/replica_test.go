@@ -108,8 +108,9 @@ func TestReplicaBootstrapConverges(t *testing.T) {
 }
 
 // TestReplicaLiveApplyConverges: live tap records applied one call at a
-// time — so a transaction batch is split across ApplyLogRecords calls —
-// surface atomically and converge at every applied step.
+// time — a transaction is one record, so it can never be split across
+// ApplyLogRecords calls — step the replica through exactly the primary's
+// committed states, the transaction surfacing whole.
 func TestReplicaLiveApplyConverges(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
@@ -118,7 +119,16 @@ func TestReplicaLiveApplyConverges(t *testing.T) {
 	rep, sub := bootstrapReplica(t, db)
 	digestsEqual(t, db, rep, "after bootstrap")
 
-	// A transaction batch: begin/end framing plus three engine records.
+	// The primary's digest after each commit: a two-record transaction,
+	// then a one-operation write.
+	var want []string
+	capture := func() {
+		d, err := db.StateDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, d)
+	}
 	tx, err := db.BeginTx()
 	if err != nil {
 		t.Fatal(err)
@@ -133,34 +143,24 @@ func TestReplicaLiveApplyConverges(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	capture()
 	if _, err := db.CreateObject("Data", "Tail"); err != nil {
 		t.Fatal(err)
 	}
+	capture()
 
-	recs := drainTap(t, sub, 1)
-	before, err := rep.StateDigest()
-	if err != nil {
-		t.Fatal(err)
+	recs := drainTap(t, sub, len(want))
+	if len(recs) != len(want) {
+		t.Fatalf("tap shipped %d records for %d commits", len(recs), len(want))
 	}
-	sawPartial := false
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if err := rep.ApplyLogRecords([][]byte{rec}); err != nil {
 			t.Fatal(err)
 		}
-		// Mid-batch the replica's visible state must be the pre-batch
-		// state: batches surface whole or not at all.
-		d, err := rep.StateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d == before {
-			sawPartial = true
+		if d, err := rep.StateDigest(); err != nil || d != want[i] {
+			t.Fatalf("after record %d the replica is not at commit %d (%v)", i, i, err)
 		}
 	}
-	if !sawPartial {
-		t.Error("expected at least one mid-batch step to leave visible state unchanged")
-	}
-	digestsEqual(t, db, rep, "after live apply")
 	if _, ok := rep.View().ObjectByName("Handler"); !ok {
 		t.Fatal("replica missing transacted object")
 	}

@@ -310,8 +310,8 @@ func TestTxConcurrentDurableCommits(t *testing.T) {
 					errCh <- err
 					return
 				}
-				// Two records per batch: exercises the begin/end framing
-				// under concurrent group commit.
+				// Two engine records per batch record, staged under
+				// concurrent group commit.
 				sub, err := tx.CreateSubObject(descs[w], "")
 				if err == nil {
 					_ = sub // Description is a leaf; creation must fail
